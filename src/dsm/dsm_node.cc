@@ -101,9 +101,11 @@ DsmNode::DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* p
       costs_(costs),
       config_(config),
       hooks_(std::move(hooks)),
-      replica_(layout->region_bytes()),
+      replica_(static_cast<std::byte*>(std::calloc(layout->region_bytes(), 1))),
       table_(layout->num_pages()),
       fault_heat_(layout->num_pages()) {
+  DFIL_CHECK(replica_ != nullptr) << "cannot allocate a " << layout->region_bytes()
+                                  << "-byte replica";
   DFIL_CHECK(layout->sealed());
   DFIL_CHECK_LT(self_, 64) << "copysets are 64-bit masks";
   for (PageId p = 0; p < table_.size(); ++p) {
@@ -189,7 +191,7 @@ void DsmNode::AttachOracle(CoherenceOracle* oracle) {
 
 std::byte* DsmNode::TryAccess(GlobalAddr addr, size_t len, AccessMode mode) {
   DFIL_DCHECK(len > 0);
-  DFIL_DCHECK(addr + len <= replica_.size());
+  DFIL_DCHECK(addr + len <= layout_->region_bytes());
   const PageId first = layout_->PageOf(addr);
   const PageId last = layout_->PageOf(addr + len - 1);
   for (PageId p = first; p <= last; ++p) {
@@ -200,7 +202,7 @@ std::byte* DsmNode::TryAccess(GlobalAddr addr, size_t len, AccessMode mode) {
   for (PageId p = first; p <= last; ++p) {
     NotePageUsed(table_[p]);
   }
-  return replica_.data() + addr;
+  return replica_.get() + addr;
 }
 
 std::byte* DsmNode::Access(GlobalAddr addr, size_t len, AccessMode mode) {
@@ -218,7 +220,7 @@ std::byte* DsmNode::Access(GlobalAddr addr, size_t len, AccessMode mode) {
       for (PageId p = first; p <= last; ++p) {
         NotePageUsed(table_[p]);
       }
-      return replica_.data() + addr;
+      return replica_.get() + addr;
     }
     FaultAndWait(missing, mode);
   }
@@ -487,7 +489,7 @@ net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool 
     const PageEntry& e = table_[p];
     const uint64_t copyset = include_copyset ? (from_grant ? e.grant_copyset : e.copyset) : 0;
     w.Put(PageBlockHeader{p, copyset});
-    w.PutBytes(replica_.data() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
+    w.PutBytes(replica_.get() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
   }
   stats_.page_data_bytes += group.size() * ps;
   return w.Take();
@@ -519,7 +521,7 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
   uint64_t copyset = 0;
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto block = r.Get<PageBlockHeader>();
-    r.GetBytes(replica_.data() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
+    r.GetBytes(replica_.get() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
                ps);
     copyset |= block.copyset;
     hooks_.charge(TimeCategory::kDataTransfer, costs_->page_install);
@@ -762,7 +764,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     const uint64_t diff_tag =
         (config_.coalesce_sync_batch && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
     w.Put(PageBlockHeader{p, diff_tag});
-    w.PutBytes(replica_.data() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
+    w.PutBytes(replica_.get() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
     DFIL_ORACLE(OnServeRead(self_, src, p));
   }
   stats_.page_data_bytes += hits.size() * ps;
@@ -786,7 +788,7 @@ void DsmNode::OnBulkReply(net::Payload reply) {
   const size_t ps = layout_->page_size();
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto block = r.Get<PageBlockHeader>();
-    r.GetBytes(replica_.data() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
+    r.GetBytes(replica_.get() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
                ps);
     hooks_.charge(TimeCategory::kDataTransfer, costs_->page_install);
     FinishBulkPage(block.page, /*installed=*/true, h.owner_hint,

@@ -36,6 +36,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -259,7 +260,7 @@ class DsmNode {
   const DsmStats& stats() const { return stats_; }
   DsmStats& mutable_stats() { return stats_; }
   const GlobalLayout& layout() const { return *layout_; }
-  std::byte* raw_replica(GlobalAddr addr) { return replica_.data() + addr; }
+  std::byte* raw_replica(GlobalAddr addr) { return replica_.get() + addr; }
   Pcp pcp() const { return config_.pcp; }
   // The protocol currently governing `page`: the configured PCP, or the adapter's per-group
   // choice (implicit-invalidate or diff) when adaptation is enabled.
@@ -375,7 +376,12 @@ class DsmNode {
     return hooks_.tracer != nullptr && hooks_.tracer->enabled() ? hooks_.tracer : nullptr;
   }
 
-  std::vector<std::byte> replica_;
+  // The node's copy of the shared region, zeroed on demand: at region sizes calloc takes fresh
+  // zero pages from the OS, so only the pages this node touches become resident.
+  struct FreeDeleter {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::byte[], FreeDeleter> replica_;
   std::vector<PageEntry> table_;
   std::vector<uint32_t> fault_heat_;
   int pending_fetches_ = 0;

@@ -160,7 +160,7 @@ void DiffProtocol::TwinInPlace(PageId page) {
   PageEntry& e = entry(page);
   const size_t ps = node_.layout_->page_size();
   const std::byte* cur =
-      node_.replica_.data() + (static_cast<GlobalAddr>(page) << node_.layout_->page_shift());
+      node_.replica_.get() + (static_cast<GlobalAddr>(page) << node_.layout_->page_shift());
   twins_[page].assign(cur, cur + ps);
   e.state = PageState::kReadWrite;
   node_.stats_.diff_twins_created++;
@@ -215,7 +215,7 @@ void DiffProtocol::FlushTwins() {
   std::map<NodeId, std::vector<PageDiff>> by_home;
   for (const auto& [p, twin] : twins_) {
     const std::byte* cur =
-        node_.replica_.data() + (static_cast<GlobalAddr>(p) << node_.layout_->page_shift());
+        node_.replica_.get() + (static_cast<GlobalAddr>(p) << node_.layout_->page_shift());
     node_.hooks_.charge(TimeCategory::kDataTransfer, node_.costs_->diff_encode_page);
     std::vector<net::DiffRun> runs = net::DiffPageRuns(twin.data(), cur, ps);
     if (runs.empty()) {
@@ -237,7 +237,7 @@ void DiffProtocol::FlushTwins() {
     for (const PageDiff& d : pages) {
       w.Put(net::DiffPageHeader{d.page, static_cast<uint16_t>(d.runs.size())});
       const std::byte* cur =
-          node_.replica_.data() + (static_cast<GlobalAddr>(d.page) << node_.layout_->page_shift());
+          node_.replica_.get() + (static_cast<GlobalAddr>(d.page) << node_.layout_->page_shift());
       for (const net::DiffRun& run : d.runs) {
         w.Put(run);
         w.PutBytes(cur + run.offset, run.len);
@@ -342,7 +342,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
     // and its runs are consumed without touching the frame.
     const bool own = node_.table_[ph.page].owner;
     std::byte* frame =
-        node_.replica_.data() + (static_cast<GlobalAddr>(ph.page) << node_.layout_->page_shift());
+        node_.replica_.get() + (static_cast<GlobalAddr>(ph.page) << node_.layout_->page_shift());
     std::vector<net::DiffRun> runs;
     runs.reserve(ph.nruns);
     for (uint16_t r = 0; r < ph.nruns; ++r) {

@@ -108,9 +108,19 @@ struct DiffRun {
 inline std::vector<DiffRun> DiffPageRuns(const std::byte* twin, const std::byte* cur,
                                          size_t page_size, size_t min_gap = 8) {
   DFIL_CHECK_LE(page_size, size_t{65535}) << "diff runs use 16-bit offsets";
+  const auto word = [](const std::byte* p) {
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  };
   std::vector<DiffRun> runs;
   size_t i = 0;
   while (i < page_size) {
+    // Most of a twinned page is unchanged, so step over equal bytes a word at a time.
+    if (i + sizeof(uint64_t) <= page_size && word(twin + i) == word(cur + i)) {
+      i += sizeof(uint64_t);
+      continue;
+    }
     if (twin[i] == cur[i]) {
       ++i;
       continue;

@@ -1,5 +1,6 @@
 #include "src/sim/machine.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -20,7 +21,62 @@ void Machine::Deliver(NodeId dst, Datagram d, SimTime at) {
     NodeHost* host = hosts_[dst];
     host->AdvanceTo(at);
     host->OnDatagram(std::move(msg));
+    Refresh(dst);
   }).Release();
+}
+
+void Machine::Refresh(NodeId id) {
+  const NodeHost* host = hosts_[id];
+  int i = heap_index_[id];
+  if (host->Runnable()) {
+    if (i < 0) {
+      i = static_cast<int>(runnable_.size());
+      runnable_.emplace_back();
+    }
+    Sift(static_cast<size_t>(i), RunnableSlot{host->Clock(), id});
+  } else if (i >= 0) {
+    heap_index_[id] = -1;
+    const RunnableSlot last = runnable_.back();
+    runnable_.pop_back();
+    if (static_cast<size_t>(i) < runnable_.size()) {
+      Sift(static_cast<size_t>(i), last);
+    }
+  }
+}
+
+void Machine::Sift(size_t i, RunnableSlot slot) {
+  const auto place = [this](size_t at, RunnableSlot s) {
+    runnable_[at] = s;
+    heap_index_[s.id] = static_cast<int>(at);
+  };
+  while (i > 0 && slot < runnable_[(i - 1) / 2]) {
+    place(i, runnable_[(i - 1) / 2]);
+    i = (i - 1) / 2;
+  }
+  for (size_t child = 2 * i + 1; child < runnable_.size(); child = 2 * i + 1) {
+    if (child + 1 < runnable_.size() && runnable_[child + 1] < runnable_[child]) {
+      ++child;
+    }
+    if (!(runnable_[child] < slot)) {
+      break;
+    }
+    place(i, runnable_[child]);
+    i = child;
+  }
+  place(i, slot);
+}
+
+bool Machine::HeapRootMatchesScan() const {
+  const NodeHost* lowest = nullptr;
+  for (const NodeHost* host : hosts_) {
+    if (host->Runnable() && (lowest == nullptr || host->Clock() < lowest->Clock())) {
+      lowest = host;
+    }
+  }
+  if (lowest == nullptr || runnable_.empty()) {
+    return lowest == nullptr && runnable_.empty();
+  }
+  return runnable_.front().id == lowest->id() && runnable_.front().clock == lowest->Clock();
 }
 
 namespace {
@@ -146,29 +202,41 @@ EventHandle Machine::ScheduleTimer(NodeId node, SimTime at, std::function<void()
   return events_.Schedule(at, [this, node, at, fn = std::move(fn)]() {
     hosts_[node]->AdvanceTo(at);
     fn();
+    Refresh(node);
   });
 }
 
 RunResult Machine::Run(SimTime max_virtual_time) {
   RunResult result;
+  // Hosts may have changed since the last Run (tests script them directly), so index them anew.
+  runnable_.clear();
+  heap_index_.assign(hosts_.size(), -1);
+  for (const NodeHost* host : hosts_) {
+    Refresh(host->id());
+  }
   for (;;) {
-    // Pick the runnable node with the smallest clock (ties by id, for determinism).
-    NodeHost* next = nullptr;
-    for (NodeHost* host : hosts_) {
-      if (host->Runnable() && (next == nullptr || host->Clock() < next->Clock())) {
-        next = host;
-      }
-    }
+    // The runnable node with the smallest clock (ties by id, for determinism) is the heap root.
+    DFIL_DCHECK(HeapRootMatchesScan());
     SimTime event_time = events_.NextTime();
 
     // Strict inequality: an event due at exactly the node's clock dispatches first — otherwise a
     // node that yielded for that event would be resumed only to yield again, forever.
-    if (next != nullptr && next->Clock() < event_time) {
-      if (next->Clock() > max_virtual_time) {
+    if (!runnable_.empty() && runnable_.front().clock < event_time) {
+      const RunnableSlot next = runnable_.front();
+      if (next.clock > max_virtual_time) {
         result.deadlock_report = "virtual time limit exceeded";
         break;
       }
-      next->Step();
+      // The lowest clock among the other runnable hosts sits in one of the root's children.
+      SimTime min_other = kSimTimeNever;
+      for (size_t child = 1; child <= 2 && child < runnable_.size(); ++child) {
+        min_other = std::min(min_other, runnable_[child].clock);
+      }
+      stepping_ = next.id;
+      stepping_horizon_ = min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
+      hosts_[next.id]->Step();
+      stepping_ = kNoNode;
+      Refresh(next.id);
       continue;
     }
     if (event_time != kSimTimeNever) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
@@ -45,6 +46,11 @@ struct Datagram {
 
 // Per-node execution engine, implemented by the runtime layer (src/core). The Machine calls these
 // from its own (host) stack; OnDatagram and timer callbacks must not block or switch contexts.
+//
+// Scheduling contract: a host's Runnable() and Clock() change only inside its own Step(), or
+// inside an event addressed to it (a delivery to it, or a timer scheduled for it). The Machine
+// relies on this to keep its runnable-host heap and the stepping host's causal horizon current
+// without rescanning every host; debug builds cross-check both against a full scan.
 class NodeHost {
  public:
   virtual ~NodeHost() = default;
@@ -163,10 +169,18 @@ class Machine {
     return min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
   }
 
-  // The limit a node running on behalf of `self` may charge up to before yielding.
+  // The limit a node running on behalf of `self` may charge up to before yielding. Inside Run,
+  // the host being stepped reads its horizon from a memo taken before its Step(): by the NodeHost
+  // contract no other host's clock or runnability can change until that Step() returns.
   SimTime ChargeLimit(NodeId self) const {
     const SimTime ev = NextExternalTime();
-    const SimTime hz = CausalHorizon(self);
+    SimTime hz;
+    if (self == stepping_) {
+      hz = stepping_horizon_;
+      DFIL_DCHECK(hz == CausalHorizon(self));
+    } else {
+      hz = CausalHorizon(self);
+    }
     return ev < hz ? ev : hz;
   }
 
@@ -175,10 +189,29 @@ class Machine {
   RunResult Run(SimTime max_virtual_time = kSimTimeNever);
 
  private:
+  // A runnable host's place in the runnable heap. The clock is cached when the host is refreshed;
+  // the NodeHost contract keeps it current until the next refresh.
+  struct RunnableSlot {
+    SimTime clock;
+    NodeId id;
+    bool operator<(const RunnableSlot& other) const {
+      return clock != other.clock ? clock < other.clock : id < other.id;
+    }
+  };
+
   // Applies the fault plan (drop/duplicate/delay/stall) to one planned delivery.
   void InjectAndDeliver(Datagram d, SimTime at);
   void Deliver(NodeId dst, Datagram d, SimTime at);
   std::string BuildDeadlockReport() const;
+
+  // Re-reads host `id`'s runnability and clock into the runnable heap. Called after the host's
+  // Step() and after every event addressed to it.
+  void Refresh(NodeId id);
+  // Moves `slot` into the heap hole at `i`, sifting it up or down until the heap order holds.
+  void Sift(size_t i, RunnableSlot slot);
+  // Debug cross-check: the heap root is the runnable host with the lowest (clock, id) that a scan
+  // of every host finds, and its cached clock is current.
+  bool HeapRootMatchesScan() const;
 
   // Logs the decision to the injection ring, and emits an injection instant on
   // (node, kInjectionTid) at `at` when tracing is on.
@@ -189,6 +222,12 @@ class Machine {
   FaultInjector injector_;
   TraceRecorder* trace_ = nullptr;
   std::vector<NodeHost*> hosts_;
+  // Runnable hosts as an indexed binary min-heap on (clock, id), the order Run steps them in.
+  std::vector<RunnableSlot> runnable_;
+  std::vector<int> heap_index_;  // per host: its index in runnable_, or -1 when not runnable
+  // The host inside Step() and its causal horizon, memoized before the Step() began.
+  NodeId stepping_ = kNoNode;
+  SimTime stepping_horizon_ = kSimTimeNever;
   EventQueue events_;
   MessageStats net_stats_;
   SimTime lookahead_ = Microseconds(200.0);

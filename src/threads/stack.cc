@@ -16,7 +16,9 @@ constexpr size_t kCanaryBytes = kCanaryWords * sizeof(uint64_t);
 
 Stack::Stack(size_t bytes) : bytes_(bytes) {
   DFIL_CHECK_GE(bytes, kCanaryBytes + 4096);
-  memory_ = std::make_unique<std::byte[]>(bytes_);
+  // Not zero-filled: a fiber only ever reads what it wrote, so the untouched depth of a fresh
+  // stack never becomes resident. The canary words are written explicitly below.
+  memory_ = std::make_unique_for_overwrite<std::byte[]>(bytes_);
   uint64_t canary = kCanary;
   for (size_t i = 0; i < kCanaryWords; ++i) {
     std::memcpy(memory_.get() + i * sizeof(uint64_t), &canary, sizeof(canary));

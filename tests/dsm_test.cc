@@ -82,6 +82,37 @@ ClusterConfig Config(int nodes, Pcp pcp) {
   return cfg;
 }
 
+TEST(DsmReplicaTest, NeverTouchedPagesReadZeroOwnedAndFetched) {
+  // Replicas are zeroed on demand, so an 8 MB region is mostly pages no one ever touched. They
+  // must read 0 where the reader owns them, and after a read fault fetches the owner's copy.
+  Cluster cluster(Config(2, Pcp::kImplicitInvalidate));
+  const size_t ps = cluster.layout().page_size();
+  const size_t per_page = ps / sizeof(double);
+  const size_t pages = (size_t{8} << 20) / ps;
+  auto arr = GlobalArray1D<double>::Alloc(cluster.layout(), pages * per_page, "arr");
+  cluster.layout().SetInitialOwner(arr.addr(pages / 2 * per_page), pages / 2 * ps, 1);
+  std::vector<int> nonzero(2, 0);
+  std::vector<double> written_back(2, 0.0);
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    if (env.node() == 0) {
+      arr.Write(env, 0, 7.0);  // one written word, so a fetch cannot pass by shipping nothing
+    }
+    env.Barrier();
+    // Every 16th page from both halves: half owned by this node, half faulted in from the peer.
+    for (size_t page = 0; page < pages; page += 16) {
+      const size_t i = page * per_page + per_page - 1;
+      nonzero[env.node()] += arr.Read(env, i) != 0.0 ? 1 : 0;
+    }
+    written_back[env.node()] = arr.Read(env, 0);
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  for (int n = 0; n < 2; ++n) {
+    EXPECT_EQ(nonzero[n], 0) << "node " << n;
+    EXPECT_EQ(written_back[n], 7.0) << "node " << n;
+    EXPECT_GT(r.nodes[n].dsm.read_faults, 0u) << "node " << n;
+  }
+}
+
 TEST(DsmProtocolTest, ImplicitInvalidateSendsNoInvalidationMessages) {
   Cluster cluster(Config(4, Pcp::kImplicitInvalidate));
   auto x = GlobalRef<double>::Alloc(cluster.layout(), "x");

@@ -1,0 +1,77 @@
+// Pins the complete virtual-time schedule of Jacobi DF at the node counts the host-time benchmark
+// runs (64) and at a non-power-of-two count (13). The simulator's scheduler must pick the same
+// node at every step however it indexes the runnable hosts, so a tie-order slip anywhere shows up
+// here as a changed makespan, event count, datagram count, fault count or trace hash.
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+
+#include "src/apps/jacobi.h"
+
+namespace dfil::apps {
+namespace {
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+struct Pin {
+  int nodes;
+  SimTime makespan;
+  uint64_t events;
+  uint64_t datagrams;
+  uint64_t faults;
+  uint64_t trace_hash;
+};
+
+class SchedulePin : public ::testing::TestWithParam<Pin> {};
+
+TEST_P(SchedulePin, JacobiSwitchedScheduleIsUnchanged) {
+  const Pin pin = GetParam();
+  JacobiParams p;
+  p.n = 256;
+  p.iterations = 3;
+  p.pools = 3;
+  core::ClusterConfig cfg;
+  cfg.nodes = pin.nodes;
+  cfg.network = core::NetworkKind::kSwitched;
+  cfg.dsm.pcp = dsm::Pcp::kImplicitInvalidate;
+  cfg.trace_enabled = true;
+  const AppRun df = RunJacobiDf(p, cfg);
+  ASSERT_TRUE(df.report.completed) << df.report.deadlock_report;
+  EXPECT_EQ(df.checksum, RunJacobiSeq(p, core::ClusterConfig{}).checksum);
+
+  uint64_t datagrams = 0;
+  uint64_t faults = 0;
+  for (const core::NodeReport& nr : df.report.nodes) {
+    datagrams += nr.packet.datagrams_sent;
+    faults += nr.dsm.read_faults + nr.dsm.write_faults;
+  }
+  ASSERT_NE(df.report.trace, nullptr);
+  std::ostringstream trace;
+  df.report.trace->WriteChromeTrace(trace);
+
+  EXPECT_EQ(df.report.makespan, pin.makespan);
+  EXPECT_EQ(df.report.events, pin.events);
+  EXPECT_EQ(datagrams, pin.datagrams);
+  EXPECT_EQ(faults, pin.faults);
+  EXPECT_EQ(Fnv1a(trace.str()), pin.trace_hash);
+}
+
+void PrintTo(const Pin& pin, std::ostream* os) { *os << "p=" << pin.nodes; }
+
+// Recorded with a scheduler that scanned every host on every step and every Charge, the plain
+// definition of the step order and the causal horizon. Any faster scheduler must match them.
+INSTANTIATE_TEST_SUITE_P(
+    Nodes, SchedulePin,
+    ::testing::Values(Pin{64, 131784202, 1512, 1264, 378, 17992316678045315465ull},
+                      Pin{13, 305308798, 312, 266, 88, 7536173988298807045ull}),
+    [](const auto& info) { return "p" + std::to_string(info.param.nodes); });
+
+}  // namespace
+}  // namespace dfil::apps

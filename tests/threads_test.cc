@@ -149,6 +149,23 @@ TEST(StackTest, CanaryDetectsUnderflow) {
   EXPECT_FALSE(stack.CanaryIntact());
 }
 
+TEST(StackTest, FreshStackHasIntactCanaryOverReusedMemory) {
+  // Stack memory is not zero-filled, so a new stack may sit on memory a dead one left dirty; its
+  // canary must come from its own constructor.
+  for (int round = 0; round < 4; ++round) {
+    auto dirty = std::make_unique<Stack>(kDefaultStackBytes);
+    std::span<std::byte> usable = dirty->usable();
+    std::memset(usable.data() - 8, 0xAB, usable.size() + 8);
+    EXPECT_FALSE(dirty->CanaryIntact());
+    dirty.reset();
+    StackPool pool(kDefaultStackBytes);
+    std::unique_ptr<Stack> fresh = pool.Acquire();
+    EXPECT_EQ(pool.allocated(), 1u);
+    EXPECT_TRUE(fresh->CanaryIntact()) << "round " << round;
+    pool.Release(std::move(fresh));
+  }
+}
+
 TEST(StackPoolTest, AcquireReleaseRoundTrips) {
   StackPool pool(32768);
   auto s1 = pool.Acquire();
