@@ -60,7 +60,6 @@ struct BenchRun {
 
 BenchRun RunWorkload(const ClusterConfig& base, bool balance) {
   ClusterConfig cfg = base;
-  cfg.waitstate_enabled = true;  // same measurement substrate in both runs
   cfg.balancer.enabled = balance;
   if (balance) {
     // Aggressive hysteresis: the skew is constant, so act on one epoch's evidence and re-measure

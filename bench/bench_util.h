@@ -59,7 +59,6 @@ struct BenchArgs {
     }
     if (balance) {
       cfg.balancer.enabled = true;
-      cfg.waitstate_enabled = true;  // the balancer's signal (Validate insists on it)
     }
   }
 

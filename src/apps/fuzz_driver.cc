@@ -195,7 +195,6 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
   Rng balance_rng(seed ^ HashName(scenario) ^ HashName("balance"));
   if (balance_rng.NextBernoulli(0.35)) {
     cfg.balancer.enabled = true;
-    cfg.waitstate_enabled = true;  // the balancer's signal; Validate insists on it
     cfg.balancer.balance_trigger_ratio = 0.05 + 0.25 * balance_rng.NextDouble();
     cfg.balancer.balance_patience_epochs = 1 + static_cast<int>(balance_rng.NextBounded(3));
     cfg.balancer.balance_cooldown_epochs = 1 + static_cast<int>(balance_rng.NextBounded(4));

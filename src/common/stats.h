@@ -2,11 +2,12 @@
 //
 // Figure 10 of the paper breaks per-node execution time into work, filament execution, data
 // transfer, synchronization overhead, and synchronization delay. Every virtual-time charge in the
-// runtime is tagged with one of these categories so the same breakdown can be printed.
+// runtime is tagged with one of these categories, and the node's time ledger (common/ledger.h)
+// books it there so the same breakdown can be printed.
 #ifndef DFIL_COMMON_STATS_H_
 #define DFIL_COMMON_STATS_H_
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -45,27 +46,6 @@ constexpr std::string_view TimeCategoryName(TimeCategory c) {
       return "?";
   }
 }
-
-// Per-node accumulation of charged virtual time by category.
-class TimeBreakdown {
- public:
-  void Add(TimeCategory c, SimTime t) { by_category_[static_cast<size_t>(c)] += t; }
-
-  SimTime Get(TimeCategory c) const { return by_category_[static_cast<size_t>(c)]; }
-
-  SimTime Total() const {
-    SimTime sum = 0;
-    for (SimTime t : by_category_) {
-      sum += t;
-    }
-    return sum;
-  }
-
-  void Reset() { by_category_.fill(0); }
-
- private:
-  std::array<SimTime, kNumTimeCategories> by_category_{};
-};
 
 // Message-traffic counters, used to verify protocol claims (e.g. implicit-invalidate sends no
 // invalidation messages; the tournament barrier sends O(p) messages).

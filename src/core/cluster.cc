@@ -69,12 +69,12 @@ RunReport Cluster::Run(const NodeMain& node_main) {
 
   FlightSnapshot flight;
 #ifndef DFIL_DISABLE_COHERENCE_ORACLE
-  if (config_.coherence_oracle != nullptr && config_.waitstate_enabled) {
+  if (config_.coherence_oracle != nullptr) {
     config_.coherence_oracle->on_first_violation = [this, &flight] {
       flight.at_violation = true;
       flight.node_events.clear();
       for (auto& node : nodes_) {
-        flight.node_events.push_back(node->waitstate().RecentEvents());
+        flight.node_events.push_back(node->ledger().RecentEvents());
       }
       flight.injections = machine_->RecentInjections();
     };
@@ -89,11 +89,11 @@ RunReport Cluster::Run(const NodeMain& node_main) {
   }
 #endif
   for (auto& node : nodes_) {
-    node->FinalizeWaitstate();
+    node->FinalizeLedger();
   }
-  if (config_.waitstate_enabled && !flight.at_violation) {
+  if (!flight.at_violation) {
     for (auto& node : nodes_) {
-      flight.node_events.push_back(node->waitstate().RecentEvents());
+      flight.node_events.push_back(node->ledger().RecentEvents());
     }
     flight.injections = machine_->RecentInjections();
   }
@@ -118,10 +118,8 @@ RunReport Cluster::Run(const NodeMain& node_main) {
       config_.network == NetworkKind::kSharedEthernet ? "shared-ethernet" : "switched";
   report.provenance["barrier"] = BarrierName(config_.barrier);
   report.provenance["coalesce"] = config_.coalesce.enabled ? "on" : "off";
-  report.provenance["waitstate"] = config_.waitstate_enabled ? "on" : "off";
   report.provenance["balancer"] = config_.balancer.enabled ? "on" : "off";
   report.provenance["loss_rate"] = std::to_string(config_.EffectiveFaultPlan().loss_rate);
-  report.provenance["pool_profile"] = config_.pool_profile_enabled ? "on" : "off";
   // Run-fingerprint fields (DESIGN.md §14): the canonical config digest makes two runs provably
   // comparable (equal = same schedule-affecting configuration) and the build SHA pins the code.
   report.provenance["config_digest"] = config_.DigestHex();
@@ -135,9 +133,7 @@ RunReport Cluster::Run(const NodeMain& node_main) {
     nr.node = node->id();
     nr.finished_at = node->main_finished_at();
     nr.final_clock = node->Clock();
-    nr.waits = node->waitstate();
-    nr.poolprof = node->poolprof();
-    nr.breakdown = node->breakdown();
+    nr.breakdown = node->ledger();
     nr.filaments = node->fil_stats();
     nr.dsm = node->dsm().stats();
     nr.packet = node->packet().stats();

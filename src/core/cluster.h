@@ -18,11 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/ledger.h"
 #include "src/common/metrics.h"
-#include "src/common/poolprof.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
-#include "src/common/waitstate.h"
 #include "src/core/config.h"
 #include "src/core/node_env.h"
 #include "src/core/node_runtime.h"
@@ -35,25 +34,21 @@ struct NodeReport {
   NodeId node = 0;
   SimTime finished_at = 0;          // virtual time the node's main returned
   SimTime final_clock = 0;          // node clock at end of run (>= finished_at; includes the tail)
-  TimeBreakdown breakdown;          // Figure 10 categories
+  // The node's time ledger (common/ledger.h). Get/Total give the Figure 10 categories; it also
+  // holds the run/serve/wait partition (run + serve + wait == final_clock exactly), the per-pool
+  // rows, the wait-event counts and the flight ring.
+  TimeLedger breakdown;
   FilamentStats filaments;
   DsmStats dsm;
   net::PacketStats packet;
   MetricsRegistry metrics;          // live histograms + runtime counters
-  // Wait-state ledgers + flight ring (zeroed unless ClusterConfig::waitstate_enabled). After
-  // FinalizeWaitstate, run_time + serve_time + wait_time == final_clock exactly.
-  WaitStateRecorder waits;
-  // Per-pool run/blocked/fault attribution (empty unless ClusterConfig::pool_profile_enabled).
-  // Invariant: pool_run_total() + other_run() == waits.run_time() exactly (SimTime resolution).
-  PoolProfiler poolprof;
   std::map<uint16_t, uint64_t> sent_by_service;  // Figure 9 message counts
   std::vector<uint32_t> page_heat;  // demand faults per page on this node
 };
 
 // Flight-recorder snapshot: every node's recent wait events plus the machine's recent
 // fault-injection decisions. Captured the moment the coherence oracle records its first violation
-// (at_violation = true, while the rings still hold the lead-up), else at end of run. Empty unless
-// ClusterConfig::waitstate_enabled.
+// (at_violation = true, while the rings still hold the lead-up), else at end of run.
 struct FlightSnapshot {
   bool at_violation = false;
   std::vector<std::vector<WaitEvent>> node_events;  // indexed by node, oldest first

@@ -39,15 +39,12 @@ struct ClusterConfig {
   int nodes = 8;
   sim::CostModel costs = sim::CostModel::SunIpcEthernet();
   NetworkKind network = NetworkKind::kSharedEthernet;
-  // DEPRECATED: shorthand for fault_plan.loss_rate, folded by EffectiveFaultPlan(). Kept one
-  // release for existing callers; set fault_plan.loss_rate directly.
-  double loss_rate = 0.0;
   uint64_t seed = 1;
 
   // Adversarial fault injection (drops, duplicates, delays, burst loss, node stalls) — the
   // single source of truth for network misbehaviour. The plan's seed defaults to a value derived
   // from this config's seed when left at 0, so (config, seed) alone replays a run. Read it
-  // through EffectiveFaultPlan(), which also folds the deprecated loss_rate alias above.
+  // through EffectiveFaultPlan().
   sim::FaultPlan fault_plan;
 
   // When set, every DsmNode attaches to this oracle and the barrier champion sweeps it at each
@@ -97,24 +94,11 @@ struct ClusterConfig {
   // export as Chrome trace-event JSON via RunReport::trace.
   bool trace_enabled = false;
 
-  // Wait-state accounting (common/waitstate.h): typed records for every blocked interval, the
-  // run/serve/wait clock ledgers, per-epoch metrics snapshots, and the flight-recorder ring.
-  // Never charges time or sends messages, so schedules are byte-identical on and off; on by
-  // default because every analysis layer (dfil_report critpath/blame, flight dumps) feeds on it.
-  bool waitstate_enabled = true;
-
-  // Per-pool profiling (common/poolprof.h): splits the run ledger by the pool whose server
-  // thread held the processor, with fault / filament / migration counts per pool, exported as
-  // the "pools" section of dfil-metrics-v2. Never charges time or sends messages, so schedules
-  // are byte-identical on and off; on by default, like the wait-state recorder it refines.
-  bool pool_profile_enabled = true;
-
   // Runaway guard for the virtual clock.
   SimTime max_virtual_time = Seconds(100000.0);
 
-  // The fault plan with the deprecated loss_rate alias folded in and the seed defaulted from
-  // the run seed. Everything that injects faults (Cluster::Run, Validate) reads this, never the
-  // raw fields, so the two knobs cannot disagree.
+  // The fault plan with its seed defaulted from the run seed. Everything that injects faults
+  // (Cluster::Run, Validate) reads this, never the raw field.
   sim::FaultPlan EffectiveFaultPlan() const;
 
   // Checks the configuration for contradictions and out-of-range knobs; returns one
@@ -125,11 +109,10 @@ struct ClusterConfig {
   // Canonical 64-bit FNV-1a digest of every schedule-affecting knob (node count, cost model,
   // network, seed, effective fault plan, DSM/packet/coalesce/fork-join/balancer parameters).
   // Two runs with equal digests executed the same configuration; unequal digests name a real
-  // config difference. Observability knobs (trace_enabled, waitstate_enabled,
-  // pool_profile_enabled) are deliberately EXCLUDED — they never perturb the schedule, so runs
-  // stay provably comparable across instrumentation settings. Stamped into every metrics export
-  // as the "fingerprint.config" field; dfil_diff refuses to diff runs whose digests conceal a
-  // config change the user did not expect.
+  // config difference. The one observability knob, trace_enabled, is deliberately EXCLUDED — it
+  // never perturbs the schedule, so traced and untraced runs stay provably comparable. Stamped
+  // into every metrics export as the "fingerprint.config" field; dfil_diff refuses to diff runs
+  // whose digests conceal a config change the user did not expect.
   uint64_t Digest() const;
   // Digest() as 16 lowercase hex digits (the JSON/provenance form).
   std::string DigestHex() const;

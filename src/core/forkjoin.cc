@@ -171,7 +171,7 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
     DFIL_CHECK(winddown_waiter_ == nullptr);
     winddown_waiter_ = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("fj-winddown");
+    self->set_block_reason(WaitKind::kJoin);
     rt_->BlockCurrent();
   }
   steal_timer_.Cancel();
@@ -263,7 +263,7 @@ FjResult FjEngine::Join(FjHandle& handle) {
     }
     cell->waiter = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("join");
+    self->set_block_reason(WaitKind::kJoin);
     rt_->BlockCurrent();
   }
   const FjResult result = cell->result;
@@ -309,7 +309,7 @@ void FjEngine::WorkerLoop(bool is_main) {
       ArmStealRetry();
     }
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("fj-idle");
+    self->set_block_reason(WaitKind::kJoin);
     rt_->BlockCurrent();
   }
 }

@@ -135,7 +135,10 @@ struct FnRollup {
 std::map<int, FnRollup> RollupByFn(const RunReport& report) {
   std::map<int, FnRollup> by_fn;
   for (const NodeReport& nr : report.nodes) {
-    for (const auto& [pool, lg] : nr.poolprof.pools()) {
+    for (const TimeLedger::PoolRow& lg : nr.breakdown.pools()) {
+      if (!lg.booked) {
+        continue;
+      }
       FnRollup& r = by_fn[lg.fn];
       r.run += lg.run;
       r.blocked += lg.blocked;
@@ -144,15 +147,10 @@ std::map<int, FnRollup> RollupByFn(const RunReport& report) {
       r.migrated_in += lg.migrated_in;
     }
     FnRollup& other = by_fn[-1];
-    other.run += nr.poolprof.other_run();
-    other.serve += nr.waits.serve_time();
+    other.run += nr.breakdown.other_run();
+    other.serve += nr.breakdown.serve_time();
   }
   return by_fn;
-}
-
-bool PoolProfilingOn(const RunReport& report) {
-  const auto it = report.provenance.find("pool_profile");
-  return it != report.provenance.end() && it->second == "on";
 }
 
 std::string ProvenanceOr(const std::map<std::string, std::string>& provenance,
@@ -194,21 +192,17 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
     first = false;
   }
   os << "\n    },\n    \"pools_by_fn\": [";
-  if (PoolProfilingOn(report)) {
-    first = true;
-    for (const auto& [fn, r] : RollupByFn(report)) {
-      os << (first ? "\n" : ",\n") << "      {\"fn\": " << fn
-         << ", \"run_us\": " << ToMicroseconds(r.run)
-         << ", \"blocked_us\": " << ToMicroseconds(r.blocked)
-         << ", \"serve_us\": " << ToMicroseconds(r.serve) << ", \"faults\": " << r.faults
-         << ", \"filaments_run\": " << r.filaments_run << ", \"migrated_in\": " << r.migrated_in
-         << "}";
-      first = false;
-    }
-    os << (first ? "]" : "\n    ]");
-  } else {
-    os << "]";
+  first = true;
+  for (const auto& [fn, r] : RollupByFn(report)) {
+    os << (first ? "\n" : ",\n") << "      {\"fn\": " << fn
+       << ", \"run_us\": " << ToMicroseconds(r.run)
+       << ", \"blocked_us\": " << ToMicroseconds(r.blocked)
+       << ", \"serve_us\": " << ToMicroseconds(r.serve) << ", \"faults\": " << r.faults
+       << ", \"filaments_run\": " << r.filaments_run << ", \"migrated_in\": " << r.migrated_in
+       << "}";
+    first = false;
   }
+  os << (first ? "]" : "\n    ]");
   os << "\n  },\n  \"per_node\": [";
   for (size_t i = 0; i < report.nodes.size(); ++i) {
     const NodeReport& nr = report.nodes[i];
@@ -221,42 +215,40 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
       os << (c == 0 ? "" : ", ") << "\"" << TimeCategoryName(cat)
          << "\": " << ToMicroseconds(nr.breakdown.Get(cat));
     }
-    os << "},\n      \"run_us\": " << ToMicroseconds(nr.waits.run_time())
-       << ",\n      \"serve_us\": " << ToMicroseconds(nr.waits.serve_time())
+    os << "},\n      \"run_us\": " << ToMicroseconds(nr.breakdown.run_time())
+       << ",\n      \"serve_us\": " << ToMicroseconds(nr.breakdown.serve_time())
        << ",\n      \"wait_us\": {";
     for (size_t k = 0; k < kNumWaitKinds; ++k) {
       const auto kind = static_cast<WaitKind>(k);
       os << (k == 0 ? "" : ", ") << "\"" << WaitKindName(kind)
-         << "\": " << ToMicroseconds(nr.waits.wait_time(kind));
+         << "\": " << ToMicroseconds(nr.breakdown.wait_time(kind));
     }
     os << "},\n      \"wait_events\": {";
     for (size_t k = 0; k < kNumWaitKinds; ++k) {
       const auto kind = static_cast<WaitKind>(k);
       os << (k == 0 ? "" : ", ") << "\"" << WaitKindName(kind)
-         << "\": " << nr.waits.event_count(kind);
+         << "\": " << nr.breakdown.event_count(kind);
     }
     os << "},\n      \"pools\": [";
-    if (PoolProfilingOn(report)) {
-      bool first_pool = true;
-      for (const auto& [pool, lg] : nr.poolprof.pools()) {
-        os << (first_pool ? "\n" : ",\n") << "        {\"pool\": " << pool
-           << ", \"fn\": " << lg.fn << ", \"run_us\": " << ToMicroseconds(lg.run)
-           << ", \"blocked_us\": " << ToMicroseconds(lg.blocked)
-           << ", \"serve_us\": 0, \"faults\": " << lg.faults
-           << ", \"filaments_run\": " << lg.filaments_run << ", \"migrated_in\": " << lg.migrated_in
-           << "}";
-        first_pool = false;
+    const std::vector<TimeLedger::PoolRow>& pools = nr.breakdown.pools();
+    for (size_t pool = 0; pool < pools.size(); ++pool) {
+      const TimeLedger::PoolRow& lg = pools[pool];
+      if (!lg.booked) {
+        continue;
       }
-      // Residual row: run time outside any pool (main/sync/balancer code) plus all handler serve
-      // time. With it, sum(run_us)+sum(serve_us) over rows equals this node's run_us+serve_us.
-      os << (first_pool ? "\n" : ",\n") << "        {\"pool\": -1, \"fn\": -1, \"run_us\": "
-         << ToMicroseconds(nr.poolprof.other_run())
-         << ", \"blocked_us\": 0, \"serve_us\": " << ToMicroseconds(nr.waits.serve_time())
-         << ", \"faults\": 0, \"filaments_run\": 0, \"migrated_in\": 0}";
-      os << "\n      ]";
-    } else {
-      os << "]";
+      os << "\n        {\"pool\": " << pool << ", \"fn\": " << lg.fn
+         << ", \"run_us\": " << ToMicroseconds(lg.run)
+         << ", \"blocked_us\": " << ToMicroseconds(lg.blocked)
+         << ", \"serve_us\": 0, \"faults\": " << lg.faults
+         << ", \"filaments_run\": " << lg.filaments_run << ", \"migrated_in\": " << lg.migrated_in
+         << "},";
     }
+    // Residual row: run time outside any pool (main/sync/balancer code) plus all handler serve
+    // time. With it, sum(run_us)+sum(serve_us) over rows equals this node's run_us+serve_us.
+    os << "\n        {\"pool\": -1, \"fn\": -1, \"run_us\": "
+       << ToMicroseconds(nr.breakdown.other_run())
+       << ", \"blocked_us\": 0, \"serve_us\": " << ToMicroseconds(nr.breakdown.serve_time())
+       << ", \"faults\": 0, \"filaments_run\": 0, \"migrated_in\": 0}\n      ]";
     os << ",\n      \"epochs\": [";
     const auto& epochs = nr.metrics.epochs();
     for (size_t e = 0; e < epochs.size(); ++e) {

@@ -1,5 +1,5 @@
 // Uniform metrics export: flattens a RunReport — the ad-hoc stats structs (DsmStats,
-// MessageStats, FilamentStats, PacketStats), the time breakdown, per-service message counts,
+// MessageStats, FilamentStats, PacketStats), the time ledger, per-service message counts,
 // per-page fault heat, and the live MetricsRegistry histograms — into one JSON document that
 // tools/dfil_report (and the CI regression gate) consume.
 //
@@ -22,13 +22,13 @@
 //       {"node": i,
 //        "finished_at_us": ..., "final_clock_us": ...,
 //        "time_us": {"work": ..., "filament_exec": ...,...},// Figure 10 row
-//        "run_us": ..., "serve_us": ...,                    // wait-state clock ledgers;
+//        "run_us": ..., "serve_us": ...,                    // the clock partition;
 //        "wait_us": {"page_fault": ..., "barrier": ...,...},//   run+serve+sum(wait) ==
 //        "wait_events": {"page_fault": N, ...},             //   final_clock_us
-//        "pools": [                                         // per-pool ledgers ([] when
-//          {"pool": p, "fn": f, "run_us": ...,              //   pool_profile is off); row
-//           "blocked_us": ..., "serve_us": 0, "faults": N,  //   pool=-1 is the residual, so
-//           "filaments_run": N, "migrated_in": N}, ...],    //   sum(run+serve) == run+serve
+//        "pools": [                                         // per-pool rows; row pool=-1
+//          {"pool": p, "fn": f, "run_us": ...,              //   is the residual, so
+//           "blocked_us": ..., "serve_us": 0, "faults": N,  //   sum(run+serve) == run+serve
+//           "filaments_run": N, "migrated_in": N}, ...],
 //        "epochs": [{"epoch": 1, "barrier_wait_us": ..., "faults": ..., ...}, ...],
 //        "counters": {"dsm.read_faults": ..., "net.sent.page_request": ..., ...},
 //        "histograms": {"dsm.fault_wait_us": {...}, ...},

@@ -29,10 +29,6 @@ void NodeEnv::CreateFilament(PoolHandle pool, FilamentFn fn, int64_t a0, int64_t
   rt_->pools().AddFilament(pool.id, fn, a0, a1, a2);
 }
 
-void NodeEnv::CreateFilament(int pool, FilamentFn fn, int64_t a0, int64_t a1, int64_t a2) {
-  rt_->pools().AddFilament(pool, fn, a0, a1, a2);
-}
-
 void NodeEnv::CreateAutoFilament(FilamentFn fn, int64_t a0, int64_t a1, int64_t a2) {
   rt_->pools().AddAutoFilament(fn, a0, a1, a2);
 }

@@ -63,9 +63,6 @@ class NodeEnv {
   // Creates one filament in `pool` on this node.
   void CreateFilament(PoolHandle pool, FilamentFn fn, int64_t a0 = 0, int64_t a1 = 0,
                       int64_t a2 = 0);
-  // Raw-id overload kept one release for out-of-tree callers; use the PoolHandle one.
-  [[deprecated("pass the PoolHandle returned by CreatePool")]] void CreateFilament(
-      int pool, FilamentFn fn, int64_t a0 = 0, int64_t a1 = 0, int64_t a2 = 0);
   // Adaptive pool assignment (paper future work): the runtime profiles the first sweep and
   // re-clusters these filaments into pools by the page they fault on.
   void CreateAutoFilament(FilamentFn fn, int64_t a0 = 0, int64_t a1 = 0, int64_t a2 = 0);

@@ -1,6 +1,5 @@
 #include "src/core/node_runtime.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -12,58 +11,6 @@
 #include "src/dsm/page_protocol.h"
 
 namespace dfil::core {
-namespace {
-
-// Attributes an idle gap to a breakdown category based on why the woken thread was blocked.
-TimeCategory ClassifyGap(const std::string& reason) {
-  if (reason.rfind("page", 0) == 0 || reason.rfind("recv", 0) == 0) {
-    return TimeCategory::kDataTransfer;
-  }
-  if (reason.rfind("reduce", 0) == 0 || reason.rfind("drain", 0) == 0 ||
-      reason.rfind("join", 0) == 0 || reason.rfind("fj", 0) == 0 ||
-      reason.rfind("call", 0) == 0 || reason.rfind("sweep", 0) == 0 ||
-      reason.rfind("migrate", 0) == 0) {
-    return TimeCategory::kSyncDelay;
-  }
-  return TimeCategory::kIdle;
-}
-
-// Maps a block reason onto a typed wait kind, extracting the kind-specific cause (page id,
-// barrier epoch, service number) when the reason string carries one.
-WaitKind KindOfBlockReason(const std::string& reason, uint64_t* detail) {
-  *detail = 0;
-  if (reason.rfind("page ", 0) == 0) {
-    *detail = std::strtoull(reason.c_str() + 5, nullptr, 10);
-    return WaitKind::kPageFault;
-  }
-  if (reason.rfind("call ", 0) == 0) {
-    *detail = std::strtoull(reason.c_str() + 5, nullptr, 10);
-    return WaitKind::kCall;
-  }
-  if (reason.rfind("reduce up e", 0) == 0) {
-    *detail = std::strtoull(reason.c_str() + 11, nullptr, 10);
-    return WaitKind::kBarrier;
-  }
-  if (reason.rfind("reduce done e", 0) == 0) {
-    *detail = std::strtoull(reason.c_str() + 13, nullptr, 10);
-    return WaitKind::kBarrier;
-  }
-  if (reason.rfind("drain", 0) == 0) {
-    return WaitKind::kFetchDrain;
-  }
-  if (reason.rfind("recv", 0) == 0) {
-    return WaitKind::kChannel;
-  }
-  if (reason.rfind("join", 0) == 0 || reason.rfind("fj", 0) == 0) {
-    return WaitKind::kJoin;
-  }
-  if (reason.rfind("sweep", 0) == 0 || reason.rfind("migrate", 0) == 0) {
-    return WaitKind::kSweep;
-  }
-  return WaitKind::kIdle;
-}
-
-}  // namespace
 
 // Oracle sweep at a globally quiescent point: the combining node of a tournament/central barrier
 // holds every contribution, so every node has drained its outstanding fetches (WaitForFetchDrain)
@@ -97,11 +44,7 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
   packet_->set_tracer(&tracer_);
   packet_->set_metrics(&metrics_);
   packet_->set_coalesce(config_.coalesce);
-  ws_on_ = config_.waitstate_enabled;
-  if (ws_on_) {
-    packet_->set_waitstate(&waitstate_);
-  }
-  pp_on_ = config_.pool_profile_enabled;
+  packet_->set_ledger(&ledger_);
 
   dsm::DsmNode::Hooks hooks;
   hooks.charge = [this](TimeCategory c, SimTime t) { Charge(c, t); };
@@ -238,13 +181,11 @@ void NodeRuntime::OnDatagram(sim::Datagram d) { packet_->OnDatagram(std::move(d)
 
 void NodeRuntime::Charge(TimeCategory category, SimTime cost) {
   DFIL_DCHECK(cost >= 0);
-  breakdown_.Add(category, cost);
-  if (threads_.current() == nullptr) {
+  threads::ServerThread* self = threads_.current();
+  if (self == nullptr) {
     // Handler (host) context: interrupt work simply extends the node's clock.
     clock_ += cost;
-    if (ws_on_) {
-      waitstate_.AddServe(cost);
-    }
+    ledger_.AddCharge(category, TimeLedger::kServe, cost);
     return;
   }
   SimTime remaining = cost;
@@ -255,24 +196,14 @@ void NodeRuntime::Charge(TimeCategory category, SimTime cost) {
     const SimTime limit = machine_->ChargeLimit(id_);
     if (limit >= clock_ + remaining || limit == kSimTimeNever) {
       clock_ += remaining;
-      if (ws_on_) {
-        waitstate_.AddRun(remaining);
-      }
-      if (pp_on_) {
-        poolprof_.AddRun(threads_.current()->profile_pool(), remaining);
-      }
+      ledger_.AddCharge(category, self->profile_pool(), remaining);
       return;
     }
     if (limit > clock_) {
       const SimTime step = limit - clock_;
       remaining -= step;
       clock_ = limit;
-      if (ws_on_) {
-        waitstate_.AddRun(step);
-      }
-      if (pp_on_) {
-        poolprof_.AddRun(threads_.current()->profile_pool(), step);
-      }
+      ledger_.AddCharge(category, self->profile_pool(), step);
     }
     YieldForEvent();
   }
@@ -316,26 +247,16 @@ void NodeRuntime::Wake(threads::ServerThread* t) {
 
 void NodeRuntime::AccountWake(threads::ServerThread* t) {
   if (pending_gap_ > 0) {
-    breakdown_.Add(ClassifyGap(t->block_reason()), pending_gap_);
-    if (ws_on_) {
-      uint64_t detail = 0;
-      waitstate_.AddWait(KindOfBlockReason(t->block_reason(), &detail), pending_gap_);
-    }
+    ledger_.AddGap(t->block_kind(), pending_gap_);
     pending_gap_ = 0;
   }
   // blocked_since is -1 for a thread that marked itself blocked but was woken before it ever
   // suspended (the fault path charges — and can take a wake — between marking and BlockCurrent);
   // such a thread never waited, so there is no interval to record.
-  if ((ws_on_ || pp_on_) && t->blocked_since() >= 0) {
+  if (t->blocked_since() >= 0) {
     if (clock_ > t->blocked_since()) {
-      if (ws_on_) {
-        uint64_t detail = 0;
-        const WaitKind kind = KindOfBlockReason(t->block_reason(), &detail);
-        waitstate_.Record(kind, detail, t->blocked_since(), clock_);
-      }
-      if (pp_on_) {
-        poolprof_.AddBlocked(t->profile_pool(), clock_ - t->blocked_since());
-      }
+      ledger_.AddBlocked(t->block_kind(), t->block_detail(), t->blocked_since(), clock_,
+                         t->profile_pool());
     }
     t->set_blocked_since(-1);
   }
@@ -391,14 +312,14 @@ net::Payload NodeRuntime::CallService(NodeId dst, net::Service service, net::Pay
         state.reply = std::move(reply);
         state.done = true;
         if (self->state() == threads::ThreadState::kBlocked &&
-            self->block_reason().rfind("call", 0) == 0) {
+            self->block_kind() == WaitKind::kCall) {
           WakeAtTail(self);
         }
       },
       charge_as);
   while (!state.done) {
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("call " + std::to_string(static_cast<int>(service)));
+    self->set_block_reason(WaitKind::kCall, static_cast<uint64_t>(service));
     BlockCurrent();
   }
   return std::move(state.reply);
@@ -411,7 +332,8 @@ std::string NodeRuntime::DescribeBlocked() const {
     os << "(no blocked threads)";
   }
   for (const threads::ServerThread* t : blocked_) {
-    os << "[t" << t->id() << " " << t->block_reason() << "] ";
+    os << "[t" << t->id() << " " << WaitKindName(t->block_kind()) << " " << t->block_detail()
+       << "] ";
   }
   return os.str();
 }
@@ -560,7 +482,7 @@ double NodeRuntime::WaitReduceUp(uint64_t epoch, int round, NodeId from) {
     DFIL_CHECK(reduce_waiter_ == nullptr);
     reduce_waiter_ = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("reduce up e" + std::to_string(epoch));
+    self->set_block_reason(WaitKind::kBarrier, epoch);
     BlockCurrent();
   }
 }
@@ -577,7 +499,7 @@ double NodeRuntime::WaitReduceDone(uint64_t epoch) {
     DFIL_CHECK(reduce_waiter_ == nullptr);
     reduce_waiter_ = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("reduce done e" + std::to_string(epoch));
+    self->set_block_reason(WaitKind::kBarrier, epoch);
     BlockCurrent();
   }
 }
@@ -588,7 +510,7 @@ void NodeRuntime::WaitForFetchDrain() {
     DFIL_CHECK(drain_waiter_ == nullptr);
     drain_waiter_ = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("drain");
+    self->set_block_reason(WaitKind::kFetchDrain);
     BlockCurrent();
   }
 }
@@ -790,13 +712,11 @@ double NodeRuntime::Reduce(double value, ReduceOp op) {
   TraceEnd();
   metrics_.Inc("sync.reductions");
   metrics_.Hist("sync.barrier_wait_us").Record(ToMicroseconds(clock_ - entered));
-  if (ws_on_) {
-    // Arrival-to-release gap for this epoch. Thread-level "reduce up/done" blocks inside the
-    // barrier are recorded separately by the wake path; the node wait LEDGER only ever sees those
-    // scheduler gaps, so the ledger is not double-counted by this record.
-    waitstate_.Record(WaitKind::kBarrier, epoch, entered, clock_);
-    RecordEpochSnapshot(epoch, entered);
-  }
+  // Arrival-to-release interval for this epoch. Thread-level barrier blocks inside it are
+  // recorded separately by the wake path; the wait partition only ever sees scheduler gaps, so
+  // this record does not double-count it.
+  ledger_.AddBlocked(WaitKind::kBarrier, epoch, entered, clock_);
+  RecordEpochSnapshot(epoch, entered);
   if (config_.balancer.enabled && config_.nodes > 1) {
     // Every node saw the plan on the done broadcast (or its done-carrying stand-in), so source
     // and destination act here, between this epoch's barrier and the next sweep: filaments leave
@@ -822,14 +742,14 @@ void NodeRuntime::RecordEpochSnapshot(uint64_t epoch, SimTime entered) {
   row["faults"] = static_cast<double>(faults - epoch_base_.faults);
   row["diff_bytes"] = static_cast<double>(d.diff_bytes_sent - epoch_base_.diff_bytes);
   row["datagrams"] = static_cast<double>(p.datagrams_sent - epoch_base_.datagrams);
-  row["wait_us"] = ToMicroseconds(waitstate_.wait_time() - epoch_base_.wait);
-  row["serve_us"] = ToMicroseconds(waitstate_.serve_time() - epoch_base_.serve);
+  row["wait_us"] = ToMicroseconds(ledger_.wait_time() - epoch_base_.wait);
+  row["serve_us"] = ToMicroseconds(ledger_.serve_time() - epoch_base_.serve);
   metrics_.AddEpochRow(std::move(row));
   epoch_base_.faults = faults;
   epoch_base_.diff_bytes = d.diff_bytes_sent;
   epoch_base_.datagrams = p.datagrams_sent;
-  epoch_base_.wait = waitstate_.wait_time();
-  epoch_base_.serve = waitstate_.serve_time();
+  epoch_base_.wait = ledger_.wait_time();
+  epoch_base_.serve = ledger_.serve_time();
 }
 
 // --- Load balancing (DESIGN.md §13) ---------------------------------------------------------------
@@ -838,13 +758,13 @@ void NodeRuntime::RecordLoadSample(uint64_t epoch, SimTime entered) {
   LoadSample s;
   s.node = id_;
   s.arrival = entered;
-  s.run = waitstate_.run_time() - balance_base_.run;
-  s.wait = waitstate_.wait_time() - balance_base_.wait;
-  s.serve = waitstate_.serve_time() - balance_base_.serve;
+  s.run = ledger_.run_time() - balance_base_.run;
+  s.wait = ledger_.wait_time() - balance_base_.wait;
+  s.serve = ledger_.serve_time() - balance_base_.serve;
   balance_samples_[epoch][id_] = s;
-  balance_base_.run = waitstate_.run_time();
-  balance_base_.wait = waitstate_.wait_time();
-  balance_base_.serve = waitstate_.serve_time();
+  balance_base_.run = ledger_.run_time();
+  balance_base_.wait = ledger_.wait_time();
+  balance_base_.serve = ledger_.serve_time();
 }
 
 void NodeRuntime::MaybeEmitPlan(uint64_t epoch) {
@@ -980,16 +900,11 @@ void NodeRuntime::RegisterMigrateService() {
       /*idempotent=*/true);
 }
 
-void NodeRuntime::FinalizeWaitstate() {
-  if (!ws_on_) {
-    return;
-  }
+void NodeRuntime::FinalizeLedger() {
   // The trailing scheduler gap (after the last wake — typically the quiet tail waiting for the
-  // cluster to finish) has no wake to classify it; fold it into idle so the three ledgers
-  // partition the final clock exactly. Deliberately NOT added to breakdown_, whose contract is
-  // "charged or wake-classified time only" (it may undershoot finished_at).
+  // cluster to finish) has no wake to classify it; it is idle wait, and Figure 10 leaves it out.
   if (pending_gap_ > 0) {
-    waitstate_.AddWait(WaitKind::kIdle, pending_gap_);
+    ledger_.AddTrailingGap(pending_gap_);
     pending_gap_ = 0;
   }
 }
@@ -1026,7 +941,7 @@ void NodeRuntime::WaitAnyChannel() {
   DFIL_CHECK(any_channel_waiter_ == nullptr);
   any_channel_waiter_ = self;
   self->set_state(threads::ThreadState::kBlocked);
-  self->set_block_reason("recv any");
+  self->set_block_reason(WaitKind::kChannel);
   BlockCurrent();
 }
 
@@ -1038,7 +953,7 @@ std::vector<std::byte> NodeRuntime::ChannelRecv(NodeId src, uint32_t tag) {
     DFIL_CHECK(ch.waiter == nullptr) << "two receivers on one channel";
     ch.waiter = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("recv " + std::to_string(src) + ":" + std::to_string(tag));
+    self->set_block_reason(WaitKind::kChannel);
     BlockCurrent();
   }
   std::vector<std::byte> msg = std::move(ch.messages.front());

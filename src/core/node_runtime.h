@@ -24,12 +24,11 @@
 #include <vector>
 
 #include "src/common/intrusive_list.h"
+#include "src/common/ledger.h"
 #include "src/common/metrics.h"
-#include "src/common/poolprof.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
-#include "src/common/waitstate.h"
 #include "src/core/config.h"
 #include "src/core/node_env.h"
 #include "src/dsm/dsm_node.h"
@@ -114,16 +113,12 @@ class NodeRuntime final : public sim::NodeHost {
   // Live histograms and runtime counters; flattened with the stats structs by metrics_io.
   MetricsRegistry& metrics() { return metrics_; }
 
-  // Wait-state ledgers and the flight-recorder ring (common/waitstate.h). Only meaningful when
-  // ClusterConfig::waitstate_enabled; the recorder stays zeroed otherwise.
-  const WaitStateRecorder& waitstate() const { return waitstate_; }
-  // Folds the still-unclassified trailing scheduler gap into the idle wait ledger, making
-  // run + serve + wait equal the final clock exactly. Called once by Cluster::Run at the end.
-  void FinalizeWaitstate();
-
-  // Per-pool run/blocked/fault attribution (common/poolprof.h). Stays empty unless
-  // ClusterConfig::pool_profile_enabled.
-  const PoolProfiler& poolprof() const { return poolprof_; }
+  // The node's time ledger (common/ledger.h): Figure 10, run/serve/wait, per-pool rows, wait
+  // events and the flight-recorder ring.
+  const TimeLedger& ledger() const { return ledger_; }
+  // Books the still-unclassified trailing scheduler gap as idle wait, making run + serve + wait
+  // equal the final clock exactly. Called once by Cluster::Run at the end.
+  void FinalizeLedger();
 
   // --- Accessors ---
   NodeEnv& env() { return env_; }
@@ -136,7 +131,6 @@ class NodeRuntime final : public sim::NodeHost {
   FjEngine& fj() { return *fj_; }
   threads::ThreadSystem& threads() { return threads_; }
 
-  TimeBreakdown& breakdown() { return breakdown_; }
   FilamentStats& fil_stats() { return fil_stats_; }
   SimTime main_finished_at() const { return main_finished_at_; }
 
@@ -147,9 +141,8 @@ class NodeRuntime final : public sim::NodeHost {
   // Charge() helper: returns to the machine so a due event can dispatch; resumes afterwards.
   void YieldForEvent();
 
-  // Wake-time accounting shared by WakeAtFront/WakeAtTail: classifies the pending scheduler gap
-  // (Figure-10 breakdown + wait-state ledger) and emits the woken thread's blocked-interval
-  // record.
+  // Wake-time accounting shared by WakeAtFront/WakeAtTail: books the pending scheduler gap under
+  // the woken thread's wait kind and the thread's blocked interval.
   void AccountWake(threads::ServerThread* t);
 
   // Blocks the current thread until there are no outstanding page fetches (paper §3: nodes delay
@@ -232,18 +225,11 @@ class NodeRuntime final : public sim::NodeHost {
   NodeTracer tracer_;
   MetricsRegistry metrics_;
   // Per-thread fault-block start time (faults never nest within one server thread); feeds the
-  // dsm.fault_wait_us histogram. Page-fault *wait records* come from the wake path, which parses
-  // the page id out of the thread's block reason.
+  // dsm.fault_wait_us histogram. Page-fault *wait records* come from the wake path, which reads
+  // the page id from the thread's block reason.
   std::map<uint64_t, SimTime> fault_wait_start_;
-  TimeBreakdown breakdown_;
   FilamentStats fil_stats_;
-
-  // Wait-state accounting (no-ops unless config.waitstate_enabled).
-  bool ws_on_ = false;
-  WaitStateRecorder waitstate_;
-  // Per-pool attribution (no-ops unless config.pool_profile_enabled).
-  bool pp_on_ = false;
-  PoolProfiler poolprof_;
+  TimeLedger ledger_;
   // Prior-epoch counter snapshot, so Reduce can record per-epoch deltas.
   struct EpochBase {
     uint64_t faults = 0;

@@ -20,9 +20,7 @@ void PoolEngine::AddFilament(int pool, FilamentFn fn, int64_t a0, int64_t a1, in
   Pool& p = *pools_[pool];
   p.filaments.push_back(Filament{fn, a0, a1, a2});
   p.patterns_valid = false;
-  if (rt_->pp_on_) {
-    rt_->poolprof_.BindPoolFn(pool, reinterpret_cast<const void*>(fn));
-  }
+  rt_->ledger_.BindPoolFn(pool, reinterpret_cast<const void*>(fn));
   rt_->Charge(TimeCategory::kFilamentExec, rt_->costs().filament_create);
   rt_->fil_stats().filaments_created++;
 }
@@ -108,7 +106,7 @@ void PoolEngine::RunSweep() {
     DFIL_CHECK(sweep_waiter_ == nullptr);
     sweep_waiter_ = self;
     self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason("sweep");
+    self->set_block_reason(WaitKind::kSweep);
     rt_->BlockCurrent();
   }
   sweep_waiter_ = nullptr;
@@ -194,7 +192,7 @@ void PoolEngine::WaitForMigrations() {
       DFIL_CHECK(migrate_waiter_ == nullptr);
       migrate_waiter_ = self;
       self->set_state(threads::ThreadState::kBlocked);
-      self->set_block_reason("migrate");
+      self->set_block_reason(WaitKind::kSweep);
       rt_->BlockCurrent();
       continue;
     }
@@ -208,9 +206,7 @@ void PoolEngine::WaitForMigrations() {
     for (const Filament& f : batch) {
       AddFilament(pool, f.fn, f.a0, f.a1, f.a2);
     }
-    if (rt_->pp_on_) {
-      rt_->poolprof_.OnMigratedIn(pool, batch.size());
-    }
+    rt_->ledger_.AddMigratedIn(pool, batch.size());
     finish_stack_.clear();  // pool set changed: frontloading restarts from creation order
   }
 }
@@ -325,7 +321,7 @@ void PoolEngine::RunnerLoop() {
     rt_->TraceBegin("pool", "pool " + std::to_string(pool->id));
     ExecutePool(pool);
     rt_->TraceEnd();
-    rt_->CurrentThread()->set_profile_pool(-1);
+    rt_->CurrentThread()->set_profile_pool(TimeLedger::kOtherRun);
     running_pool_.erase(rt_->CurrentThread());
     pool->running = false;
     pool->completed = true;
@@ -404,9 +400,7 @@ void PoolEngine::ExecutePool(Pool* pool) {
       }
       s.fn(env, s.a0 + k * s.d0, s.a1 + k * s.d1, s.a2 + k * s.d2);
     }
-    if (rt_->pp_on_) {
-      rt_->poolprof_.OnFilamentsRun(pool->id, static_cast<uint64_t>(s.count));
-    }
+    rt_->ledger_.AddFilamentsRun(pool->id, static_cast<uint64_t>(s.count));
   }
 }
 
@@ -435,9 +429,7 @@ void PoolEngine::OnThreadBlockedOnPage(PageId page) {
   if (pool->auto_profile) {
     pool->fault_profile.emplace_back(it->second.ordinal, page);
   }
-  if (rt_->pp_on_) {
-    rt_->poolprof_.OnFault(pool->id);
-  }
+  rt_->ledger_.AddFault(pool->id);
   rt_->fil_stats().pool_suspensions++;
   // The paper's key move: a fault starts a new server thread on a different pool, so the page
   // round-trip is overlapped with the execution of other filaments.

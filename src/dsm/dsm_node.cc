@@ -287,7 +287,7 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
     tracer()->Flow(kFlowStart, "dsm", FlowName(page), e.trace_id);
   }
   t->set_state(threads::ThreadState::kBlocked);
-  t->set_block_reason("page " + std::to_string(page));
+  t->set_block_reason(WaitKind::kPageFault, page);
   e.waiters.PushBack(t);
   hooks_.block_current();
   if (hooks_.trace_fault_end) {

@@ -420,10 +420,10 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
   out.attempts++;
   stats_.retransmissions++;
   machine_->net_stats().retransmissions++;
-  if (waitstate_ != nullptr) {
+  if (ledger_ != nullptr) {
     // The stall so far: the exchange has been outstanding since its first transmission.
-    waitstate_->Record(WaitKind::kRetransmit, static_cast<uint64_t>(out.service), out.sent_at,
-                       clock_());
+    ledger_->AddBlocked(WaitKind::kRetransmit, static_cast<uint64_t>(out.service), out.sent_at,
+                        clock_());
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Instant("net", std::string("retx ") + ServiceName(out.service) + " -> n" +

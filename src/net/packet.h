@@ -26,11 +26,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/ledger.h"
 #include "src/common/metrics.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
-#include "src/common/waitstate.h"
 #include "src/net/wire.h"
 #include "src/sim/machine.h"
 
@@ -214,9 +214,9 @@ class PacketEndpoint {
   // receives the per-service send counters and the outstanding-pipeline-depth histogram.
   void set_tracer(NodeTracer* tracer) { tracer_ = tracer; }
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-  // When set, every RTO expiry records a kRetransmit wait event spanning [first send, expiry] —
-  // the stall the retransmission is recovering from. Recording only; never perturbs the schedule.
-  void set_waitstate(WaitStateRecorder* waitstate) { waitstate_ = waitstate; }
+  // When set, every RTO expiry books a kRetransmit blocked interval spanning [first send, expiry]
+  // — the stall the retransmission is recovering from — in the node's time ledger.
+  void set_ledger(TimeLedger* ledger) { ledger_ = ledger; }
 
   // Messages transmitted per service (requests, replies, raws and acks combined), for the
   // Figure 9 message-count table.
@@ -333,7 +333,7 @@ class PacketEndpoint {
   PacketStats stats_;
   NodeTracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
-  WaitStateRecorder* waitstate_ = nullptr;
+  TimeLedger* ledger_ = nullptr;
   std::map<uint16_t, uint64_t> sent_by_service_;
 
   uint64_t next_req_id_ = 1;

@@ -32,7 +32,7 @@ ServerThread* ThreadSystem::Create(std::function<void()> body) {
   }
   thread->id_ = next_id_++;
   thread->state_ = ThreadState::kReady;
-  thread->block_reason_.clear();
+  thread->set_block_reason(WaitKind::kIdle);
   thread->body_ = std::move(body);
   thread->system_ = this;
   thread->stack_ = stack_pool_.Acquire();

@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
+#include "src/common/ledger.h"
 #include "src/threads/context.h"
 #include "src/threads/stack.h"
 
@@ -40,20 +40,27 @@ class ServerThread {
   ThreadState state() const { return state_; }
   void set_state(ThreadState s) { state_ = s; }
 
-  // Why the thread is blocked; used for deadlock reports and idle-gap accounting.
-  const std::string& block_reason() const { return block_reason_; }
-  void set_block_reason(std::string reason) { block_reason_ = std::move(reason); }
+  // Why the thread is blocked: the wait kind and its detail (page id, service number or barrier
+  // epoch; 0 for kinds without one). The wake books the scheduler gap it ends under this kind, and
+  // deadlock reports print it.
+  WaitKind block_kind() const { return block_kind_; }
+  uint64_t block_detail() const { return block_detail_; }
+  void set_block_reason(WaitKind kind, uint64_t detail = 0) {
+    block_kind_ = kind;
+    block_detail_ = detail;
+  }
 
   // Virtual time at which the thread last suspended in BlockCurrent; paired with the block
-  // reason at wake to produce the typed wait-state record for the blocked interval. -1 between
-  // records (a thread can be marked blocked yet woken before it ever suspends — no interval).
+  // reason at wake to produce the blocked-interval record. -1 between records (a thread can be
+  // marked blocked yet woken before it ever suspends — no interval).
   int64_t blocked_since() const { return blocked_since_; }
   void set_blocked_since(int64_t t) { blocked_since_ = t; }
 
-  // Pool this thread is currently executing for (-1 = not a pool runner). Set by the pool
-  // engine around ExecutePool; read by the runtime's Charge/AccountWake paths to attribute run
-  // and blocked time per pool (common/poolprof.h). Stays set while the runner is suspended on a
-  // fault, so the blocked interval lands on the faulting pool.
+  // Pool this thread is currently executing for (TimeLedger::kOtherRun = not a pool runner). Set
+  // by the pool engine around ExecutePool; read by the runtime's Charge/AccountWake paths to
+  // attribute run and blocked time per pool in the node's time ledger (common/ledger.h). Stays
+  // set while the runner is suspended on a fault, so the blocked interval lands on the faulting
+  // pool.
   int profile_pool() const { return profile_pool_; }
   void set_profile_pool(int pool) { profile_pool_ = pool; }
 
@@ -65,9 +72,10 @@ class ServerThread {
 
   uint64_t id_ = 0;
   ThreadState state_ = ThreadState::kReady;
-  std::string block_reason_;
+  WaitKind block_kind_ = WaitKind::kIdle;
+  uint64_t block_detail_ = 0;
   int64_t blocked_since_ = -1;
-  int profile_pool_ = -1;
+  int profile_pool_ = TimeLedger::kOtherRun;
   Context context_;
   std::unique_ptr<Stack> stack_;
   std::function<void()> body_;

@@ -237,7 +237,7 @@ TEST(ClusterSmoke, LostChannelMessageDeadlocksLikeThePaper) {
   });
   EXPECT_FALSE(r.completed);
   EXPECT_TRUE(r.deadlocked);
-  EXPECT_NE(r.deadlock_report.find("recv"), std::string::npos);
+  EXPECT_NE(r.deadlock_report.find("channel"), std::string::npos);
 }
 
 }  // namespace

@@ -18,11 +18,6 @@ int64_t g_counter = 0;
 
 void CountFilament(NodeEnv&, int64_t, int64_t, int64_t) { ++g_counter; }
 
-void CountWithWork(NodeEnv& env, int64_t, int64_t, int64_t) {
-  ++g_counter;
-  env.ChargeWork(Microseconds(1.0));
-}
-
 // --- Pattern recognition -------------------------------------------------------------------------
 
 TEST(PatternRecognitionTest, AffineStripsRunInlined) {

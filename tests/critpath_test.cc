@@ -1,7 +1,7 @@
 // Tests for the critical-path engine and the wait-state accounting it rests on: merged-histogram
-// percentile edge cases, the exact run/serve/wait clock ledger, schedule invariance of the
-// recorder, the end-to-end path builder (synthetic traces and a real traced cluster run), the
-// critpath share gate, and the flight-recorder dump/replay pipeline.
+// percentile edge cases, the per-epoch series, the end-to-end path builder (synthetic traces and
+// a real traced cluster run), the critpath share gate, and the flight-recorder dump/replay
+// pipeline. The exact clock partition is checked over the pinned runs in ledger_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include "src/apps/fuzz_driver.h"
 #include "src/apps/jacobi.h"
 #include "src/common/trace.h"
-#include "src/common/waitstate.h"
 #include "src/core/cluster.h"
 #include "src/core/metrics_io.h"
 #include "tools/report_lib.h"
@@ -93,9 +92,9 @@ TEST(HistSummaryTest, MergeIsAssociativeAndOrderInsensitive) {
   EXPECT_DOUBLE_EQ(from_empty.Percentile(50.0), a.Percentile(50.0));
 }
 
-// --- Wait-state ledger: the accounting invariant ---
+// --- Wait-state accounting: the per-epoch series ---
 
-core::RunReport SmallJacobiRun(bool waitstate, bool trace) {
+core::RunReport SmallJacobiRun(bool trace) {
   apps::JacobiParams p;
   p.n = 128;
   p.iterations = 3;
@@ -104,48 +103,14 @@ core::RunReport SmallJacobiRun(bool waitstate, bool trace) {
   cfg.costs = sim::CostModel::SunIpcEthernet();
   cfg.network = core::NetworkKind::kSharedEthernet;
   cfg.dsm.pcp = dsm::Pcp::kImplicitInvalidate;
-  cfg.waitstate_enabled = waitstate;
   cfg.trace_enabled = trace;
   apps::AppRun run = apps::RunJacobiDf(p, cfg);
   EXPECT_TRUE(run.report.completed) << run.report.deadlock_report;
   return run.report;
 }
 
-TEST(WaitStateTest, RunServeWaitSumsToFinalClockExactly) {
-  const core::RunReport r = SmallJacobiRun(/*waitstate=*/true, /*trace=*/false);
-  for (const core::NodeReport& nr : r.nodes) {
-    // The three ledgers are the only clock-advance paths, so the invariant is exact at SimTime
-    // (nanosecond) resolution — not approximate.
-    const SimTime accounted =
-        nr.waits.run_time() + nr.waits.serve_time() + nr.waits.wait_time();
-    EXPECT_EQ(accounted, nr.final_clock) << "node " << nr.node;
-    EXPECT_GE(nr.final_clock, nr.finished_at);
-    EXPECT_GT(nr.waits.run_time(), 0) << "node " << nr.node;
-  }
-  // The blocked-interval ring saw events on every node of a faulting multi-node run.
-  for (const core::NodeReport& nr : r.nodes) {
-    EXPECT_GT(nr.waits.events_seen(), 0u) << "node " << nr.node;
-  }
-}
-
-TEST(WaitStateTest, RecorderOnOffIsScheduleInvariant) {
-  const core::RunReport on = SmallJacobiRun(/*waitstate=*/true, /*trace=*/false);
-  const core::RunReport off = SmallJacobiRun(/*waitstate=*/false, /*trace=*/false);
-  EXPECT_EQ(on.makespan, off.makespan);
-  EXPECT_EQ(on.net.messages_sent, off.net.messages_sent);
-  EXPECT_EQ(on.events, off.events);
-  ASSERT_EQ(on.nodes.size(), off.nodes.size());
-  for (size_t i = 0; i < on.nodes.size(); ++i) {
-    EXPECT_EQ(on.nodes[i].finished_at, off.nodes[i].finished_at);
-    EXPECT_EQ(on.nodes[i].dsm.read_faults, off.nodes[i].dsm.read_faults);
-    // Off really is off: the ledgers stay zero, so the invariant is waitstate-only.
-    EXPECT_EQ(off.nodes[i].waits.events_seen(), 0u);
-    EXPECT_EQ(off.nodes[i].waits.run_time(), 0);
-  }
-}
-
 TEST(WaitStateTest, EpochSeriesTracksBarriers) {
-  const core::RunReport r = SmallJacobiRun(/*waitstate=*/true, /*trace=*/false);
+  const core::RunReport r = SmallJacobiRun(/*trace=*/false);
   std::ostringstream os;
   core::WriteMetricsJson(r, "epoch_series", os);
   report::RunSummary run;
@@ -155,7 +120,6 @@ TEST(WaitStateTest, EpochSeriesTracksBarriers) {
   // Provenance names the schedule-picking knobs.
   EXPECT_EQ(run.provenance.at("nodes"), "4");
   EXPECT_EQ(run.provenance.at("pcp"), "implicit_invalidate");
-  EXPECT_EQ(run.provenance.at("waitstate"), "on");
   for (const report::RunSummary::Node& n : run.per_node) {
     ASSERT_FALSE(n.epochs.empty()) << "node " << n.node;
     double prev_epoch = 0.0;
@@ -251,7 +215,7 @@ TEST(CritPathTest, RejectsTraceWithoutDoneInstants) {
 // --- Critical path: a real traced cluster run ---
 
 TEST(CritPathTest, RealRunPathIsConnectedAndTilesCompletionTime) {
-  const core::RunReport r = SmallJacobiRun(/*waitstate=*/true, /*trace=*/true);
+  const core::RunReport r = SmallJacobiRun(/*trace=*/true);
   ASSERT_NE(r.trace, nullptr);
   std::ostringstream os;
   r.trace->WriteChromeTrace(os);
@@ -293,7 +257,7 @@ TEST(CritPathTest, RealRunPathIsConnectedAndTilesCompletionTime) {
 }
 
 TEST(CritPathTest, ShareGatePassesAtTruthFailsWhenShifted) {
-  const core::RunReport r = SmallJacobiRun(/*waitstate=*/true, /*trace=*/true);
+  const core::RunReport r = SmallJacobiRun(/*trace=*/true);
   std::ostringstream os;
   r.trace->WriteChromeTrace(os);
   const report::CriticalPath path = report::BuildCriticalPath(os.str());
@@ -328,7 +292,7 @@ TEST(CritPathTest, ShareGatePassesAtTruthFailsWhenShifted) {
 // --- Flight recorder: dump, parse, render ---
 
 TEST(FlightRecorderTest, EndOfRunSnapshotRoundTrips) {
-  core::RunReport r = SmallJacobiRun(/*waitstate=*/true, /*trace=*/false);
+  core::RunReport r = SmallJacobiRun(/*trace=*/false);
   EXPECT_FALSE(r.flight.at_violation);
   ASSERT_EQ(r.flight.node_events.size(), 4u);
   size_t events = 0;

@@ -1,13 +1,14 @@
-// Five pinned runs and the time ledger over them.
+// Five pinned runs and the time ledger (common/ledger.h) over them.
 //
 // The runs cover every source of a blocked interval: Jacobi at 64 and 13 nodes (the SchedulePin
-// configs: page faults, fetch drains, barriers, sweeps), fork/join quadrature (join and call
-// waits), bag-of-tasks quadrature (channel waits), and the balanced skewed workload under 5% loss
+// configs: page faults, barriers, sweeps), fork/join quadrature (join and call waits),
+// bag-of-tasks quadrature (channel waits), and the balanced skewed workload under 5% loss
 // (retransmit records, load samples, migrations, the flight ring). Each pin is an FNV-1a hash of
 // the run's dfil-metrics-v2 export, plus its dfil-flight-v1 dump for the lossy run, so a change to
 // any projection of the ledger, down to the last rounded microsecond, moves a pin.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
 
@@ -72,19 +73,6 @@ core::RunReport LossyBalanced() {
   return core::skewed::RunSkewed(cfg).report;
 }
 
-// The two always-on observability knobs stamp provenance lines that go away with the knobs; the
-// pins hash the export without them.
-std::string WithoutKnobProvenance(std::string text) {
-  for (const std::string key : {"waitstate", "pool_profile"}) {
-    const std::string line = ",\n    \"" + key + "\": \"on\"";
-    const size_t at = text.find(line);
-    if (at != std::string::npos) {
-      text.erase(at, line.size());
-    }
-  }
-  return text;
-}
-
 struct PinnedRun {
   const char* name;
   core::RunReport (*run)();
@@ -107,7 +95,7 @@ TEST_P(ExportPin, MetricsAndFlightBytesAreUnchanged) {
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   std::ostringstream metrics;
   core::WriteMetricsJson(r, "pin", metrics, {{"git", "pin"}});
-  EXPECT_EQ(Fnv1a(WithoutKnobProvenance(metrics.str())), GetParam().metrics_hash);
+  EXPECT_EQ(Fnv1a(metrics.str()), GetParam().metrics_hash);
   if (GetParam().flight_hash != 0) {
     std::ostringstream flight;
     core::WriteFlightJson(r, "pin", {}, flight);
@@ -119,6 +107,39 @@ void PrintTo(const PinnedRun& run, std::ostream* os) { *os << run.name; }
 
 INSTANTIATE_TEST_SUITE_P(Runs, ExportPin, ::testing::ValuesIn(kPinnedRuns),
                          [](const auto& info) { return std::string(info.param.name); });
+
+// On every node of every pinned run, in SimTime: Figure 10 plus the trailing gap, the
+// run/serve/wait partition and the final clock are one quantity, and the pool rows plus other run
+// are the run part.
+TEST(LedgerTest, PartitionsEveryNodeClockOverThePinnedRuns) {
+  std::array<uint64_t, kNumWaitKinds> events{};
+  for (const PinnedRun& pinned : kPinnedRuns) {
+    const core::RunReport r = pinned.run();
+    ASSERT_TRUE(r.completed) << pinned.name << ": " << r.deadlock_report;
+    for (const core::NodeReport& nr : r.nodes) {
+      const TimeLedger& ledger = nr.breakdown;
+      const SimTime partition = ledger.run_time() + ledger.serve_time() + ledger.wait_time();
+      EXPECT_EQ(ledger.Total() + ledger.trailing_gap(), partition)
+          << pinned.name << " node " << nr.node;
+      EXPECT_EQ(partition, nr.final_clock) << pinned.name << " node " << nr.node;
+      SimTime pool_run = ledger.other_run();
+      for (const TimeLedger::PoolRow& row : ledger.pools()) {
+        pool_run += row.run;
+      }
+      EXPECT_EQ(pool_run, ledger.run_time()) << pinned.name << " node " << nr.node;
+      EXPECT_GT(ledger.run_time(), 0) << pinned.name << " node " << nr.node;
+      for (size_t k = 0; k < kNumWaitKinds; ++k) {
+        events[k] += ledger.event_count(static_cast<WaitKind>(k));
+      }
+    }
+  }
+  // Between them the runs record every kind the wake, barrier and retransmit paths produce here.
+  for (const WaitKind kind : {WaitKind::kPageFault, WaitKind::kBarrier, WaitKind::kCall,
+                              WaitKind::kChannel, WaitKind::kJoin, WaitKind::kSweep,
+                              WaitKind::kRetransmit}) {
+    EXPECT_GT(events[static_cast<size_t>(kind)], 0u) << WaitKindName(kind);
+  }
+}
 
 }  // namespace
 }  // namespace dfil

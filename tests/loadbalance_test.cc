@@ -76,21 +76,6 @@ TEST(BalancerOffTest, KnobValuesAreInertWhileDisabled) {
   EXPECT_EQ(a.report.net.messages_sent, b.report.net.messages_sent);
 }
 
-TEST(BalancerOffTest, WaitstateAccountingNeverMovesTheSchedule) {
-  // The ledgers the balancer reads must be pure observation: flipping waitstate_enabled with
-  // the balancer off changes no clock and sends no message.
-  ClusterConfig on = BaseConfig();
-  ClusterConfig off = BaseConfig();
-  off.waitstate_enabled = false;
-  const LbRun a = RunSkewed(on);
-  const LbRun b = RunSkewed(off);
-  ASSERT_TRUE(a.report.completed) << a.report.deadlock_report;
-  ASSERT_TRUE(b.report.completed) << b.report.deadlock_report;
-  EXPECT_EQ(a.report.makespan, b.report.makespan);
-  EXPECT_EQ(a.report.net.messages_sent, b.report.net.messages_sent);
-  EXPECT_EQ(a.report.events, b.report.events);
-}
-
 // --- Migration determinism -------------------------------------------------------------------
 
 TEST(BalancerOnTest, BalancedRunsReplayIdentically) {
@@ -229,13 +214,6 @@ TEST(BalancerValidateTest, RejectsDisseminationBarrier) {
   cfg.barrier = ClusterConfig::BarrierKind::kDissemination;
   EXPECT_TRUE(AnyErrorMentions(cfg.Validate(), "champion"))
       << "dissemination has no champion to aggregate the samples";
-}
-
-TEST(BalancerValidateTest, RejectsBalancerWithoutWaitstate) {
-  ClusterConfig cfg = BaseConfig();
-  EnableBalancer(cfg);
-  cfg.waitstate_enabled = false;
-  EXPECT_TRUE(AnyErrorMentions(cfg.Validate(), "waitstate_enabled"));
 }
 
 TEST(BalancerValidateTest, RejectsOutOfRangeKnobs) {

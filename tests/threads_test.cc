@@ -33,7 +33,7 @@ TEST_P(ContextBackendTest, BlockAndResumePreservesLocals) {
     double fp = 2.5;
     trace.push_back(local);
     sys.current()->set_state(ThreadState::kBlocked);
-    sys.current()->set_block_reason("test");
+    sys.current()->set_block_reason(WaitKind::kChannel, 7);
     sys.SwitchToHost();
     // Locals must survive the suspension.
     trace.push_back(local + 1);
@@ -41,7 +41,8 @@ TEST_P(ContextBackendTest, BlockAndResumePreservesLocals) {
   });
   sys.SwitchTo(t);
   EXPECT_EQ(t->state(), ThreadState::kBlocked);
-  EXPECT_EQ(t->block_reason(), "test");
+  EXPECT_EQ(t->block_kind(), WaitKind::kChannel);
+  EXPECT_EQ(t->block_detail(), 7u);
   t->set_state(ThreadState::kReady);
   sys.SwitchTo(t);
   EXPECT_EQ(t->state(), ThreadState::kDone);
