@@ -113,8 +113,6 @@ struct WaitEvent {
   uint64_t detail = 0;
   SimTime start = 0;
   SimTime end = 0;
-
-  SimTime duration() const { return end - start; }
 };
 
 class TimeLedger {

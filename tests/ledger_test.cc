@@ -122,6 +122,8 @@ TEST(LedgerTest, PartitionsEveryNodeClockOverThePinnedRuns) {
       EXPECT_EQ(ledger.Total() + ledger.trailing_gap(), partition)
           << pinned.name << " node " << nr.node;
       EXPECT_EQ(partition, nr.final_clock) << pinned.name << " node " << nr.node;
+      EXPECT_GE(nr.final_clock, nr.finished_at) << pinned.name << " node " << nr.node;
+      EXPECT_FALSE(ledger.RecentEvents().empty()) << pinned.name << " node " << nr.node;
       SimTime pool_run = ledger.other_run();
       for (const TimeLedger::PoolRow& row : ledger.pools()) {
         pool_run += row.run;
