@@ -5,7 +5,7 @@
 //     they agree across nodes of an SPMD run and across repeated runs.
 //   * The metrics "pools" section sums to the node: one residual row carries all serve time and
 //     the run time outside any pool. The exact partition at SimTime resolution is checked over
-//     the pinned runs in ledger_test.cc; the JSON rounds each row to 0.1 µs.
+//     the pinned runs in ledger_test.cc; in the JSON it holds to ±1 µs per row.
 #include <map>
 #include <sstream>
 #include <string>
@@ -128,7 +128,7 @@ TEST(PoolProfTest, MetricsExportCarriesPoolsAndResidual) {
     }
     EXPECT_EQ(residuals, 1u) << "node " << node.node;
     // In JSON the partition holds to microsecond rounding only (±1 µs per row); the exact
-    // SimTime identity is checked in-process above.
+    // SimTime identity is checked in-process by LedgerTest.
     EXPECT_NEAR(run_sum, node.run_us, static_cast<double>(node.pools.size()))
         << "node " << node.node;
     EXPECT_NEAR(serve_sum, node.serve_us, 1.0) << "node " << node.node;
