@@ -6,6 +6,9 @@
 // (retransmit records, load samples, migrations, the flight ring). Each pin is an FNV-1a hash of
 // the run's dfil-metrics-v2 export, plus its dfil-flight-v1 dump for the lossy run, so a change to
 // any projection of the ledger, down to the last rounded microsecond, moves a pin.
+//
+// The two exact-partition tests keep the suite names they had when the wait-state ledgers and
+// the pool rows were separate accumulators; both now run over the pinned runs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -109,9 +112,8 @@ INSTANTIATE_TEST_SUITE_P(Runs, ExportPin, ::testing::ValuesIn(kPinnedRuns),
                          [](const auto& info) { return std::string(info.param.name); });
 
 // On every node of every pinned run, in SimTime: Figure 10 plus the trailing gap, the
-// run/serve/wait partition and the final clock are one quantity, and the pool rows plus other run
-// are the run part.
-TEST(LedgerTest, PartitionsEveryNodeClockOverThePinnedRuns) {
+// run/serve/wait partition and the final clock are one quantity.
+TEST(WaitStateTest, RunServeWaitSumsToFinalClockExactly) {
   std::array<uint64_t, kNumWaitKinds> events{};
   for (const PinnedRun& pinned : kPinnedRuns) {
     const core::RunReport r = pinned.run();
@@ -123,13 +125,8 @@ TEST(LedgerTest, PartitionsEveryNodeClockOverThePinnedRuns) {
           << pinned.name << " node " << nr.node;
       EXPECT_EQ(partition, nr.final_clock) << pinned.name << " node " << nr.node;
       EXPECT_GE(nr.final_clock, nr.finished_at) << pinned.name << " node " << nr.node;
-      EXPECT_FALSE(ledger.RecentEvents().empty()) << pinned.name << " node " << nr.node;
-      SimTime pool_run = ledger.other_run();
-      for (const TimeLedger::PoolRow& row : ledger.pools()) {
-        pool_run += row.run;
-      }
-      EXPECT_EQ(pool_run, ledger.run_time()) << pinned.name << " node " << nr.node;
       EXPECT_GT(ledger.run_time(), 0) << pinned.name << " node " << nr.node;
+      EXPECT_FALSE(ledger.RecentEvents().empty()) << pinned.name << " node " << nr.node;
       for (size_t k = 0; k < kNumWaitKinds; ++k) {
         events[k] += ledger.event_count(static_cast<WaitKind>(k));
       }
@@ -140,6 +137,22 @@ TEST(LedgerTest, PartitionsEveryNodeClockOverThePinnedRuns) {
                               WaitKind::kChannel, WaitKind::kJoin, WaitKind::kSweep,
                               WaitKind::kRetransmit}) {
     EXPECT_GT(events[static_cast<size_t>(kind)], 0u) << WaitKindName(kind);
+  }
+}
+
+// On every node of every pinned run, in SimTime: the pool rows plus other run are the run part.
+TEST(PoolProfTest, ExactPartitionAtSimTimeResolution) {
+  for (const PinnedRun& pinned : kPinnedRuns) {
+    const core::RunReport r = pinned.run();
+    ASSERT_TRUE(r.completed) << pinned.name << ": " << r.deadlock_report;
+    for (const core::NodeReport& nr : r.nodes) {
+      const TimeLedger& ledger = nr.breakdown;
+      SimTime pool_run = ledger.other_run();
+      for (const TimeLedger::PoolRow& row : ledger.pools()) {
+        pool_run += row.run;
+      }
+      EXPECT_EQ(pool_run, ledger.run_time()) << pinned.name << " node " << nr.node;
+    }
   }
 }
 

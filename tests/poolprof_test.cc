@@ -128,7 +128,7 @@ TEST(PoolProfTest, MetricsExportCarriesPoolsAndResidual) {
     }
     EXPECT_EQ(residuals, 1u) << "node " << node.node;
     // In JSON the partition holds to microsecond rounding only (±1 µs per row); the exact
-    // SimTime identity is checked in-process by LedgerTest.
+    // SimTime identity is checked in-process by ExactPartitionAtSimTimeResolution.
     EXPECT_NEAR(run_sum, node.run_us, static_cast<double>(node.pools.size()))
         << "node " << node.node;
     EXPECT_NEAR(serve_sum, node.serve_us, 1.0) << "node " << node.node;
