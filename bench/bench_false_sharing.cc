@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   }
   jr.Write();
 
-  // Gate companion: fixed-size 8-node runs, one per protocol, exported as dfil-metrics-v1 JSON
+  // Gate companion: fixed-size 8-node runs, one per protocol, exported as dfil-metrics-v2 JSON
   // for the CI counter-regression gate. Sizes are fixed — NOT scaled by --quick or --nodes — so
   // the checked-in baseline (bench/baselines/false_sharing_gate.json) holds in every mode.
   bench::Header("Gate companion: fixed 8-node runs (see bench/baselines/false_sharing_gate.json)");

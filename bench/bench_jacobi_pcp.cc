@@ -96,11 +96,11 @@ int main(int argc, char** argv) {
   }
   jr.Write();
 
-  // Figure 9 companion: fixed-size 8-node runs, one per PCP, exported as dfil-metrics-v1 JSON
-  // for `dfil_report figure9/report` and the CI counter-regression gate. Iteration counts are
+  // Figure 9 companion: fixed-size 8-node runs, one per PCP, exported as dfil-metrics-v2 JSON
+  // for `dfil figure9/report` and the CI counter-regression gate. Iteration counts are
   // fixed — NOT scaled by --quick — so the checked-in gate baseline holds in both modes;
   // migratory gets fewer iterations because every read-shared edge page ping-pongs.
-  bench::Header("Figure 9 companion: 8-node message counts per PCP (see tools/dfil_report)");
+  bench::Header("Figure 9 companion: 8-node message counts per PCP (see tools/dfil figure9)");
   struct MetricsRun {
     const char* label;
     dsm::Pcp pcp;

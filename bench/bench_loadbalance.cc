@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
   core::ClusterConfig base = bench::PaperConfig(kNodes);
   args.Apply(base);
-  base.trace_enabled = true;  // rebalance instants feed `dfil_report critpath`
+  base.trace_enabled = true;  // rebalance instants feed `dfil critpath`
 
   BenchRun stat = RunWorkload(base, /*balance=*/false);
   DFIL_CHECK(stat.report.completed) << stat.report.deadlock_report;

@@ -270,11 +270,11 @@ inline std::map<std::string, std::string> ProvenanceOf(const BenchArgs& args) {
 }
 
 // Observability artifacts next to BENCH_<name>.json: METRICS_<label>.json (dfil-metrics-v2, the
-// input to tools/dfil_report and the CI regression gate) and, when the run was traced,
+// input to tools/dfil and the CI regression gate) and, when the run was traced,
 // TRACE_<label>.json (Chrome trace-event JSON for Perfetto / chrome://tracing).
 //
 // `app` is the program identity stamped into the run fingerprint ("jacobi", "false_sharing", ...)
-// so dfil_diff can tell A/B runs of the same program apart from unrelated runs even when labels
+// so `dfil diff` can tell A/B runs of the same program apart from unrelated runs even when labels
 // differ (jacobi_wi8 vs jacobi_ii8 share app "jacobi"). Empty = fall back to the label.
 inline void EmitMetrics(const core::RunReport& report, const std::string& label,
                         const BenchArgs* args = nullptr, const std::string& app = "") {

@@ -30,7 +30,7 @@ namespace dfil::apps {
 struct FuzzOptions {
   bool log_packets = false;   // enable kDebug logging for the faulted run (single-seed replay aid)
   bool capture_trace = false;  // record a Chrome trace of the faulted run (FuzzResult::trace)
-  // Write FLIGHT_<scenario>_seed<N>.json (dfil-flight-v1, rendered by `dfil_report flight`) into
+  // Write FLIGHT_<scenario>_seed<N>.json (dfil-flight-v1, rendered by `dfil flight`) into
   // the working directory whenever the case fails — the crash forensics CI attaches to a red
   // fuzz-smoke lane.
   bool flight_dump_on_failure = false;

@@ -1,4 +1,4 @@
-// Minimal JSON parser for the analysis tooling (tools/dfil_report, trace-validity tests).
+// Minimal JSON parser for the analysis tooling (tools/dfil, trace-validity tests).
 //
 // The runtime writes JSON (traces, metrics, bench reports); this is the read side. Hand-rolled on
 // purpose: the container bakes in no JSON library and the build must not grow dependencies.

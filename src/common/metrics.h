@@ -4,7 +4,7 @@
 // the zero-overhead hot-path counters, but they are *subsumed* at report time: the metrics writer
 // (src/core/metrics_io.h) flattens every struct field into a named registry counter, so one JSON
 // schema covers everything a run produces — struct counters, live histograms (fault latency,
-// barrier wait, serve queue depth), and per-page fault heat. tools/dfil_report consumes that JSON
+// barrier wait, serve queue depth), and per-page fault heat. tools/dfil consumes that JSON
 // to print the paper's Figure 9 / Figure 10 tables. Naming scheme: DESIGN.md §Observability.
 #ifndef DFIL_COMMON_METRICS_H_
 #define DFIL_COMMON_METRICS_H_

@@ -11,7 +11,7 @@ namespace {
 // — appending new fields at the end changes the digest for configs that set them away from the
 // hash of their textual default, which is exactly the desired behaviour (a new schedule-affecting
 // knob makes old and new runs provably non-comparable only when it actually differs... but since
-// the serialization always includes every field, ANY addition rolls the digest; dfil_diff treats
+// the serialization always includes every field, ANY addition rolls the digest; `dfil diff` treats
 // that as a config difference and says so).
 class DigestWriter {
  public:

@@ -111,7 +111,7 @@ struct ClusterConfig {
   // Two runs with equal digests executed the same configuration; unequal digests name a real
   // config difference. The one observability knob, trace_enabled, is deliberately EXCLUDED — it
   // never perturbs the schedule, so traced and untraced runs stay provably comparable. Stamped
-  // into every metrics export as the "fingerprint.config" field; dfil_diff refuses to diff runs
+  // into every metrics export as the "fingerprint.config" field; `dfil diff` refuses to diff runs
   // whose digests conceal a config change the user did not expect.
   uint64_t Digest() const;
   // Digest() as 16 lowercase hex digits (the JSON/provenance form).

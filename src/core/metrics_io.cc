@@ -10,7 +10,7 @@ namespace dfil::core {
 namespace {
 
 // Every stats-struct field becomes a "<layer>.<name>" counter in one per-node registry, so the
-// JSON (and everything downstream: dfil_report, the CI gate) sees a single uniform namespace.
+// JSON (and everything downstream: dfil, the CI gate) sees a single uniform namespace.
 MetricsRegistry FlattenNode(const NodeReport& nr) {
   MetricsRegistry m = nr.metrics;  // live histograms + runtime counters first
 
@@ -171,7 +171,7 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
      << report.pcp << "\",\n  \"nodes\": " << report.num_nodes
      << ",\n  \"completed\": " << (report.completed ? 1 : 0)
      << ",\n  \"makespan_us\": " << ToMicroseconds(report.makespan)
-     // Run fingerprint: the four fields dfil_diff checks before comparing two runs. "config" is
+     // Run fingerprint: the four fields `dfil diff` checks before comparing two runs. "config" is
      // the canonical digest of every schedule-affecting ClusterConfig knob (config.cc); "app" is
      // the program identity (bench-supplied; distinct labels like jacobi_wi8/jacobi_ii8 share it).
      << ",\n  \"fingerprint\": {\"config\": \"" << ProvenanceOr(provenance, "config_digest", "")

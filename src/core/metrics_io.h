@@ -1,17 +1,16 @@
 // Uniform metrics export: flattens a RunReport — the ad-hoc stats structs (DsmStats,
 // MessageStats, FilamentStats, PacketStats), the time ledger, per-service message counts,
 // per-page fault heat, and the live MetricsRegistry histograms — into one JSON document that
-// tools/dfil_report (and the CI regression gate) consume.
+// tools/dfil (and the CI regression gate) consume.
 //
-// Schema (dfil-metrics-v2; v1 lacked provenance, wait_us/run_us/serve_us, final_clock_us and
-// epochs — readers must accept both; fingerprint/pools are optional v2 extensions readers must
-// tolerate missing):
+// Schema (dfil-metrics-v2; fingerprint/pools are optional extensions readers must tolerate
+// missing):
 //   {
 //     "schema": "dfil-metrics-v2",
 //     "label": "<run label>",
 //     "pcp": "<protocol>", "nodes": N, "completed": 0|1, "makespan_us": ...,
 //     "fingerprint": {"config": "<16-hex ClusterConfig::DigestHex>", "git": "<sha|unknown>",
-//                     "seed": "3", "app": "jacobi"},         // comparability check (dfil_diff)
+//                     "seed": "3", "app": "jacobi"},         // comparability check (dfil diff)
 //     "provenance": {"seed": "3", "coalesce": "on", ...},   // config knobs + bench CLI overlay
 //     "cluster": {"counters": {...},                        // cluster-wide totals
 //                 "pools_by_fn": [                          // per-filament-fn rollup (all nodes);
@@ -64,7 +63,7 @@ std::string WriteMetricsFile(const RunReport& report, const std::string& label,
 // recent fault-injection decisions, captured in report.flight (at the first oracle violation when
 // one fired, else at end of run), plus whatever failure context the caller supplies. This is the
 // artifact the fuzz driver and the oracle write when a run goes wrong, and what
-// `dfil_report flight` renders:
+// `dfil flight` renders:
 //   {"schema": "dfil-flight-v1", "label": ..., "at_violation": 0|1,
 //    "violations": ["..."],
 //    "nodes": [{"node": i, "events": [

@@ -1,5 +1,6 @@
-// dfil_diff library tests: ParseRun hardening (malformed-input corpus), fingerprint
-// comparability, run diffing, CLI-flag parsing, and the result-history round trip.
+// Run-comparison and command-line tests: ParseRun hardening (malformed-input corpus),
+// fingerprint comparability, run diffing, CLI-flag parsing, the result-history round trip, and
+// the `dfil` command line end to end (exit codes over real run artifacts).
 //
 // The pinned acceptance test at the bottom re-creates the PR's motivating story: two fixed-seed
 // 8-node Jacobi runs that differ only in PCP (write-invalidate vs the multiple-writer diff
@@ -7,6 +8,7 @@
 // the dsm.page_data_bytes movement without any trace in hand.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -26,16 +28,15 @@ namespace {
 
 // --- ParseRun hardening ---------------------------------------------------------------------
 
-// A syntactically minimal but structurally complete v1 document (the floor ParseRun accepts).
-const char kMinimalV1[] =
-    "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
+// A syntactically minimal but structurally complete document (the floor ParseRun accepts).
+const char kMinimalV2[] =
+    "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
     " \"completed\": 1, \"makespan_us\": 5.0, \"per_node\": [{\"node\": 0}]}";
 
-TEST(ParseRunHardeningTest, AcceptsMinimalV1Document) {
+TEST(ParseRunHardeningTest, AcceptsMinimalV2Document) {
   report::RunSummary run;
   std::string error;
-  ASSERT_TRUE(report::ParseRun(kMinimalV1, &run, &error)) << error;
-  EXPECT_EQ(run.schema_version, 1);
+  ASSERT_TRUE(report::ParseRun(kMinimalV2, &run, &error)) << error;
   EXPECT_EQ(run.label, "t");
   EXPECT_EQ(run.nodes, 1);
   EXPECT_TRUE(run.completed);
@@ -54,34 +55,37 @@ TEST(ParseRunHardeningTest, RejectsMalformedCorpus) {
       {"garbage", "not json at all"},
       {"root array", "[1, 2, 3]"},
       {"root number", "42"},
-      {"unterminated object", "{\"schema\": \"dfil-metrics-v1\""},
+      {"unterminated object", "{\"schema\": \"dfil-metrics-v2\""},
       {"missing schema", "{\"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
                          " \"makespan_us\": 1, \"per_node\": []}"},
       {"schema wrong type", "{\"schema\": 2, \"label\": \"t\", \"pcp\": \"wi\", \"nodes\": 1,"
                             " \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
       {"unknown schema", "{\"schema\": \"dfil-metrics-v9\", \"label\": \"t\", \"pcp\": \"wi\","
                          " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
-      {"missing label", "{\"schema\": \"dfil-metrics-v1\", \"pcp\": \"wi\", \"nodes\": 1,"
+      {"v1 document", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
+                      " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 5.0,"
+                      " \"per_node\": [{\"node\": 0}]}"},
+      {"missing label", "{\"schema\": \"dfil-metrics-v2\", \"pcp\": \"wi\", \"nodes\": 1,"
                         " \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
-      {"missing pcp", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"nodes\": 1,"
+      {"missing pcp", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"nodes\": 1,"
                       " \"completed\": 1, \"makespan_us\": 1, \"per_node\": []}"},
-      {"nodes wrong type", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
+      {"nodes wrong type", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\","
                            " \"nodes\": \"eight\", \"completed\": 1, \"makespan_us\": 1,"
                            " \"per_node\": []}"},
-      {"missing makespan", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
+      {"missing makespan", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\","
                            " \"nodes\": 1, \"completed\": 1, \"per_node\": []}"},
-      {"missing per_node", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\", \"pcp\": \"wi\","
+      {"missing per_node", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\", \"pcp\": \"wi\","
                            " \"nodes\": 1, \"completed\": 1, \"makespan_us\": 1}"},
-      {"per_node not array", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
+      {"per_node not array", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\","
                              " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
                              " \"makespan_us\": 1, \"per_node\": {}}"},
-      {"per_node entry not object", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
+      {"per_node entry not object", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\","
                                     " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
                                     " \"makespan_us\": 1, \"per_node\": [7]}"},
-      {"per_node entry missing node", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
+      {"per_node entry missing node", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\","
                                       " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
                                       " \"makespan_us\": 1, \"per_node\": [{}]}"},
-      {"cluster wrong type", "{\"schema\": \"dfil-metrics-v1\", \"label\": \"t\","
+      {"cluster wrong type", "{\"schema\": \"dfil-metrics-v2\", \"label\": \"t\","
                              " \"pcp\": \"wi\", \"nodes\": 1, \"completed\": 1,"
                              " \"makespan_us\": 1, \"cluster\": 3, \"per_node\": []}"},
   };
@@ -119,38 +123,36 @@ TEST(ParseRunHardeningTest, RejectsTruncatedRealDocument) {
 
 // --- CLI flag vocabulary --------------------------------------------------------------------
 
-report::CliOptions ParseArgs(std::vector<std::string> tokens, int first) {
-  std::vector<char*> argv;
-  argv.reserve(tokens.size());
-  for (std::string& t : tokens) {
-    argv.push_back(t.data());
-  }
-  return report::ParseCliOptions(static_cast<int>(argv.size()), argv.data(), first);
-}
-
 TEST(CliOptionsTest, ParsesBothFlagForms) {
-  const report::CliOptions opt =
-      ParseArgs({"tool", "--top", "5", "a.json", "--force", "--gate=g.json", "b.json"}, 1);
+  const report::CliOptions opt = report::ParseCliOptions(
+      {"critpath", "--top", "5", "a.json", "--force", "--check=g.json", "b.json"});
   EXPECT_TRUE(opt.error.empty()) << opt.error;
   EXPECT_EQ(opt.top_n, 5u);
   EXPECT_TRUE(opt.force);
-  EXPECT_EQ(opt.gate_baseline, "g.json");
-  ASSERT_EQ(opt.paths.size(), 2u);
-  EXPECT_EQ(opt.paths[0], "a.json");
-  EXPECT_EQ(opt.paths[1], "b.json");
+  EXPECT_EQ(opt.check_baseline, "g.json");
+  EXPECT_EQ(opt.paths, (std::vector<std::string>{"critpath", "a.json", "b.json"}));
 }
 
 TEST(CliOptionsTest, FlagsArePositionIndependent) {
-  const report::CliOptions a = ParseArgs({"tool", "--history", "h.jsonl", "x.json"}, 1);
-  const report::CliOptions b = ParseArgs({"tool", "x.json", "--history=h.jsonl"}, 1);
-  EXPECT_EQ(a.history_path, b.history_path);
+  const report::CliOptions a =
+      report::ParseCliOptions({"--top=3", "blame", "--check", "g.json", "x.json"});
+  const report::CliOptions b =
+      report::ParseCliOptions({"blame", "x.json", "--check=g.json", "--top", "3"});
+  EXPECT_EQ(a.check_baseline, b.check_baseline);
+  EXPECT_EQ(a.top_n, b.top_n);
   EXPECT_EQ(a.paths, b.paths);
 }
 
 TEST(CliOptionsTest, RejectsUnknownFlagAndMissingValue) {
-  EXPECT_EQ(ParseArgs({"tool", "--bogus"}, 1).error, "--bogus");
-  EXPECT_FALSE(ParseArgs({"tool", "--gate"}, 1).error.empty());
-  EXPECT_FALSE(ParseArgs({"tool", "--top"}, 1).error.empty());
+  EXPECT_EQ(report::ParseCliOptions({"--bogus"}).error, "--bogus");
+  EXPECT_FALSE(report::ParseCliOptions({"--check"}).error.empty());
+  EXPECT_FALSE(report::ParseCliOptions({"--top"}).error.empty());
+  // --top takes a non-negative decimal integer and nothing else.
+  for (const std::string bad : {"abc", "-3", "5x", ""}) {
+    EXPECT_FALSE(report::ParseCliOptions({"hot", "--top", bad}).error.empty()) << bad;
+    EXPECT_FALSE(report::ParseCliOptions({"hot", "--top=" + bad}).error.empty()) << bad;
+  }
+  EXPECT_EQ(report::ParseCliOptions({"hot", "--top=0"}).top_n, 0u);
 }
 
 // --- Fingerprints and diffing ---------------------------------------------------------------
@@ -222,7 +224,7 @@ TEST(DiffRunsTest, RanksByRelativeMovementAndSkipsUnchanged) {
 TEST(HistoryTest, MetricsLineRoundTripsThroughJson) {
   report::RunSummary run;
   std::string error;
-  ASSERT_TRUE(report::ParseRun(kMinimalV1, &run, &error)) << error;
+  ASSERT_TRUE(report::ParseRun(kMinimalV2, &run, &error)) << error;
   run.fingerprint.app = "jacobi";
   run.cluster_counters["dsm.page_request_messages"] = 42;
   const std::string line = report::HistoryLine(run);
@@ -379,6 +381,140 @@ TEST(DiffAcceptanceTest, JacobiWiVsDiffNamesEdgePagesFromCountersAlone) {
   report::PrintRunDiff(diff, wi, df, 50, os);
   EXPECT_NE(os.str().find("dsm.page_data_bytes"), std::string::npos);
   EXPECT_NE(os.str().find("dsm.diff_merges_sent"), std::string::npos);
+}
+
+// --- The dfil command line, end to end ------------------------------------------------------
+
+// Runs `dfil args...` in process and returns its exit code; stdout lands in *out when given.
+int Dfil(const std::vector<std::string>& args, std::string* out = nullptr) {
+  std::ostringstream stdout_text;
+  std::ostringstream stderr_text;
+  const int rc = report::RunCli(args, stdout_text, stderr_text);
+  if (out != nullptr) {
+    *out = stdout_text.str();
+  }
+  return rc;
+}
+
+TEST(CliTest, EveryCommandFollowsTheExitCodeContract) {
+  const std::string dir = ::testing::TempDir() + "/dfil_cli_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto file = [&dir](const std::string& name) { return dir + "/" + name; };
+  auto write = [&file](const std::string& name, const std::string& text) {
+    std::ofstream(file(name)) << text;
+    return file(name);
+  };
+  // Traced 256x256 Jacobi runs of one program ("jacobi"): A and B differ only in PCP, so `diff`
+  // compares them; C runs on 4 nodes, which `diff` refuses without --force.
+  auto run = [&](const std::string& label, dsm::Pcp pcp, int nodes) {
+    apps::JacobiParams p;
+    p.n = 256;
+    p.iterations = 3;
+    core::ClusterConfig cfg;
+    cfg.nodes = nodes;
+    cfg.dsm.pcp = pcp;
+    cfg.trace_enabled = true;
+    const apps::AppRun r = apps::RunJacobiDf(p, cfg);
+    EXPECT_TRUE(r.report.completed) << r.report.deadlock_report;
+    std::ofstream metrics(file("METRICS_" + label + ".json"));
+    core::WriteMetricsJson(r.report, label, metrics, {{"app", "jacobi"}});
+    std::ofstream trace(file("TRACE_" + label + ".json"));
+    r.report.trace->WriteChromeTrace(trace);
+    std::ofstream flight(file("FLIGHT_" + label + ".json"));
+    core::WriteFlightJson(r.report, label, {}, flight);
+  };
+  run("a", dsm::Pcp::kImplicitInvalidate, 8);
+  run("b", dsm::Pcp::kWriteInvalidate, 8);
+  run("c", dsm::Pcp::kImplicitInvalidate, 4);
+  const std::string ma = file("METRICS_a.json");
+  const std::string mb = file("METRICS_b.json");
+  const std::string ta = file("TRACE_a.json");
+  const std::string tb = file("TRACE_b.json");
+
+  report::RunSummary a;
+  std::string error;
+  ASSERT_TRUE(report::LoadRun(ma, &a, &error)) << error;
+  const uint64_t prm = a.ClusterCounter("dsm.page_request_messages");
+  ASSERT_GT(prm, 0u);
+  auto gate_baseline = [&](const std::string& name, uint64_t expected) {
+    return write(name, R"({"schema": "dfil-gate-v1", "tolerance": 0.10, "runs": {"a": )"
+                       "{\"dsm.page_request_messages\": " + std::to_string(expected) + "}}}");
+  };
+  const std::string pass_gate = gate_baseline("pass_gate.json", prm);
+  const std::string doubled_gate = gate_baseline("doubled_gate.json", 2 * prm);
+  const std::string critpath_gate = write(
+      "critpath_gate.json",
+      R"({"schema": "dfil-critpath-gate-v1", "tolerance_pp": 100.0, "shares_pct": {"compute": 50}})");
+  const std::string bench = write("BENCH_cli.json", R"({"bench": "cli", "rows": [{"x": 1}]})");
+  const std::string garbage = write("garbage.json", "not json {");
+  const std::string missing = file("missing.json");
+
+  // 0: every command on good input, with and without --top.
+  const std::vector<std::vector<std::string>> good = {
+      {"report", ma, mb},
+      {"figure10", ma},
+      {"figure9", ma, mb},
+      {"hot", ma},
+      {"check-trace", ta, tb},
+      {"critpath", ta},
+      {"critpath", "--check", critpath_gate, ta},
+      {"blame", ta},
+      {"flight", file("FLIGHT_a.json")},
+      {"gate", pass_gate, ma, mb},
+      {"diff", ma, mb},
+      {"diff", ma, mb, ta, tb},
+      {"history", file("HISTORY.jsonl"), ma, mb, bench},
+  };
+  for (const std::vector<std::string>& args : good) {
+    EXPECT_EQ(Dfil(args), report::kExitOk) << args[0];
+    std::vector<std::string> with_top = args;
+    with_top.insert(with_top.end(), {"--top", "3"});
+    EXPECT_EQ(Dfil(with_top), report::kExitOk) << args[0] << " --top 3";
+  }
+  EXPECT_EQ(Dfil({"--help"}), report::kExitOk);
+
+  // 1: a drifted counter fails the gate, which then says where the drift lives; runs of
+  // different node counts are not compared unless forced.
+  std::string out;
+  EXPECT_EQ(Dfil({"gate", doubled_gate, ma}, &out), report::kExitCheckFailed);
+  EXPECT_NE(out.find("FAIL a dsm.page_request_messages"), std::string::npos) << out;
+  EXPECT_NE(out.find("per-node: n0="), std::string::npos) << out;
+  EXPECT_NE(out.find("gate: FAIL"), std::string::npos) << out;
+  const std::string mc = file("METRICS_c.json");
+  EXPECT_EQ(Dfil({"diff", ma, mc}), report::kExitCheckFailed);
+  EXPECT_EQ(Dfil({"diff", "--force", ma, mc}), report::kExitOk);
+
+  // 2: usage errors, including the commands and flags the merged CLI dropped.
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {},
+           {"--top", "3"},
+           {"frobnicate", ma},
+           {"paths", ta},
+           {"--gate", pass_gate, ma},
+           {"--history", file("HISTORY.jsonl"), ma},
+           {"hot", "--top", "abc", ma},
+           {"report"},
+           {"diff", ma},
+       }) {
+    EXPECT_EQ(Dfil(args), report::kExitUsage) << (args.empty() ? "(no args)" : args[0]);
+  }
+
+  // 3: a missing file, and a file that is not JSON wherever an input is read.
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"report", missing},
+           {"critpath", missing},
+           {"report", garbage},
+           {"check-trace", garbage},
+           {"critpath", garbage},
+           {"blame", garbage},
+           {"flight", garbage},
+           {"gate", garbage, ma},
+           {"diff", ma, mb, garbage, tb},
+       }) {
+    EXPECT_EQ(Dfil(args), report::kExitIo) << args[0] << " " << args[1];
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

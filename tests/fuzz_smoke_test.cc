@@ -18,7 +18,7 @@ class FuzzSmokeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FuzzSmokeTest, SweepIsClean) {
   // A failing case leaves FLIGHT_<scenario>_seed<N>.json next to the test binary — the flight
-  // recorder's last wait events and injections, rendered with `dfil_report flight` (CI uploads
+  // recorder's last wait events and injections, rendered with `dfil flight` (CI uploads
   // them when this lane goes red).
   FuzzOptions opts;
   opts.flight_dump_on_failure = true;

@@ -1,5 +1,5 @@
 // Tests for the observability stack: metrics registry + histograms, the JSON parser, the
-// hardened trace recorder, causal flow arcs across a real cluster run, the dfil-metrics-v1
+// hardened trace recorder, causal flow arcs across a real cluster run, the dfil-metrics-v2
 // export/report pipeline, and the CI counter-regression gate.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,13 @@
 
 namespace dfil {
 namespace {
+
+// The trace functions take a parsed document; every trace these tests build is valid JSON.
+json::Value Trace(const std::string& text) {
+  json::ParseResult parsed = json::Parse(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.error;
+  return parsed.ok() ? *parsed.value : json::Value{};
+}
 
 // --- Histogram / MetricsRegistry ---
 
@@ -127,7 +134,7 @@ TEST(TraceRecorderTest, UnmatchedEndIsDroppedNotFatal) {
   EXPECT_EQ(rec.open_spans(), 0u);
   std::ostringstream os;
   rec.WriteChromeTrace(os);
-  EXPECT_TRUE(dfil::report::CheckChromeTrace(os.str()).ok);
+  EXPECT_TRUE(report::CheckChromeTrace(Trace(os.str())).ok);
 }
 
 TEST(TraceRecorderTest, DanglingSpansAreClosedOnExport) {
@@ -137,7 +144,7 @@ TEST(TraceRecorderTest, DanglingSpansAreClosedOnExport) {
   EXPECT_EQ(rec.open_spans(), 2u);
   std::ostringstream os;
   rec.WriteChromeTrace(os);
-  report::TraceCheck check = report::CheckChromeTrace(os.str());
+  report::TraceCheck check = report::CheckChromeTrace(Trace(os.str()));
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
   EXPECT_EQ(check.spans, 2u);
 }
@@ -168,10 +175,10 @@ TEST(TraceRecorderTest, FlowEventsCarryIdAndBinding) {
   std::ostringstream os;
   rec.WriteChromeTrace(os);
   EXPECT_NE(os.str().find("\"id\":42,\"bp\":\"e\""), std::string::npos);
-  report::TraceCheck check = report::CheckChromeTrace(os.str());
+  report::TraceCheck check = report::CheckChromeTrace(Trace(os.str()));
   EXPECT_TRUE(check.ok);
   EXPECT_EQ(check.complete_flows, 1u);
-  std::vector<report::FlowArc> arcs = report::ExtractFlows(os.str());
+  std::vector<report::FlowArc> arcs = report::ExtractFlows(Trace(os.str()));
   ASSERT_EQ(arcs.size(), 1u);
   EXPECT_EQ(arcs[0].id, 42u);
   EXPECT_EQ(arcs[0].steps, 1u);
@@ -181,19 +188,19 @@ TEST(TraceRecorderTest, FlowEventsCarryIdAndBinding) {
 
 TEST(TraceCheckTest, CatchesStructuralViolations) {
   // Backwards timestamp on one track.
-  EXPECT_FALSE(report::CheckChromeTrace(
+  EXPECT_FALSE(report::CheckChromeTrace(Trace(
                    R"([{"ph":"B","pid":0,"tid":1,"ts":5,"cat":"t","name":"a"},
-                       {"ph":"E","pid":0,"tid":1,"ts":3}])")
+                       {"ph":"E","pid":0,"tid":1,"ts":3}])"))
                    .ok);
   // Flow start that never finishes.
-  EXPECT_FALSE(report::CheckChromeTrace(
-                   R"([{"ph":"s","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])")
+  EXPECT_FALSE(report::CheckChromeTrace(Trace(
+                   R"([{"ph":"s","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])"))
                    .ok);
   // Unbalanced E.
-  EXPECT_FALSE(report::CheckChromeTrace(R"([{"ph":"E","pid":0,"tid":1,"ts":1}])").ok);
+  EXPECT_FALSE(report::CheckChromeTrace(Trace(R"([{"ph":"E","pid":0,"tid":1,"ts":1}])")).ok);
   // An 'f' without an 's' is tolerated.
-  EXPECT_TRUE(report::CheckChromeTrace(
-                  R"([{"ph":"f","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])")
+  EXPECT_TRUE(report::CheckChromeTrace(Trace(
+                  R"([{"ph":"f","pid":0,"tid":1,"ts":1,"cat":"d","name":"p1","id":7,"bp":"e"}])"))
                   .ok);
 }
 
@@ -221,7 +228,7 @@ TEST(ObservabilityIntegrationTest, JacobiTraceIsValidWithConnectedFlows) {
   ASSERT_NE(r.trace, nullptr);
   std::ostringstream os;
   r.trace->WriteChromeTrace(os);
-  const std::string trace = os.str();
+  const json::Value trace = Trace(os.str());
 
   report::TraceCheck check = report::CheckChromeTrace(trace);
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
@@ -241,9 +248,6 @@ TEST(ObservabilityIntegrationTest, JacobiTraceIsValidWithConnectedFlows) {
     }
   }
   EXPECT_TRUE(found_remote);
-  std::ostringstream paths;
-  report::PrintCriticalPaths(arcs, 5, paths);
-  EXPECT_NE(paths.str().find("n"), std::string::npos);
 }
 
 TEST(ObservabilityIntegrationTest, MetricsJsonExportsAndReportsRender) {
@@ -306,7 +310,7 @@ TEST(ObservabilityIntegrationTest, FuzzReplayTraceIsValid) {
   ASSERT_NE(r.trace, nullptr);
   std::ostringstream os;
   r.trace->WriteChromeTrace(os);
-  report::TraceCheck check = report::CheckChromeTrace(os.str());
+  report::TraceCheck check = report::CheckChromeTrace(Trace(os.str()));
   EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
   // The adversary's decisions are visible on the dedicated injection track.
   EXPECT_NE(os.str().find("\"cat\":\"inject\""), std::string::npos);
@@ -346,8 +350,22 @@ TEST(GateTest, PassesWithinToleranceFailsBeyond) {
   EXPECT_FALSE(fail.ok);
   ASSERT_FALSE(fail.lines.empty());
   EXPECT_NE(fail.lines.front().find("FAIL"), std::string::npos);
+  // The result names the failing (run, counter), and the printed gate says where it drifted.
+  ASSERT_EQ(fail.failures.size(), 1u);
+  EXPECT_EQ(fail.failures[0].first, "gate_run");
+  EXPECT_EQ(fail.failures[0].second, "dsm.page_request_messages");
+  std::ostringstream printed;
+  report::PrintGate(fail, {run}, 3, printed);
+  EXPECT_NE(printed.str().find(fail.lines.front()), std::string::npos);
+  EXPECT_NE(printed.str().find("Where the drift lives"), std::string::npos);
+  EXPECT_NE(printed.str().find("per-node: n0="), std::string::npos);
+  EXPECT_NE(printed.str().find("hottest pages: p"), std::string::npos);
   // A baseline run with no matching metrics file fails loudly (renames cannot silently skip).
-  EXPECT_FALSE(report::CheckGate(baseline(prm), {}, &gate_error).ok);
+  report::GateResult missing = report::CheckGate(baseline(prm), {}, &gate_error);
+  EXPECT_FALSE(missing.ok);
+  ASSERT_EQ(missing.failures.size(), 1u);
+  EXPECT_TRUE(missing.failures[0].second.empty());
+  EXPECT_TRUE(gate_error.empty()) << gate_error;
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   dfil::apps::FuzzOptions opts;
   opts.log_packets = log_packets;
   opts.capture_trace = !trace_path.empty();
-  // Every failing case writes FLIGHT_<scenario>_seed<N>.json (render: dfil_report flight ...).
+  // Every failing case writes FLIGHT_<scenario>_seed<N>.json (render: dfil flight ...).
   opts.flight_dump_on_failure = true;
 
   int failures = 0;

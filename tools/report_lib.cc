@@ -1,6 +1,7 @@
 #include "tools/report_lib.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -122,6 +123,16 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
 
 namespace {
 
+// Parses `text`; on failure returns null and sets *error to where and why.
+json::ValuePtr ParseJson(const std::string& text, std::string* error) {
+  json::ParseResult parsed = json::Parse(text);
+  if (!parsed.ok()) {
+    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
+             parsed.error;
+  }
+  return parsed.value;
+}
+
 void ParseCounters(const json::Value* obj, std::map<std::string, uint64_t>* out) {
   if (obj == nullptr || !obj->is_object()) {
     return;
@@ -189,13 +200,11 @@ bool RequireField(const json::Value& obj, const std::string& where, const std::s
 }  // namespace
 
 bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  const json::ValuePtr doc = ParseJson(text, error);
+  if (doc == nullptr) {
     return false;
   }
-  const json::Value& root = *parsed.value;
+  const json::Value& root = *doc;
   if (!root.is_object()) {
     *error = "root is not a JSON object";
     return false;
@@ -204,8 +213,8 @@ bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
     return false;
   }
   const std::string schema = root.GetString("schema");
-  if (schema != "dfil-metrics-v1" && schema != "dfil-metrics-v2") {
-    *error = "not a dfil-metrics-v1/v2 document (schema=\"" + schema + "\")";
+  if (schema != "dfil-metrics-v2") {
+    *error = "not a dfil-metrics-v2 document (schema=\"" + schema + "\")";
     return false;
   }
   for (const char* key : {"label", "pcp"}) {
@@ -218,7 +227,6 @@ bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
       return false;
     }
   }
-  out->schema_version = schema == "dfil-metrics-v2" ? 2 : 1;
   out->label = root.GetString("label");
   out->pcp = root.GetString("pcp");
   out->nodes = static_cast<int>(root.GetNumber("nodes"));
@@ -241,17 +249,6 @@ bool ParseRun(const std::string& text, RunSummary* out, std::string* error) {
     out->fingerprint.git = fp->GetString("git");
     out->fingerprint.seed = fp->GetString("seed");
     out->fingerprint.app = fp->GetString("app");
-  } else {
-    // Pre-fingerprint v2 files: recover what the provenance block carries so diffing old
-    // artifacts still checks what it can.
-    auto prov_or = [out](const char* key) {
-      auto it = out->provenance.find(key);
-      return it == out->provenance.end() ? std::string() : it->second;
-    };
-    out->fingerprint.config = prov_or("config_digest");
-    out->fingerprint.git = prov_or("git");
-    out->fingerprint.seed = prov_or("seed");
-    out->fingerprint.app = prov_or("app");
   }
   if (const json::Value* cluster = root.Get("cluster"); cluster != nullptr) {
     if (!cluster->is_object()) {
@@ -475,7 +472,7 @@ const json::Value* TraceEvents(const json::Value& root) {
 
 }  // namespace
 
-TraceCheck CheckChromeTrace(const std::string& text) {
+TraceCheck CheckChromeTrace(const json::Value& trace) {
   TraceCheck out;
   constexpr size_t kMaxErrors = 32;
   auto fail = [&out](std::string msg) {
@@ -483,12 +480,7 @@ TraceCheck CheckChromeTrace(const std::string& text) {
       out.errors.push_back(std::move(msg));
     }
   };
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    fail("JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " + parsed.error);
-    return out;
-  }
-  const json::Value* events = TraceEvents(*parsed.value);
+  const json::Value* events = TraceEvents(trace);
   if (events == nullptr) {
     fail("no trace event array found");
     return out;
@@ -582,13 +574,9 @@ TraceCheck CheckChromeTrace(const std::string& text) {
   return out;
 }
 
-std::vector<FlowArc> ExtractFlows(const std::string& text) {
+std::vector<FlowArc> ExtractFlows(const json::Value& trace) {
   std::vector<FlowArc> arcs;
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    return arcs;
-  }
-  const json::Value* events = TraceEvents(*parsed.value);
+  const json::Value* events = TraceEvents(trace);
   if (events == nullptr) {
     return arcs;
   }
@@ -626,21 +614,6 @@ std::vector<FlowArc> ExtractFlows(const std::string& text) {
   return arcs;
 }
 
-void PrintCriticalPaths(std::vector<FlowArc> arcs, size_t top_n, std::ostream& os) {
-  std::sort(arcs.begin(), arcs.end(),
-            [](const FlowArc& a, const FlowArc& b) { return a.duration_us() > b.duration_us(); });
-  os << "Longest fault critical paths (" << arcs.size() << " complete flow arcs)\n";
-  os << std::left << std::setw(14) << "flow" << std::right << std::setw(12) << "wait_us"
-     << std::setw(8) << "hops" << std::setw(14) << "path" << std::setw(14) << "start_us" << "\n";
-  for (size_t i = 0; i < arcs.size() && i < top_n; ++i) {
-    const FlowArc& a = arcs[i];
-    os << std::left << std::setw(14) << a.name << std::right << std::setw(12)
-       << FormatUs(a.duration_us()) << std::setw(8) << a.steps << std::setw(14)
-       << ("n" + std::to_string(a.start_node) + "->n" + std::to_string(a.end_node))
-       << std::setw(14) << FormatUs(a.start_ts) << "\n";
-  }
-}
-
 // ---- End-to-end critical path --------------------------------------------------------------
 
 const char* PathSegmentKindName(PathSegment::Kind kind) {
@@ -672,14 +645,8 @@ struct CritTrace {
   uint64_t rebalance_events = 0;  // plan/migrate instants on the rebalance track
 };
 
-bool ParseCritTrace(const std::string& text, CritTrace* out, std::string* error) {
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
-    return false;
-  }
-  const json::Value* events = TraceEvents(*parsed.value);
+bool ParseCritTrace(const json::Value& trace, CritTrace* out, std::string* error) {
+  const json::Value* events = TraceEvents(trace);
   if (events == nullptr) {
     *error = "no trace event array found";
     return false;
@@ -784,10 +751,10 @@ std::vector<PathSegment> DecomposeGap(const CritTrace& t, int node, double s, do
 
 }  // namespace
 
-CriticalPath BuildCriticalPath(const std::string& trace_text) {
+CriticalPath BuildCriticalPath(const json::Value& trace) {
   CriticalPath path;
   CritTrace t;
-  if (!ParseCritTrace(trace_text, &t, &path.error)) {
+  if (!ParseCritTrace(trace, &t, &path.error)) {
     return path;
   }
   if (t.done_ts.empty()) {
@@ -1006,13 +973,11 @@ void PrintBlame(const CriticalPath& path, size_t top_n, std::ostream& os) {
 // ---- Flight-recorder dumps -----------------------------------------------------------------
 
 bool ParseFlight(const std::string& text, FlightDump* out, std::string* error) {
-  json::ParseResult parsed = json::Parse(text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  const json::ValuePtr doc = ParseJson(text, error);
+  if (doc == nullptr) {
     return false;
   }
-  const json::Value& root = *parsed.value;
+  const json::Value& root = *doc;
   if (root.GetString("schema") != "dfil-flight-v1") {
     *error = "not a dfil-flight-v1 document (schema=\"" + root.GetString("schema") + "\")";
     return false;
@@ -1112,17 +1077,37 @@ void PrintFlight(const FlightDump& dump, std::ostream& os) {
 
 // ---- CI regression gate --------------------------------------------------------------------
 
+namespace {
+
+const RunSummary* FindRun(const std::vector<RunSummary>& runs, const std::string& label) {
+  for (const RunSummary& run : runs) {
+    if (run.label == label) {
+      return &run;
+    }
+  }
+  return nullptr;
+}
+
+// The baseline of either gate, parsed; null with *error set when it is not JSON.
+json::ValuePtr ParseBaseline(const std::string& baseline_text, std::string* error) {
+  json::ValuePtr doc = ParseJson(baseline_text, error);
+  if (doc == nullptr) {
+    *error = "baseline " + *error;
+  }
+  return doc;
+}
+
+}  // namespace
+
 GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
                      std::string* error) {
   GateResult out;
-  json::ParseResult parsed = json::Parse(baseline_text);
-  if (!parsed.ok()) {
-    *error = "baseline JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  const json::ValuePtr doc = ParseBaseline(baseline_text, error);
+  if (doc == nullptr) {
     out.ok = false;
     return out;
   }
-  const json::Value& root = *parsed.value;
+  const json::Value& root = *doc;
   if (root.GetString("schema") != "dfil-gate-v1") {
     *error = "baseline is not a dfil-gate-v1 document";
     out.ok = false;
@@ -1136,16 +1121,11 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
     return out;
   }
   for (const auto& [label, expectations] : baseline_runs->object) {
-    const RunSummary* run = nullptr;
-    for (const RunSummary& candidate : runs) {
-      if (candidate.label == label) {
-        run = &candidate;
-        break;
-      }
-    }
+    const RunSummary* run = FindRun(runs, label);
     if (run == nullptr) {
       out.ok = false;
       out.lines.push_back("FAIL " + label + ": no metrics file with this label was supplied");
+      out.failures.emplace_back(label, "");
       continue;
     }
     for (const auto& [counter, expected_value] : expectations->object) {
@@ -1164,6 +1144,7 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
       out.lines.push_back(line.str());
       if (drift > tolerance) {
         out.ok = false;
+        out.failures.emplace_back(label, counter);
       }
     }
   }
@@ -1173,14 +1154,12 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
 GateResult CheckCritpathGate(const std::string& baseline_text, const CriticalPath& path,
                              std::string* error) {
   GateResult out;
-  json::ParseResult parsed = json::Parse(baseline_text);
-  if (!parsed.ok()) {
-    *error = "baseline JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  const json::ValuePtr doc = ParseBaseline(baseline_text, error);
+  if (doc == nullptr) {
     out.ok = false;
     return out;
   }
-  const json::Value& root = *parsed.value;
+  const json::Value& root = *doc;
   if (root.GetString("schema") != "dfil-critpath-gate-v1") {
     *error = "baseline is not a dfil-critpath-gate-v1 document";
     out.ok = false;
@@ -1230,55 +1209,7 @@ GateResult CheckCritpathGate(const std::string& baseline_text, const CriticalPat
   return out;
 }
 
-// ---- Shared CLI parsing --------------------------------------------------------------------
-
-CliOptions ParseCliOptions(int argc, char** argv, int first) {
-  CliOptions opt;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // "--flag VALUE" and "--flag=VALUE" are both accepted; a trailing valueless "--flag" is a
-    // usage error (reported through opt.error, never a silent default).
-    auto value_of = [&](const char* flag, std::string* value) {
-      const std::string name(flag);
-      if (arg == name) {
-        if (i + 1 >= argc) {
-          opt.error = arg + " (missing value)";
-          return true;
-        }
-        *value = argv[++i];
-        return true;
-      }
-      if (arg.rfind(name + "=", 0) == 0) {
-        *value = arg.substr(name.size() + 1);
-        return true;
-      }
-      return false;
-    };
-    std::string top_value;
-    if (value_of("--top", &top_value)) {
-      if (!opt.error.empty()) {
-        break;
-      }
-      opt.top_n = static_cast<size_t>(std::strtoul(top_value.c_str(), nullptr, 10));
-    } else if (value_of("--check", &opt.check_baseline) ||
-               value_of("--gate", &opt.gate_baseline) ||
-               value_of("--history", &opt.history_path)) {
-      if (!opt.error.empty()) {
-        break;
-      }
-    } else if (arg == "--force") {
-      opt.force = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      opt.error = arg;
-      break;
-    } else {
-      opt.paths.push_back(arg);
-    }
-  }
-  return opt;
-}
-
-// ---- Run diffing (tools/dfil_diff) ---------------------------------------------------------
+// ---- Run diffing (`dfil diff`) -------------------------------------------------------------
 
 double Delta::rel() const {
   return (b - a) / std::max(std::abs(a), 1.0);
@@ -1634,7 +1565,7 @@ void PrintBlameDiff(const std::vector<Delta>& deltas, size_t top_n, std::ostream
   PrintDeltaTable("Critical-path blame deltas (us on the path)", deltas, top_n, os);
 }
 
-// ---- Gate explanation (dfil_diff --gate) ---------------------------------------------------
+// ---- Gate drift localization (`dfil gate`) -------------------------------------------------
 
 namespace {
 
@@ -1706,52 +1637,24 @@ void ExplainCounter(const RunSummary& run, const std::string& counter, size_t to
 
 }  // namespace
 
-GateResult ExplainGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
-                       size_t top_n, std::ostream& os, std::string* error) {
-  GateResult gate = CheckGate(baseline_text, runs, error);
-  if (!error->empty()) {
-    return gate;
-  }
+void PrintGate(const GateResult& gate, const std::vector<RunSummary>& runs, size_t top_n,
+               std::ostream& os) {
   for (const std::string& line : gate.lines) {
     os << line << "\n";
   }
-  if (gate.ok) {
-    return gate;
+  if (gate.failures.empty()) {
+    return;
   }
-  // Re-walk the baseline for the failing (label, counter) pairs; CheckGate just validated it.
-  json::ParseResult parsed = json::Parse(baseline_text);
-  const json::Value& root = *parsed.value;
-  const double tolerance = root.GetNumber("tolerance", 0.10);
-  const json::Value* baseline_runs = root.Get("runs");
   os << "\nWhere the drift lives:\n";
-  for (const auto& [label, expectations] : baseline_runs->object) {
-    if (!expectations->is_object()) {
-      continue;
-    }
-    const RunSummary* run = nullptr;
-    for (const RunSummary& candidate : runs) {
-      if (candidate.label == label) {
-        run = &candidate;
-        break;
-      }
-    }
+  for (const auto& [label, counter] : gate.failures) {
+    const RunSummary* run = FindRun(runs, label);
     if (run == nullptr) {
       os << "  " << label << ": no metrics file with this label was supplied — check the CI\n"
          << "  step's file list against the baseline's run labels\n";
-      continue;
-    }
-    for (const auto& [counter, expected_value] : expectations->object) {
-      if (!expected_value->is_number()) {
-        continue;
-      }
-      const double expected = expected_value->number;
-      const auto actual = static_cast<double>(run->ClusterCounter(counter));
-      if (std::abs(actual - expected) / std::max(expected, 1.0) > tolerance) {
-        ExplainCounter(*run, counter, top_n, os);
-      }
+    } else {
+      ExplainCounter(*run, counter, top_n, os);
     }
   }
-  return gate;
 }
 
 // ---- Result history (bench/HISTORY.jsonl) --------------------------------------------------
@@ -1778,13 +1681,11 @@ std::string HistoryLine(const RunSummary& run) {
 }
 
 bool BenchHistoryLine(const std::string& bench_json_text, std::string* line, std::string* error) {
-  json::ParseResult parsed = json::Parse(bench_json_text);
-  if (!parsed.ok()) {
-    *error = "JSON parse error at byte " + std::to_string(parsed.error_offset) + ": " +
-             parsed.error;
+  const json::ValuePtr doc = ParseJson(bench_json_text, error);
+  if (doc == nullptr) {
     return false;
   }
-  const json::Value& root = *parsed.value;
+  const json::Value& root = *doc;
   if (!root.is_object() || root.Get("bench") == nullptr || !root.Get("bench")->is_string()) {
     *error = "not a BENCH_*.json report (no \"bench\" string field)";
     return false;
@@ -1831,6 +1732,388 @@ bool AppendHistory(const std::string& path, const std::vector<std::string>& line
     return false;
   }
   return true;
+}
+
+// ---- The dfil command line -----------------------------------------------------------------
+
+CliOptions ParseCliOptions(const std::vector<std::string>& args) {
+  CliOptions opt;
+  for (size_t i = 0; i < args.size() && opt.error.empty(); ++i) {
+    const std::string& arg = args[i];
+    // "--flag VALUE" and "--flag=VALUE" are both accepted; a trailing valueless "--flag" is a
+    // usage error (reported through opt.error, never a silent default).
+    auto value_of = [&](const std::string& flag, std::string* value) {
+      if (arg == flag) {
+        if (i + 1 < args.size()) {
+          *value = args[++i];
+        } else {
+          opt.error = arg + " (missing value)";
+        }
+        return true;
+      }
+      if (arg.rfind(flag + "=", 0) == 0) {
+        *value = arg.substr(flag.size() + 1);
+        return true;
+      }
+      return false;
+    };
+    std::string top;
+    if (value_of("--top", &top)) {
+      // from_chars takes digits only: an empty value, a sign or a blank fails it, and trailing
+      // junk stops it short of `end`.
+      const char* end = top.data() + top.size();
+      const auto [ptr, ec] = std::from_chars(top.data(), end, opt.top_n);
+      if (opt.error.empty() && (ec != std::errc() || ptr != end)) {
+        opt.error = "--top=" + top + " (not a non-negative integer)";
+      }
+    } else if (arg == "--force") {
+      opt.force = true;
+    } else if (arg.rfind("--", 0) != 0) {
+      opt.paths.push_back(arg);
+    } else if (!value_of("--check", &opt.check_baseline)) {
+      opt.error = arg;
+    }
+  }
+  return opt;
+}
+
+namespace {
+
+constexpr char kUsage[] =
+    "usage: dfil <command> [flags] <files...>\n"
+    "\n"
+    "metrics commands (METRICS_*.json, dfil-metrics-v2):\n"
+    "  report      METRICS_*.json        Figure 10 + fault latency + hottest pages per run,\n"
+    "                                    Figure 9 across runs\n"
+    "  figure10    METRICS_*.json        per-node time breakdown only\n"
+    "  figure9     METRICS_*.json        message counts per protocol only\n"
+    "  hot         METRICS_*.json        hottest pages only\n"
+    "\n"
+    "trace commands (Chrome trace-event JSON):\n"
+    "  check-trace TRACE.json...         structural validity (span nesting, flow arcs)\n"
+    "  critpath    TRACE.json...         end-to-end critical path: per-hop compute /\n"
+    "                                    page-fault / barrier blame and the what-if bound\n"
+    "  blame       TRACE.json...         critical-path residency ranked by cause\n"
+    "                                    (page / barrier epoch / node compute)\n"
+    "\n"
+    "failure forensics (FLIGHT_*.json, dfil-flight-v1):\n"
+    "  flight      FLIGHT.json...        render a flight-recorder dump: oracle violations,\n"
+    "                                    last wait events per node, recent fault injections\n"
+    "\n"
+    "A/B attribution and result history:\n"
+    "  diff        A.json B.json [A_TRACE.json B_TRACE.json]\n"
+    "                                    fingerprint check, then ranked counter / histogram /\n"
+    "                                    pool / epoch / page-heat deltas (A = baseline); with\n"
+    "                                    the trace pair, the critical-path blame tables too\n"
+    "  history     FILE.jsonl METRICS_*.json|BENCH_*.json...\n"
+    "                                    append one-line JSON summaries, skipping duplicates\n"
+    "\n"
+    "CI gates:\n"
+    "  gate        BASELINE.json METRICS_*.json\n"
+    "                                    counter-regression gate (dfil-gate-v1); a failing\n"
+    "                                    counter is localized to nodes, pages and epochs\n"
+    "  critpath --check BASELINE.json TRACE.json\n"
+    "                                    gate the path's wait-category shares\n"
+    "                                    (dfil-critpath-gate-v1)\n"
+    "\n"
+    "flags (position-independent, accepted by every command):\n"
+    "  --top N          rows/hops/deltas to print (default 10)\n"
+    "  --check FILE     critpath/blame: gate against a dfil-critpath-gate-v1 baseline\n"
+    "  --force          diff: compare runs whose fingerprints are incompatible\n"
+    "\n"
+    "exit codes (scripts may rely on them):\n"
+    "  0 ok, 1 gate/check failure or incompatible runs, 2 usage error,\n"
+    "  3 unreadable/unparseable input\n";
+
+int Usage(std::ostream& err) {
+  err << kUsage;
+  return kExitUsage;
+}
+
+int Fail(std::ostream& err, const std::string& message, int exit_code) {
+  err << "dfil: " << message << "\n";
+  return exit_code;
+}
+
+// Loads METRICS files in order; kExitIo at the first unreadable one.
+int LoadRuns(const std::vector<std::string>& paths, std::vector<RunSummary>* runs,
+             std::ostream& err) {
+  for (const std::string& path : paths) {
+    RunSummary run;
+    std::string error;
+    if (!LoadRun(path, &run, &error)) {
+      return Fail(err, error, kExitIo);
+    }
+    runs->push_back(std::move(run));
+  }
+  return kExitOk;
+}
+
+// The one read-and-parse step of every command that reads a trace: an unreadable file or one
+// that is not JSON is kExitIo; what the trace says is judged by the caller.
+int LoadTrace(const std::string& path, json::ValuePtr* trace, std::ostream& err) {
+  std::string text;
+  std::string error;
+  if (!ReadFile(path, &text, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  *trace = ParseJson(text, &error);
+  return *trace == nullptr ? Fail(err, path + ": " + error, kExitIo) : kExitOk;
+}
+
+int CmdMetrics(const std::string& cmd, const CliOptions& opt, std::ostream& out,
+               std::ostream& err) {
+  if (opt.paths.empty()) {
+    return Usage(err);
+  }
+  std::vector<RunSummary> runs;
+  if (const int rc = LoadRuns(opt.paths, &runs, err); rc != kExitOk) {
+    return rc;
+  }
+  const bool all = cmd == "report";
+  for (const RunSummary& run : runs) {
+    if (all || cmd == "figure10") {
+      PrintFigure10(run, out);
+      out << "\n";
+    }
+    if (all) {
+      PrintFaultLatency(run, out);
+    }
+    if (all || cmd == "hot") {
+      PrintHotPages(run, opt.top_n, out);
+      out << "\n";
+    }
+  }
+  if (all || cmd == "figure9") {
+    PrintFigure9(runs, out);
+  }
+  return kExitOk;
+}
+
+int CmdCheckTrace(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  if (opt.paths.empty()) {
+    return Usage(err);
+  }
+  bool ok = true;
+  for (const std::string& path : opt.paths) {
+    json::ValuePtr trace;
+    if (const int rc = LoadTrace(path, &trace, err); rc != kExitOk) {
+      return rc;
+    }
+    const TraceCheck check = CheckChromeTrace(*trace);
+    out << path << ": " << check.events << " events, " << check.spans << " spans, "
+        << check.complete_flows << "/" << check.flow_starts << " flows complete — "
+        << (check.ok ? "OK" : "MALFORMED") << "\n";
+    for (const std::string& error : check.errors) {
+      out << "  " << error << "\n";
+    }
+    ok = ok && check.ok;
+  }
+  return ok ? kExitOk : kExitCheckFailed;
+}
+
+int CmdCritpath(const std::string& cmd, const CliOptions& opt, std::ostream& out,
+                std::ostream& err) {
+  if (opt.paths.empty()) {
+    return Usage(err);
+  }
+  std::string baseline_text;
+  std::string error;
+  if (!opt.check_baseline.empty() && !ReadFile(opt.check_baseline, &baseline_text, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  bool ok = true;
+  for (const std::string& path : opt.paths) {
+    json::ValuePtr trace;
+    if (const int rc = LoadTrace(path, &trace, err); rc != kExitOk) {
+      return rc;
+    }
+    const CriticalPath critpath = BuildCriticalPath(*trace);
+    out << path << ":\n";
+    if (cmd == "blame") {
+      PrintBlame(critpath, opt.top_n, out);
+    } else {
+      PrintCritPath(critpath, opt.top_n, out);
+    }
+    ok = ok && critpath.ok;
+    if (!opt.check_baseline.empty()) {
+      const GateResult gate = CheckCritpathGate(baseline_text, critpath, &error);
+      if (!error.empty()) {
+        return Fail(err, error, kExitIo);
+      }
+      for (const std::string& line : gate.lines) {
+        out << line << "\n";
+      }
+      out << "critpath gate: " << (gate.ok ? "PASS" : "FAIL") << "\n";
+      ok = ok && gate.ok;
+    }
+    out << "\n";
+  }
+  return ok ? kExitOk : kExitCheckFailed;
+}
+
+int CmdFlight(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  if (opt.paths.empty()) {
+    return Usage(err);
+  }
+  for (const std::string& path : opt.paths) {
+    std::string text;
+    std::string error;
+    if (!ReadFile(path, &text, &error)) {
+      return Fail(err, error, kExitIo);
+    }
+    FlightDump dump;
+    if (!ParseFlight(text, &dump, &error)) {
+      return Fail(err, path + ": " + error, kExitIo);
+    }
+    out << path << ":\n";
+    PrintFlight(dump, out);
+    out << "\n";
+  }
+  return kExitOk;
+}
+
+int CmdGate(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  if (opt.paths.size() < 2) {
+    return Usage(err);
+  }
+  std::string baseline_text;
+  std::string error;
+  if (!ReadFile(opt.paths[0], &baseline_text, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  std::vector<RunSummary> runs;
+  if (const int rc = LoadRuns({opt.paths.begin() + 1, opt.paths.end()}, &runs, err);
+      rc != kExitOk) {
+    return rc;
+  }
+  const GateResult gate = CheckGate(baseline_text, runs, &error);
+  if (!error.empty()) {
+    return Fail(err, error, kExitIo);
+  }
+  PrintGate(gate, runs, opt.top_n, out);
+  out << "gate: " << (gate.ok ? "PASS" : "FAIL") << "\n";
+  return gate.ok ? kExitOk : kExitCheckFailed;
+}
+
+int CmdDiff(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  const std::vector<std::string>& paths = opt.paths;
+  if (paths.size() != 2 && paths.size() != 4) {
+    return Usage(err);
+  }
+  std::vector<RunSummary> runs;
+  if (const int rc = LoadRuns({paths[0], paths[1]}, &runs, err); rc != kExitOk) {
+    return rc;
+  }
+  const RunDiff diff = DiffRuns(runs[0], runs[1]);
+  PrintRunDiff(diff, runs[0], runs[1], opt.top_n, out);
+  if (!diff.fingerprints.compatible && !opt.force) {
+    return Fail(err,
+                "fingerprints are incompatible — the deltas above compare different programs "
+                "(use --force to accept them anyway)",
+                kExitCheckFailed);
+  }
+  if (paths.size() == 2) {
+    return kExitOk;
+  }
+  CriticalPath critpaths[2];
+  for (int i = 0; i < 2; ++i) {
+    json::ValuePtr trace;
+    if (const int rc = LoadTrace(paths[2 + i], &trace, err); rc != kExitOk) {
+      return rc;
+    }
+    critpaths[i] = BuildCriticalPath(*trace);
+  }
+  for (int i = 0; i < 2; ++i) {
+    if (!critpaths[i].ok) {
+      return Fail(err, paths[2 + i] + ": " + critpaths[i].error, kExitCheckFailed);
+    }
+  }
+  out << "\nCritical path A (" << paths[2] << "):\n";
+  PrintCritPath(critpaths[0], 3, out);
+  out << "\nCritical path B (" << paths[3] << "):\n";
+  PrintCritPath(critpaths[1], 3, out);
+  out << "\n";
+  PrintBlameDiff(DiffBlame(critpaths[0], critpaths[1]), opt.top_n, out);
+  return kExitOk;
+}
+
+int CmdHistory(const CliOptions& opt, std::ostream& out, std::ostream& err) {
+  if (opt.paths.size() < 2) {
+    return Usage(err);
+  }
+  const std::string& history = opt.paths[0];
+  std::vector<std::string> lines;
+  for (auto it = opt.paths.begin() + 1; it != opt.paths.end(); ++it) {
+    std::string text;
+    std::string error;
+    if (!ReadFile(*it, &text, &error)) {
+      return Fail(err, error, kExitIo);
+    }
+    // METRICS files carry a dfil-metrics schema tag; everything else must be a BENCH report.
+    std::string line;
+    if (text.find("\"dfil-metrics-v") != std::string::npos) {
+      RunSummary run;
+      if (!ParseRun(text, &run, &error)) {
+        return Fail(err, *it + ": " + error, kExitIo);
+      }
+      line = HistoryLine(run);
+    } else if (!BenchHistoryLine(text, &line, &error)) {
+      return Fail(err, *it + ": " + error, kExitIo);
+    }
+    lines.push_back(std::move(line));
+  }
+  size_t appended = 0;
+  std::string error;
+  if (!AppendHistory(history, lines, &appended, &error)) {
+    return Fail(err, error, kExitIo);
+  }
+  out << "appended " << appended << " line(s) to " << history << " ("
+      << lines.size() - appended << " duplicate(s) skipped)\n";
+  return kExitOk;
+}
+
+}  // namespace
+
+int RunCli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
+  if (!args.empty() && (args[0] == "--help" || args[0] == "-h" || args[0] == "help")) {
+    Usage(err);
+    return kExitOk;
+  }
+  CliOptions opt = ParseCliOptions(args);
+  if (!opt.error.empty()) {
+    err << "dfil: bad flag: " << opt.error << "\n";
+    return Usage(err);
+  }
+  if (opt.paths.empty()) {
+    return Usage(err);
+  }
+  // The command is the first operand; the rest are its input files, in order.
+  const std::string cmd = opt.paths.front();
+  opt.paths.erase(opt.paths.begin());
+  if (cmd == "report" || cmd == "figure10" || cmd == "figure9" || cmd == "hot") {
+    return CmdMetrics(cmd, opt, out, err);
+  }
+  if (cmd == "check-trace") {
+    return CmdCheckTrace(opt, out, err);
+  }
+  if (cmd == "critpath" || cmd == "blame") {
+    return CmdCritpath(cmd, opt, out, err);
+  }
+  if (cmd == "flight") {
+    return CmdFlight(opt, out, err);
+  }
+  if (cmd == "gate") {
+    return CmdGate(opt, out, err);
+  }
+  if (cmd == "diff") {
+    return CmdDiff(opt, out, err);
+  }
+  if (cmd == "history") {
+    return CmdHistory(opt, out, err);
+  }
+  err << "dfil: unknown command '" << cmd << "'\n";
+  return Usage(err);
 }
 
 }  // namespace dfil::report

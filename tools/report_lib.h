@@ -1,15 +1,16 @@
-// Analysis library behind tools/dfil_report and the observability tests.
+// Analysis library behind the `dfil` CLI (tools/dfil.cc) and the observability tests.
 //
-// Consumes the two JSON artifacts the runtime emits — METRICS_<label>.json (dfil-metrics-v1,
+// Consumes the two JSON artifacts the runtime emits — METRICS_<label>.json (dfil-metrics-v2,
 // src/core/metrics_io.h) and Chrome trace-event files (TraceRecorder::WriteChromeTrace) — and
 // renders the paper's analysis tables:
 //   * Figure 10: per-node stacked time breakdown (work / filament_exec / data_transfer /
 //     sync_overhead / sync_delay / idle).
 //   * Figure 9: message counts per page-consistency protocol, side by side across runs, with
 //     p50/p99 fault latency from the merged per-node histograms.
-//   * Hottest pages (per-page demand-fault heat) and the longest fault critical paths (complete
-//     s->t->f flow arcs reconstructed from the trace).
-// It also hosts the trace-validity checker and the CI counter-regression gate.
+//   * Hottest pages (per-page demand-fault heat) and the end-to-end critical path rebuilt from a
+//     trace.
+// It also hosts the trace-validity checker, the CI gates, A/B run diffing, the result history,
+// and the command line itself (RunCli), so tests drive every command in process.
 #ifndef DFIL_TOOLS_REPORT_LIB_H_
 #define DFIL_TOOLS_REPORT_LIB_H_
 
@@ -18,14 +19,17 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/common/json.h"
 
 namespace dfil::report {
 
-// ---- Shared CLI contract -------------------------------------------------------------------
+// ---- The dfil command line -----------------------------------------------------------------
 
-// Exit-code contract shared by every analysis CLI (dfil_report, dfil_diff). Scripts and CI steps
-// key off these values, so they are part of the tools' public interface:
+// Exit-code contract of every `dfil` command. Scripts and CI steps key off these values, so they
+// are part of the tool's public interface:
 //   0  success
 //   1  a gate or check failed (counter drift, malformed trace, incompatible fingerprints)
 //   2  usage error (unknown command, missing operands, bad flag)
@@ -35,18 +39,21 @@ constexpr int kExitCheckFailed = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 
-// The position-independent flag vocabulary shared by dfil_report and dfil_diff. Each tool uses
-// the subset it documents; unknown "--flags" set `error` and the caller prints usage (exit 2).
+// The position-independent flag vocabulary. Every command accepts every flag; an unknown
+// "--flag", a missing value, or a --top value that is not a non-negative decimal integer sets
+// `error` and the caller prints usage (exit 2).
 struct CliOptions {
   size_t top_n = 10;           // --top N / --top=N
-  std::string check_baseline;  // --check FILE   (dfil_report critpath)
-  std::string gate_baseline;   // --gate FILE    (dfil_diff gate-explain mode)
-  std::string history_path;    // --history FILE (dfil_diff history-append mode)
-  bool force = false;          // --force        (dfil_diff: diff despite incompatible runs)
-  std::vector<std::string> paths;  // bare operands, in order
+  std::string check_baseline;  // --check FILE   (critpath / blame)
+  bool force = false;          // --force        (diff: compare despite incompatible runs)
+  std::vector<std::string> paths;  // bare operands, in order (the command is the first)
   std::string error;           // non-empty = malformed/unknown flag (the offending token)
 };
-CliOptions ParseCliOptions(int argc, char** argv, int first);
+CliOptions ParseCliOptions(const std::vector<std::string>& args);
+
+// Runs one `dfil` command. `args` excludes the program name. Tables and verdicts go to `out`,
+// usage and diagnostics to `err`; the return value is the exit code above.
+int RunCli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
 // One histogram as exported by MetricsRegistry::WriteJson, buckets included so histograms from
 // different nodes can be merged before computing cluster-wide percentiles.
@@ -65,8 +72,8 @@ struct HistSummary {
 
 // The run fingerprint stamped into every dfil-metrics-v2 document (src/core/metrics_io.h):
 // "config" is ClusterConfig::DigestHex() over every schedule-affecting knob, "git" the build's
-// commit, "seed" the cluster RNG seed, "app" the program identity. Empty fields = a v1 or
-// pre-fingerprint file.
+// commit, "seed" the cluster RNG seed, "app" the program identity. Fields stay empty when the
+// document carries no fingerprint.
 struct Fingerprint {
   std::string config;
   std::string git;
@@ -89,13 +96,11 @@ struct PoolRow {
   uint64_t migrated_in = 0;
 };
 
-// A parsed dfil-metrics-v1 or -v2 document. v2-only fields (provenance, the wait-state ledgers,
-// final_clock_us, epochs, fingerprint, pools) stay zero/empty when a v1 file is loaded.
+// A parsed dfil-metrics-v2 document.
 struct RunSummary {
   std::string path;   // file it was loaded from (diagnostics)
   std::string label;
   std::string pcp;
-  int schema_version = 1;
   int nodes = 0;
   bool completed = false;
   double makespan_us = 0.0;
@@ -107,9 +112,9 @@ struct RunSummary {
   struct Node {
     int node = 0;
     double finished_at_us = 0.0;
-    double final_clock_us = 0.0;                      // v2: clock at end of run (incl. tail)
+    double final_clock_us = 0.0;                      // clock at end of run (incl. tail)
     std::map<std::string, double> time_us;            // Figure 10 categories
-    double run_us = 0.0;                              // v2 wait-state ledgers:
+    double run_us = 0.0;                              // wait-state ledgers:
     double serve_us = 0.0;                            //   run + serve + sum(wait_us) ==
     std::map<std::string, double> wait_us;            //   final_clock_us
     std::map<std::string, uint64_t> wait_events;      // blocked-interval counts by kind
@@ -142,9 +147,12 @@ void PrintHotPages(const RunSummary& run, size_t top_n, std::ostream& os);
 
 // ---- Trace analysis ------------------------------------------------------------------------
 
-// Structural validity of a Chrome trace-event JSON document (bare array or {"traceEvents": [...]}):
-// every track's B/E events balance with non-decreasing timestamps, and every flow-start id is
-// eventually finished. Errors are capped at a few dozen lines; `ok` reflects the full scan.
+// The trace functions take the parsed document of a Chrome trace-event file (a bare event array
+// or {"traceEvents": [...]}); a document without an event array is a structural error.
+
+// Structural validity of a trace: every track's B/E events balance with non-decreasing
+// timestamps, and every flow-start id is eventually finished. Errors are capped at a few dozen
+// lines; `ok` reflects the full scan.
 struct TraceCheck {
   bool ok = false;
   std::vector<std::string> errors;
@@ -154,7 +162,7 @@ struct TraceCheck {
   size_t flow_ends = 0;
   size_t complete_flows = 0;  // flow ids with both an 's' and an 'f'
 };
-TraceCheck CheckChromeTrace(const std::string& text);
+TraceCheck CheckChromeTrace(const json::Value& trace);
 
 // One reconstructed cross-node flow arc (fault begin on the faulting node through serve/chase
 // steps to the install): the trace-level view of a single remote page fault.
@@ -171,9 +179,7 @@ struct FlowArc {
 };
 
 // All complete arcs (those with both 's' and 'f'), unsorted.
-std::vector<FlowArc> ExtractFlows(const std::string& text);
-// The top_n longest arcs — the fault critical paths that gate the run.
-void PrintCriticalPaths(std::vector<FlowArc> arcs, size_t top_n, std::ostream& os);
+std::vector<FlowArc> ExtractFlows(const json::Value& trace);
 
 // ---- End-to-end critical path --------------------------------------------------------------
 
@@ -214,7 +220,7 @@ struct CriticalPath {
   uint64_t rebalance_events = 0;      // "rebalance ..." instants seen anywhere on the trace
   std::vector<PathSegment> segments;  // time order, from ts 0 to completion_us
 };
-CriticalPath BuildCriticalPath(const std::string& trace_text);
+CriticalPath BuildCriticalPath(const json::Value& trace);
 
 // Blame view: path segments aggregated by cause — "page <p>", "barrier e<k>", "compute n<i>" —
 // ranked by total critical-path residency, largest first.
@@ -278,9 +284,19 @@ void PrintFlight(const FlightDump& dump, std::ostream& os);
 struct GateResult {
   bool ok = true;
   std::vector<std::string> lines;  // one human-readable verdict per comparison
+  // Counter gate: every failing (baseline run label, counter) pair, in baseline order. The
+  // counter is empty when no metrics file carried the label.
+  std::vector<std::pair<std::string, std::string>> failures;
 };
+// Checks every expectation in one walk of the baseline. An unparseable or non-dfil-gate-v1
+// baseline sets *error.
 GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
                      std::string* error);
+// Prints the verdict lines, then for every failure where the drift lives in `runs`: the per-node
+// split, the top_n hottest pages for dsm.* counters, and the top_n epochs when the per-epoch
+// series carries the counter.
+void PrintGate(const GateResult& gate, const std::vector<RunSummary>& runs, size_t top_n,
+               std::ostream& os);
 
 // critpath CI gate. Baseline format (dfil-critpath-gate-v1):
 //   {"schema": "dfil-critpath-gate-v1", "tolerance_pp": 10.0,
@@ -290,11 +306,11 @@ GateResult CheckGate(const std::string& baseline_text, const std::vector<RunSumm
 GateResult CheckCritpathGate(const std::string& baseline_text, const CriticalPath& path,
                              std::string* error);
 
-// ---- Run diffing (tools/dfil_diff) ---------------------------------------------------------
+// ---- Run diffing (`dfil diff`) -------------------------------------------------------------
 
 // Fingerprint comparability verdict for an A/B pair. Hard mismatches (different app, node count,
 // or page size) make the runs structurally incomparable — diffing them answers no question;
-// dfil_diff refuses unless --force. Config-digest differences with matching shape are the normal
+// `dfil diff` refuses unless --force. Config-digest differences with matching shape are the normal
 // deliberate-A/B case; `config_notes` lists exactly which provenance knobs moved.
 struct FingerprintCheck {
   bool compatible = true;        // no hard mismatch
@@ -336,21 +352,14 @@ void PrintRunDiff(const RunDiff& diff, const RunSummary& a, const RunSummary& b,
 std::vector<Delta> DiffBlame(const CriticalPath& a, const CriticalPath& b);
 void PrintBlameDiff(const std::vector<Delta>& deltas, size_t top_n, std::ostream& os);
 
-// Gate-explain (dfil_diff --gate): runs CheckGate, and for every failing counter prints where
-// the drift lives in the supplied runs — per-node breakdown, the hottest pages for dsm.*
-// counters, and the epochs contributing most when the per-epoch series carries the counter.
-// Returns the underlying GateResult; *error as in CheckGate.
-GateResult ExplainGate(const std::string& baseline_text, const std::vector<RunSummary>& runs,
-                       size_t top_n, std::ostream& os, std::string* error);
-
 // ---- Result history (bench/HISTORY.jsonl) --------------------------------------------------
 
-// One-line JSON summaries of result artifacts, appended by `dfil_diff --history`. METRICS files
+// One-line JSON summaries of result artifacts, appended by `dfil history`. METRICS files
 // yield {"kind": "metrics", "label", "app", "config", "git", "seed", "nodes", "pcp",
 // "makespan_us", "counters": {<the Figure 9 counters that are non-zero>}}; BENCH files yield
 // {"kind": "bench", "bench", <the report's scalar fields>}. Lines carry no wall-clock timestamp
-// on purpose — identical results produce identical lines, so re-running --history is idempotent
-// (exact-duplicate lines are skipped on append).
+// on purpose — identical results produce identical lines, so re-running `dfil history` is
+// idempotent (exact-duplicate lines are skipped on append).
 std::string HistoryLine(const RunSummary& run);
 bool BenchHistoryLine(const std::string& bench_json_text, std::string* line, std::string* error);
 // Appends each line not already present verbatim in `path` (file created when absent);
