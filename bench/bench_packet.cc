@@ -43,12 +43,10 @@ class ScriptedNetwork : public sim::NetworkModel {
 };
 
 // Host that only runs Packet handlers (no server threads): enough to exercise the protocol.
-class MiniHost : public sim::NodeHost {
+class MiniHost : public net::PacketHost {
  public:
   MiniHost(NodeId id, sim::Machine* machine) : id_(id) {
-    endpoint = std::make_unique<net::PacketEndpoint>(
-        machine, id, net::PacketConfig{}, [this](TimeCategory, SimTime t) { clock_ += t; },
-        [this] { return clock_; });
+    endpoint = std::make_unique<net::PacketEndpoint>(machine, this, net::PacketConfig{});
   }
   NodeId id() const override { return id_; }
   SimTime Clock() const override { return clock_; }
@@ -58,6 +56,8 @@ class MiniHost : public sim::NodeHost {
   void AdvanceTo(SimTime t) override { clock_ = t > clock_ ? t : clock_; }
   void OnDatagram(sim::Datagram d) override { endpoint->OnDatagram(std::move(d)); }
   std::string DescribeBlocked() const override { return ""; }
+  void Charge(TimeCategory, SimTime cost) override { clock_ += cost; }
+  bool InCriticalSection() const override { return false; }
 
   std::unique_ptr<net::PacketEndpoint> endpoint;
 

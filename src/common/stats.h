@@ -60,8 +60,6 @@ struct MessageStats {
   uint64_t messages_duplicated = 0;  // injected duplicate deliveries
   uint64_t messages_delayed = 0;     // deliveries given injected extra latency
   uint64_t stall_deferrals = 0;      // deliveries deferred past a receiver stall window
-
-  void Reset() { *this = MessageStats{}; }
 };
 
 // DSM activity counters.
@@ -119,8 +117,6 @@ struct DsmStats {
 
   // Page-request message count (the Figure-9 hot-path traffic this node generated).
   uint64_t page_request_messages() const { return single_page_requests + bulk_requests; }
-
-  void Reset() { *this = DsmStats{}; }
 };
 
 // Filaments runtime counters.
@@ -137,8 +133,6 @@ struct FilamentStats {
   uint64_t steals_attempted_on_us = 0;  // steal requests this node served or denied
   uint64_t pool_suspensions = 0;
   uint64_t server_threads_started = 0;
-
-  void Reset() { *this = FilamentStats{}; }
 };
 
 }  // namespace dfil

@@ -144,9 +144,10 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("coalesce.request_hold", coalesce.request_hold);
   w.Field("coalesce.ack_hold", coalesce.ack_hold);
   w.Field("coalesce.mutual_window", coalesce.mutual_window);
-  w.Field("coalesce.hold_requests", coalesce.hold_requests);
-  w.Field("coalesce.sync_batch", coalesce.sync_batch);
-  w.Field("coalesce.elide_reduce_replies", coalesce.elide_reduce_replies);
+  // Always on; the keys stay in the digest so fingerprints of earlier runs still match.
+  w.Field("coalesce.hold_requests", true);
+  w.Field("coalesce.sync_batch", true);
+  w.Field("coalesce.elide_reduce_replies", true);
   w.Field("coalesce.elided_ack_timeout", coalesce.elided_ack_timeout);
 
   w.Field("fj.steal_enabled", fj.steal_enabled);

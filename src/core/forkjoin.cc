@@ -170,9 +170,7 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
   while (active_workers_ > 0) {
     DFIL_CHECK(winddown_waiter_ == nullptr);
     winddown_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kJoin);
-    rt_->BlockCurrent();
+    rt_->BlockCurrent(WaitKind::kJoin);
   }
   steal_timer_.Cancel();
   phase_active_ = false;
@@ -262,9 +260,7 @@ FjResult FjEngine::Join(FjHandle& handle) {
       break;
     }
     cell->waiter = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kJoin);
-    rt_->BlockCurrent();
+    rt_->BlockCurrent(WaitKind::kJoin);
   }
   const FjResult result = cell->result;
   delete cell;
@@ -308,9 +304,7 @@ void FjEngine::WorkerLoop(bool is_main) {
     if (CanStealNow()) {
       ArmStealRetry();
     }
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kJoin);
-    rt_->BlockCurrent();
+    rt_->BlockCurrent(WaitKind::kJoin);
   }
 }
 

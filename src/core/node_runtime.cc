@@ -16,18 +16,12 @@ namespace dfil::core {
 // holds every contribution, so every node has drained its outstanding fetches (WaitForFetchDrain)
 // and run AtSyncPoint before sending up — the cluster-wide page state is stable until the
 // dissemination goes out. The dissemination barrier has no such single point, so it never sweeps.
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
 #define DFIL_ORACLE_SWEEP()                        \
   do {                                             \
     if (config_.coherence_oracle != nullptr) {     \
       config_.coherence_oracle->AtQuiescentPoint(); \
     }                                              \
   } while (false)
-#else
-#define DFIL_ORACLE_SWEEP() \
-  do {                      \
-  } while (false)
-#endif
 
 NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
                          const dsm::GlobalLayout* layout)
@@ -37,53 +31,14 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
       threads_(config.backend, config.stack_bytes),
       env_(this) {
   tracer_.BindNode(id_, [this] { return CurrentTid(); }, [this] { return clock_; });
-  packet_ = std::make_unique<net::PacketEndpoint>(
-      machine_, id_, config_.packet,
-      [this](TimeCategory c, SimTime t) { Charge(c, t); }, [this] { return clock_; });
-  packet_->in_critical_section = [this] { return in_critical_; };
+  packet_ = std::make_unique<net::PacketEndpoint>(machine_, this, config_.packet);
   packet_->set_tracer(&tracer_);
   packet_->set_metrics(&metrics_);
   packet_->set_coalesce(config_.coalesce);
   packet_->set_ledger(&ledger_);
 
-  dsm::DsmNode::Hooks hooks;
-  hooks.charge = [this](TimeCategory c, SimTime t) { Charge(c, t); };
-  hooks.clock = [this] { return clock_; };
-  hooks.current_thread = [this] { return threads_.current(); };
-  hooks.wake = [this](threads::ServerThread* t) { Wake(t); };
-  hooks.pre_block = [this](PageId page) {
-    // Let the engines react (start a server thread for another pool / another fj worker) before
-    // the faulting thread gives up the processor.
-    if (pools_) {
-      pools_->OnThreadBlockedOnPage(page);
-    }
-    if (fj_) {
-      fj_->OnWorkerBlocked();
-    }
-  };
-  hooks.block_current = [this] { BlockCurrent(); };
-  hooks.trace_fault_begin = [this](PageId page) {
-    TraceBegin("dsm", "fault p" + std::to_string(page));
-    fault_wait_start_[CurrentTid()] = clock_;
-  };
-  hooks.trace_fault_end = [this] {
-    TraceEnd();
-    auto it = fault_wait_start_.find(CurrentTid());
-    if (it != fault_wait_start_.end()) {
-      metrics_.Hist("dsm.fault_wait_us").Record(ToMicroseconds(clock_ - it->second));
-      fault_wait_start_.erase(it);
-    }
-  };
-  hooks.tracer = &tracer_;
-  hooks.fetches_drained = [this] {
-    if (drain_waiter_ != nullptr) {
-      threads::ServerThread* t = drain_waiter_;
-      drain_waiter_ = nullptr;
-      WakeAtTail(t);
-    }
-  };
   dsm::DsmConfig dsm_cfg = config_.dsm;
-  if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
+  if (config_.coalesce.enabled) {
     // Sync-batch mode: the DSM learns this node's barrier parent so the diff protocol can gate
     // the merge it sends there (ack elided, retransmission canceled by the done broadcast) and
     // the transport can pack it with the reduce-up of the same sync point. The dissemination
@@ -101,13 +56,11 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
         break;
     }
   }
-  dsm_ = std::make_unique<dsm::DsmNode>(id_, layout, packet_.get(), &machine_->costs(),
-                                        dsm_cfg, std::move(hooks));
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
+  dsm_ = std::make_unique<dsm::DsmNode>(this, layout, packet_.get(), &machine_->costs(), dsm_cfg,
+                                        &tracer_, &metrics_);
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
   }
-#endif
   pools_ = std::make_unique<PoolEngine>(this);
   fj_ = std::make_unique<FjEngine>(this);
   RegisterReduceServices();
@@ -213,25 +166,34 @@ void NodeRuntime::YieldForEvent() {
   threads::ServerThread* self = threads_.current();
   DFIL_DCHECK(self != nullptr);
   DFIL_CHECK(resume_first_ == nullptr);
-  // A thread may charge time after marking itself blocked but before suspending (e.g. the fault
-  // path spawns a replacement server thread first); preserve that state across the yield.
-  const threads::ThreadState prior = self->state();
   resume_first_ = self;
   self->set_state(threads::ThreadState::kReady);
   threads_.SwitchToHost();
-  if (prior == threads::ThreadState::kBlocked) {
-    self->set_state(threads::ThreadState::kBlocked);
-  }
 }
 
-void NodeRuntime::BlockCurrent() {
+void NodeRuntime::BlockCurrent(WaitKind kind, uint64_t detail) {
   threads::ServerThread* self = threads_.current();
   DFIL_CHECK(self != nullptr);
-  DFIL_CHECK(self->state() == threads::ThreadState::kBlocked)
-      << "callers must set the blocked state and reason before BlockCurrent";
+  DFIL_CHECK(self->state() == threads::ThreadState::kRunning)
+      << "BlockCurrent must be called from a running server thread";
+  self->set_state(threads::ThreadState::kBlocked);
+  self->set_block_reason(kind, detail);
   self->set_blocked_since(clock_);
   blocked_.push_back(self);
   threads_.SwitchToHost();
+}
+
+void NodeRuntime::BeforeFaultBlock(PageId page) {
+  pools_->OnThreadBlockedOnPage(page);
+  fj_->OnWorkerBlocked();
+}
+
+void NodeRuntime::FetchesDrained() {
+  if (drain_waiter_ != nullptr) {
+    threads::ServerThread* t = drain_waiter_;
+    drain_waiter_ = nullptr;
+    WakeAtTail(t);
+  }
 }
 
 // Page-arrival wake: placement follows the configured policy (paper: front = fork/join
@@ -250,16 +212,11 @@ void NodeRuntime::AccountWake(threads::ServerThread* t) {
     ledger_.AddGap(t->block_kind(), pending_gap_);
     pending_gap_ = 0;
   }
-  // blocked_since is -1 for a thread that marked itself blocked but was woken before it ever
-  // suspended (the fault path charges — and can take a wake — between marking and BlockCurrent);
-  // such a thread never waited, so there is no interval to record.
-  if (t->blocked_since() >= 0) {
-    if (clock_ > t->blocked_since()) {
-      ledger_.AddBlocked(t->block_kind(), t->block_detail(), t->blocked_since(), clock_,
-                         t->profile_pool());
-    }
-    t->set_blocked_since(-1);
+  if (clock_ > t->blocked_since()) {
+    ledger_.AddBlocked(t->block_kind(), t->block_detail(), t->blocked_since(), clock_,
+                       t->profile_pool());
   }
+  t->set_blocked_since(-1);
 }
 
 void NodeRuntime::WakeAtFront(threads::ServerThread* t) {
@@ -318,9 +275,7 @@ net::Payload NodeRuntime::CallService(NodeId dst, net::Service service, net::Pay
       },
       charge_as);
   while (!state.done) {
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kCall, static_cast<uint64_t>(service));
-    BlockCurrent();
+    BlockCurrent(WaitKind::kCall, static_cast<uint64_t>(service));
   }
   return std::move(state.reply);
 }
@@ -380,7 +335,7 @@ void NodeRuntime::RegisterReduceServices() {
             return std::nullopt;
           }
         }
-        const bool elide = config_.coalesce.enabled && config_.coalesce.elide_reduce_replies &&
+        const bool elide = config_.coalesce.enabled &&
                            config_.barrier != ClusterConfig::BarrierKind::kDissemination;
         if (elide && last_done_epoch_ >= epoch) {
           // A retransmission of a contribution this barrier already consumed (its elided ack was
@@ -471,7 +426,6 @@ double NodeRuntime::Combine(double a, double b, ReduceOp op) {
 }
 
 double NodeRuntime::WaitReduceUp(uint64_t epoch, int round, NodeId from) {
-  threads::ServerThread* self = threads_.current();
   for (;;) {
     auto it = reduce_inbox_.find({epoch, round, from});
     if (it != reduce_inbox_.end()) {
@@ -480,15 +434,12 @@ double NodeRuntime::WaitReduceUp(uint64_t epoch, int round, NodeId from) {
       return v;
     }
     DFIL_CHECK(reduce_waiter_ == nullptr);
-    reduce_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kBarrier, epoch);
-    BlockCurrent();
+    reduce_waiter_ = threads_.current();
+    BlockCurrent(WaitKind::kBarrier, epoch);
   }
 }
 
 double NodeRuntime::WaitReduceDone(uint64_t epoch) {
-  threads::ServerThread* self = threads_.current();
   for (;;) {
     auto it = reduce_done_.find(epoch);
     if (it != reduce_done_.end()) {
@@ -497,21 +448,16 @@ double NodeRuntime::WaitReduceDone(uint64_t epoch) {
       return v;
     }
     DFIL_CHECK(reduce_waiter_ == nullptr);
-    reduce_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kBarrier, epoch);
-    BlockCurrent();
+    reduce_waiter_ = threads_.current();
+    BlockCurrent(WaitKind::kBarrier, epoch);
   }
 }
 
 void NodeRuntime::WaitForFetchDrain() {
-  threads::ServerThread* self = threads_.current();
   while (dsm_->pending_fetches() > 0) {
     DFIL_CHECK(drain_waiter_ == nullptr);
-    drain_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kFetchDrain);
-    BlockCurrent();
+    drain_waiter_ = threads_.current();
+    BlockCurrent(WaitKind::kFetchDrain);
   }
 }
 
@@ -525,7 +471,7 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
     // can never be outrun by 0, so 0 never defers), then this sender's accumulated samples — its
     // own plus every subtree sample received in earlier tournament rounds, sorted by node id.
     uint64_t merge_epoch = 0;
-    if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
+    if (config_.coalesce.enabled) {
       merge_epoch = dsm_->PendingGatedMergeEpoch();
     }
     w.Put(merge_epoch);
@@ -538,14 +484,14 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
       w.Put(s.wait);
       w.Put(s.serve);
     }
-  } else if (config_.coalesce.enabled && config_.coalesce.sync_batch) {
+  } else if (config_.coalesce.enabled) {
     // Piggyback the epoch of the still-unacked gated diff merge (it rides to the same parent,
     // held in the same datagram): the receiver defers this contribution until the merge applies.
     if (const uint64_t merge_epoch = dsm_->PendingGatedMergeEpoch(); merge_epoch != 0) {
       w.Put(merge_epoch);
     }
   }
-  const bool elide = config_.coalesce.enabled && config_.coalesce.elide_reduce_replies &&
+  const bool elide = config_.coalesce.enabled &&
                      config_.barrier != ClusterConfig::BarrierKind::kDissemination;
   const uint64_t req = packet_->SendRequest(
       dst, net::Service::kReduceUp, w.Take(),
@@ -940,9 +886,7 @@ void NodeRuntime::WaitAnyChannel() {
   DFIL_CHECK(self != nullptr);
   DFIL_CHECK(any_channel_waiter_ == nullptr);
   any_channel_waiter_ = self;
-  self->set_state(threads::ThreadState::kBlocked);
-  self->set_block_reason(WaitKind::kChannel);
-  BlockCurrent();
+  BlockCurrent(WaitKind::kChannel);
 }
 
 std::vector<std::byte> NodeRuntime::ChannelRecv(NodeId src, uint32_t tag) {
@@ -952,9 +896,7 @@ std::vector<std::byte> NodeRuntime::ChannelRecv(NodeId src, uint32_t tag) {
   while (ch.messages.empty()) {
     DFIL_CHECK(ch.waiter == nullptr) << "two receivers on one channel";
     ch.waiter = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kChannel);
-    BlockCurrent();
+    BlockCurrent(WaitKind::kChannel);
   }
   std::vector<std::byte> msg = std::move(ch.messages.front());
   ch.messages.pop_front();

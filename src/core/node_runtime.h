@@ -1,9 +1,9 @@
 // NodeRuntime: one simulated workstation running the Distributed Filaments kernel.
 //
-// Implements sim::NodeHost. Owns the node's server threads and their (non-preemptive, SR-style)
-// scheduler, the Packet endpoint, the DSM node, the pool engine (RTC/iterative filaments), the
-// fork/join engine, the tournament-reduction engine, and the explicit-message channels used by
-// the coarse-grain comparison programs.
+// Implements dsm::DsmHost, and through it net::PacketHost and sim::NodeHost. Owns the node's
+// server threads and their (non-preemptive, SR-style) scheduler, the Packet endpoint, the DSM
+// node, the pool engine (RTC/iterative filaments), the fork/join engine, the tournament-reduction
+// engine, and the explicit-message channels used by the coarse-grain comparison programs.
 //
 // Scheduling contract: the Machine resumes this node via Step(), which switches into a server
 // thread; the thread gives the processor back when it blocks, finishes, or — mid-charge — when a
@@ -41,7 +41,7 @@ namespace dfil::core {
 class PoolEngine;
 class FjEngine;
 
-class NodeRuntime final : public sim::NodeHost {
+class NodeRuntime final : public dsm::DsmHost {
  public:
   NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
               const dsm::GlobalLayout* layout);
@@ -64,20 +64,25 @@ class NodeRuntime final : public sim::NodeHost {
   // Advances this node's clock by `cost`, attributing it to `category`. When called from a server
   // thread, yields to the machine whenever an external event falls due mid-charge, so message
   // handlers interrupt computation at exact virtual times.
-  void Charge(TimeCategory category, SimTime cost);
+  void Charge(TimeCategory category, SimTime cost) override;
 
-  // --- Scheduling primitives (used by the engines and by DSM/packet hooks) ---
-  // Suspends the current server thread; the caller has already recorded it on some wait queue and
-  // set its state/block reason. Returns when the thread is woken.
-  void BlockCurrent();
+  // --- Scheduling primitives (used by the engines and the DSM) ---
+  // Marks the current server thread blocked on (kind, detail) and suspends it; the caller has
+  // already recorded it on some wait queue. Returns when the thread is woken.
+  void BlockCurrent(WaitKind kind, uint64_t detail = 0) override;
   // Makes `t` runnable. Placement defaults to the configured wake policy (front = fork/join
   // anti-thrashing; tail = iterative frontloading).
-  void Wake(threads::ServerThread* t);
+  void Wake(threads::ServerThread* t) override;
   void WakeAtFront(threads::ServerThread* t);
   void WakeAtTail(threads::ServerThread* t);
   // Creates a server thread running `body` and enqueues it (charges creation cost).
   threads::ServerThread* SpawnThread(std::function<void()> body);
-  threads::ServerThread* CurrentThread() { return threads_.current(); }
+  threads::ServerThread* CurrentThread() override { return threads_.current(); }
+  // A thread is about to block on a page fault: the pool and fork/join engines start a
+  // replacement server thread so the processor keeps working.
+  void BeforeFaultBlock(PageId page) override;
+  // The last outstanding fetch completed: wakes the thread waiting in WaitForFetchDrain.
+  void FetchesDrained() override;
 
   // Sends a reliable request and blocks the calling server thread until the reply arrives.
   net::Payload CallService(NodeId dst, net::Service service, net::Payload body,
@@ -98,6 +103,7 @@ class NodeRuntime final : public sim::NodeHost {
   // --- Critical sections ---
   void EnterCritical() { in_critical_ = true; }
   void ExitCritical() { in_critical_ = false; }
+  bool InCriticalSection() const override { return in_critical_; }
 
   // --- Tracing (no-ops unless ClusterConfig::trace_enabled) ---
   void SetTrace(TraceRecorder* trace) { tracer_.SetRecorder(trace); }
@@ -224,10 +230,6 @@ class NodeRuntime final : public sim::NodeHost {
 
   NodeTracer tracer_;
   MetricsRegistry metrics_;
-  // Per-thread fault-block start time (faults never nest within one server thread); feeds the
-  // dsm.fault_wait_us histogram. Page-fault *wait records* come from the wake path, which reads
-  // the page id from the thread's block reason.
-  std::map<uint64_t, SimTime> fault_wait_start_;
   FilamentStats fil_stats_;
   TimeLedger ledger_;
   // Prior-epoch counter snapshot, so Reduce can record per-epoch deltas.

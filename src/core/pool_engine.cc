@@ -105,9 +105,7 @@ void PoolEngine::RunSweep() {
   while (pools_remaining_ > 0) {
     DFIL_CHECK(sweep_waiter_ == nullptr);
     sweep_waiter_ = self;
-    self->set_state(threads::ThreadState::kBlocked);
-    self->set_block_reason(WaitKind::kSweep);
-    rt_->BlockCurrent();
+    rt_->BlockCurrent(WaitKind::kSweep);
   }
   sweep_waiter_ = nullptr;
   sweep_active_ = false;
@@ -191,9 +189,7 @@ void PoolEngine::WaitForMigrations() {
       // already dropped them), so the main thread waits for the kFilamentMigrate message.
       DFIL_CHECK(migrate_waiter_ == nullptr);
       migrate_waiter_ = self;
-      self->set_state(threads::ThreadState::kBlocked);
-      self->set_block_reason(WaitKind::kSweep);
-      rt_->BlockCurrent();
+      rt_->BlockCurrent(WaitKind::kSweep);
       continue;
     }
     std::vector<Filament> batch = std::move(arrived_migrations_.front());

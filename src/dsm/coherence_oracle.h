@@ -27,10 +27,9 @@
 // groups are checked per group.
 //
 // Wiring: construct one CoherenceOracle, point ClusterConfig::coherence_oracle at it, and every
-// DsmNode attaches itself and reports transitions through DFIL_ORACLE hooks. The hooks are a
-// null-pointer check when unused and compile out entirely with -DDFIL_DISABLE_COHERENCE_ORACLE,
-// so benches pay nothing. Violations are recorded (capped) rather than aborting, so the fuzz
-// driver can report the failing (scenario, seed) and keep sweeping.
+// DsmNode attaches itself and reports transitions through DFIL_ORACLE hooks. Without an oracle
+// each hook costs one null-pointer check, in every build. Violations are recorded (capped) rather
+// than aborting, so the fuzz driver can report the failing (scenario, seed) and keep sweeping.
 #ifndef DFIL_DSM_COHERENCE_ORACLE_H_
 #define DFIL_DSM_COHERENCE_ORACLE_H_
 

@@ -9,18 +9,11 @@
 #include "src/dsm/coherence_oracle.h"
 #include "src/dsm/page_protocol.h"
 
-// Coherence-oracle hook: a null-pointer check when no oracle is attached, nothing at all when
-// compiled out (benches pay zero).
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
+// Coherence-oracle hook: a null-pointer check when no oracle is attached.
 #define DFIL_ORACLE(call)   \
   if (oracle_ == nullptr) { \
   } else /* NOLINT */       \
     oracle_->call
-#else
-#define DFIL_ORACLE(call) \
-  do {                    \
-  } while (false)
-#endif
 
 namespace dfil::dsm {
 namespace {
@@ -93,14 +86,17 @@ uint64_t Bit(NodeId n) { return uint64_t{1} << n; }
 
 }  // namespace
 
-DsmNode::DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
-                 const sim::CostModel* costs, const DsmConfig& config, Hooks hooks)
-    : self_(self),
+DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint* packet,
+                 const sim::CostModel* costs, const DsmConfig& config, NodeTracer* tracer,
+                 MetricsRegistry* metrics)
+    : host_(host),
+      self_(host->id()),
       layout_(layout),
       packet_(packet),
       costs_(costs),
       config_(config),
-      hooks_(std::move(hooks)),
+      tracer_(tracer),
+      metrics_(metrics),
       replica_(static_cast<std::byte*>(std::calloc(layout->region_bytes(), 1))),
       table_(layout->num_pages()),
       fault_heat_(layout->num_pages()) {
@@ -182,11 +178,9 @@ Pcp DsmNode::page_pcp(PageId page) const {
 
 void DsmNode::AttachOracle(CoherenceOracle* oracle) {
   oracle_ = oracle;
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
   if (oracle_ != nullptr) {
     oracle_->AttachNode(self_, this);
   }
-#endif
 }
 
 std::byte* DsmNode::TryAccess(GlobalAddr addr, size_t len, AccessMode mode) {
@@ -237,9 +231,9 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
   if (config_.adapt_protocols && mode == AccessMode::kWrite && !e.owner) {
     NoteAdaptTraffic(page);
   }
-  hooks_.charge(TimeCategory::kDataTransfer, costs_->fault_handle);
+  host_->Charge(TimeCategory::kDataTransfer, costs_->fault_handle);
   DFIL_LOG(kDebug, "dsm") << "node " << self_ << " " << (mode == AccessMode::kRead ? "r" : "w")
-                          << "-fault page " << page << " @" << ToMilliseconds(hooks_.clock())
+                          << "-fault page " << page << " @" << ToMilliseconds(host_->Clock())
                           << "ms hint=" << e.probable_owner << (e.fetching ? " (in-flight)" : "");
   if (config_.prefetch_detector) {
     NoteFaultForDetector(page, mode);
@@ -268,31 +262,25 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
   // Let the engines start a replacement server thread BEFORE this thread is queued as a waiter:
   // the spawn charges time and may yield, and the page could arrive during that yield — waking a
   // queued-but-still-running thread would corrupt the scheduler.
-  if (hooks_.pre_block) {
-    hooks_.pre_block(page);
-  }
+  host_->BeforeFaultBlock(page);
   if (PagePresent(e, mode) || !e.fetching) {
     // Resolved (or the fetch settled with a weaker mode) while the engines reacted; Access()
     // re-checks and re-faults as needed.
     return;
   }
-  threads::ServerThread* t = hooks_.current_thread();
+  threads::ServerThread* t = host_->CurrentThread();
   DFIL_CHECK(t != nullptr) << "DSM fault outside a server thread";
-  if (hooks_.trace_fault_begin) {
-    hooks_.trace_fault_begin(page);
-  }
+  // The blocked interval of the fault, from suspension to wake-up.
+  const SimTime blocked_at = host_->Clock();
+  TraceSpan fault_span(tracer_, "dsm", "fault p", page);
   if (initiated && tracer() != nullptr && e.trace_id != 0) {
     // Opens the flow arc inside the fault span (only the thread that started the fetch; later
     // waiters join the same fetch without emitting a second 's').
     tracer()->Flow(kFlowStart, "dsm", FlowName(page), e.trace_id);
   }
-  t->set_state(threads::ThreadState::kBlocked);
-  t->set_block_reason(WaitKind::kPageFault, page);
   e.waiters.PushBack(t);
-  hooks_.block_current();
-  if (hooks_.trace_fault_end) {
-    hooks_.trace_fault_end();
-  }
+  host_->BlockCurrent(WaitKind::kPageFault, page);
+  metrics_->Hist("dsm.fault_wait_us").Record(ToMicroseconds(host_->Clock() - blocked_at));
 }
 
 void DsmNode::StartOwnerUpgrade(PageId page) {
@@ -302,9 +290,9 @@ void DsmNode::StartOwnerUpgrade(PageId page) {
   e.fetching = true;
   e.fetch_mode = AccessMode::kWrite;
   ++pending_fetches_;
-  e.trace_id = hooks_.tracer != nullptr ? hooks_.tracer->NewTraceId() : 0;
+  e.trace_id = tracer_ != nullptr ? tracer_->NewTraceId() : 0;
   const uint64_t targets = e.copyset & ~Bit(self_);
-  TraceContext trace_ctx(hooks_.tracer, e.trace_id);
+  TraceContext trace_ctx(tracer_, e.trace_id);
   StartInvalidations(page, targets);
 }
 
@@ -354,7 +342,7 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
   PageEntry& e = table_[req.page];
   // The serve span plus a flow step tie this handler into the faulting node's arc (the packet
   // layer put the request's trace id in our current context).
-  TraceSpan serve_span(hooks_.tracer, "dsm", "serve p", req.page);
+  TraceSpan serve_span(tracer_, "dsm", "serve p", req.page);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", FlowName(req.page), tr->current());
   }
@@ -370,7 +358,7 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
     //  - it must match the fault (grant_seq), not just the node: under migratory, ownership
     //    cycles, and a LATER fault by the same node can chase back to us mid-refetch — serving
     //    the old grant's bytes to that fault would hand out stale data (and a second owner).
-    hooks_.charge(TimeCategory::kDataTransfer, costs_->page_service);
+    host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
     stats_.page_requests_served++;
     stats_.grant_reserves++;
     DFIL_ORACLE(OnServeGrantReserve(self_, src, req.page));
@@ -418,7 +406,7 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
       return std::nullopt;
     }
     if (proto(req.page).TransfersOwnership(req.mode) && config_.mirage_window > 0 &&
-        hooks_.clock() < e.hold_until) {
+        host_->Clock() < e.hold_until) {
       // Mirage hold window: ignore the request; the requester's retransmission will retry.
       stats_.mirage_deferrals++;
       if (NodeTracer* tr = tracer(); tr != nullptr) {
@@ -426,13 +414,13 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
       }
       return std::nullopt;
     }
-    hooks_.charge(TimeCategory::kDataTransfer, costs_->page_service);
+    host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
     stats_.page_requests_served++;
     return proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq);
   }
 
   // Not the owner: redirect the requester along the probable-owner chain.
-  hooks_.charge(TimeCategory::kDataTransfer, costs_->page_redirect);
+  host_->Charge(TimeCategory::kDataTransfer, costs_->page_redirect);
   stats_.page_forwards++;
   net::WireWriter w;
   w.Put(ReplyHeader{kReplyRedirect, e.probable_owner, 0, 0});
@@ -457,7 +445,7 @@ net::Payload DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags
 net::Payload DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq) {
   // Ownership transfer (migratory always; write faults otherwise).
   DFIL_LOG(kDebug, "dsm") << "node " << self_ << " transfers page " << page << " -> " << src
-                          << " @" << ToMilliseconds(hooks_.clock()) << "ms";
+                          << " @" << ToMilliseconds(host_->Clock()) << "ms";
   if (config_.adapt_protocols) {
     NoteAdaptTraffic(page);  // write transfers served are the owner's half of the ping-pong count
   }
@@ -505,7 +493,7 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
     DFIL_CHECK_NE(h.owner_hint, self_) << "redirected to self for page " << page;
     // One hop of the probable-owner chase: a step in the fault's flow arc (the redirect reply's
     // trace id is our current context, so the re-sent request inherits it).
-    TraceSpan chase_span(hooks_.tracer, "dsm", "chase p", page);
+    TraceSpan chase_span(tracer_, "dsm", "chase p", page);
     if (NodeTracer* tr = tracer(); tr != nullptr) {
       tr->Flow(kFlowStep, "dsm", FlowName(page), tr->current());
     }
@@ -524,7 +512,7 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
     r.GetBytes(replica_.get() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
                ps);
     copyset |= block.copyset;
-    hooks_.charge(TimeCategory::kDataTransfer, costs_->page_install);
+    host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
   }
 
   if ((h.flags & kReplyFlagOwnership) == 0 && e.discard_install) {
@@ -565,14 +553,14 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
 void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool diff_copy) {
   // The arc terminates here whether the fetch installed or was discarded (a re-fault starts a new
   // arc with a fresh id).
-  TraceSpan install_span(hooks_.tracer, "dsm",
+  TraceSpan install_span(tracer_, "dsm",
                          new_state == PageState::kInvalid ? "discard p" : "install p", page);
   if (NodeTracer* tr = tracer(); tr != nullptr && table_[page].trace_id != 0) {
     tr->Flow(kFlowEnd, "dsm", FlowName(page), table_[page].trace_id);
   }
   DFIL_LOG(kDebug, "dsm") << "node " << self_ << " installs page " << page
                           << (ownership ? " owned" : " copy") << " @"
-                          << ToMilliseconds(hooks_.clock()) << "ms waiters="
+                          << ToMilliseconds(host_->Clock()) << "ms waiters="
                           << (table_[page].waiters.empty() ? "no" : "yes");
   for (PageId p : layout_->GroupPagesOf(page)) {
     PageEntry& e = table_[p];
@@ -584,7 +572,7 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     e.pending_invalidate_acks = 0;
     e.trace_id = 0;
     e.diff_copy = new_state == PageState::kInvalid ? false : diff_copy;
-    e.hold_until = hooks_.clock() + config_.mirage_window;
+    e.hold_until = host_->Clock() + config_.mirage_window;
     // The grant record (granted_to/grant_seq/grant_copyset) deliberately survives this fetch:
     // a delayed duplicate of the transfer request the grant answered can still arrive after we
     // re-acquire the page, and ServePageRequest needs the record to recognize (and ignore) it.
@@ -603,7 +591,7 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     // deadlock. (Assignment, not |=: a fetch that settles with no waiters heals a stale flag.)
     e.pending_use = !e.waiters.empty() && new_state != PageState::kInvalid;
     while (threads::ServerThread* t = e.waiters.PopFront()) {
-      hooks_.wake(t);
+      host_->Wake(t);
     }
   }
   if (config_.adapt_protocols && new_state != PageState::kInvalid) {
@@ -621,8 +609,8 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     DFIL_ORACLE(OnInstallRead(self_, page));
   }
   DFIL_CHECK_GT(pending_fetches_, 0);
-  if (--pending_fetches_ == 0 && hooks_.fetches_drained) {
-    hooks_.fetches_drained();
+  if (--pending_fetches_ == 0) {
+    host_->FetchesDrained();
   }
 }
 
@@ -692,7 +680,7 @@ void DsmNode::StartBulkFetch(PageId first, int count) {
       e.fetch_mode = AccessMode::kRead;
       ++pending_fetches_;
     }
-    hooks_.charge(TimeCategory::kDataTransfer, costs_->prefetch_issue);
+    host_->Charge(TimeCategory::kDataTransfer, costs_->prefetch_issue);
     SendBulkRequest(p, static_cast<uint16_t>(run_end - p), target);
     p = run_end;
   }
@@ -703,12 +691,12 @@ void DsmNode::SendBulkRequest(PageId first, uint16_t count, NodeId target) {
   stats_.bulk_requests++;
   stats_.bulk_pages_requested += count;
   // Each bulk run gets its own arc: 's' here, 't' in the remote serve, 'f' at install.
-  const uint64_t flow = hooks_.tracer != nullptr ? hooks_.tracer->NewTraceId() : 0;
-  TraceSpan span(hooks_.tracer, "dsm", "bulk_req p", first);
+  const uint64_t flow = tracer_ != nullptr ? tracer_->NewTraceId() : 0;
+  TraceSpan span(tracer_, "dsm", "bulk_req p", first);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowStart, "dsm", BulkFlowName(first), flow);
   }
-  TraceContext trace_ctx(hooks_.tracer, flow);
+  TraceContext trace_ctx(tracer_, flow);
   net::WireWriter w;
   w.Put(BulkRequestBody{first, count, AccessMode::kRead});
   // Upper bound on the reply: every requested page served full-size. Sizes the RTT estimator's
@@ -723,7 +711,7 @@ void DsmNode::SendBulkRequest(PageId first, uint16_t count, NodeId target) {
 
 std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReader body) {
   const auto req = body.Get<BulkRequestBody>();
-  TraceSpan serve_span(hooks_.tracer, "dsm", "bulk_serve p", req.first);
+  TraceSpan serve_span(tracer_, "dsm", "bulk_serve p", req.first);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", BulkFlowName(req.first), tr->current());
   }
@@ -743,7 +731,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     (servable ? hits : misses).push_back(p);
   }
   if (!hits.empty()) {
-    hooks_.charge(TimeCategory::kDataTransfer,
+    host_->Charge(TimeCategory::kDataTransfer,
                   costs_->page_service +
                       costs_->bulk_service_extra_page * static_cast<SimTime>(hits.size() - 1));
     stats_.bulk_pages_served += hits.size();
@@ -777,7 +765,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
 void DsmNode::OnBulkReply(net::Payload reply) {
   net::WireReader r(reply);
   const auto h = r.Get<BulkReplyHeader>();
-  TraceSpan install_span(hooks_.tracer, "dsm", "bulk_install p", h.first);
+  TraceSpan install_span(tracer_, "dsm", "bulk_install p", h.first);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowEnd, "dsm", BulkFlowName(h.first), tr->current());
     if (h.nmisses > 0) {
@@ -790,7 +778,7 @@ void DsmNode::OnBulkReply(net::Payload reply) {
     const auto block = r.Get<PageBlockHeader>();
     r.GetBytes(replica_.get() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
                ps);
-    hooks_.charge(TimeCategory::kDataTransfer, costs_->page_install);
+    host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
     FinishBulkPage(block.page, /*installed=*/true, h.owner_hint,
                    /*diff_copy=*/(block.copyset & 1) != 0);
   }
@@ -823,13 +811,13 @@ void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, boo
     // then demand-fetches a properly tagged copy (one extra round trip, never a wrong twin).
     e.diff_copy = diff_copy;
     e.probable_owner = owner_hint;
-    e.hold_until = hooks_.clock() + config_.mirage_window;
+    e.hold_until = host_->Clock() + config_.mirage_window;
     // Any grant record survives (see FinishFetch); harmless here since state is now kReadOnly.
     stats_.prefetched_pages++;
     DFIL_ORACLE(OnInstallRead(self_, page));
     while (threads::ServerThread* t = e.waiters.PopFront()) {
       had_waiters = true;
-      hooks_.wake(t);
+      host_->Wake(t);
     }
     if (!had_waiters) {
       // Nobody demanded this page yet; track it so an untouched death can be reported as waste.
@@ -839,12 +827,12 @@ void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, boo
     // Miss: the replier does not own this page (or it is in flux there). Waiters re-fault through
     // the single-page owner-forwarding path from their Access() loop; a pure prefetch just lapses.
     while (threads::ServerThread* t = e.waiters.PopFront()) {
-      hooks_.wake(t);
+      host_->Wake(t);
     }
   }
   DFIL_CHECK_GT(pending_fetches_, 0);
-  if (--pending_fetches_ == 0 && hooks_.fetches_drained) {
-    hooks_.fetches_drained();
+  if (--pending_fetches_ == 0) {
+    host_->FetchesDrained();
   }
 }
 
@@ -911,7 +899,7 @@ void DsmNode::SendRehomeRequest(const std::vector<std::pair<PageId, uint32_t>>& 
 
 std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireReader body) {
   const auto h = body.Get<RehomeRequestHeader>();
-  TraceSpan serve_span(hooks_.tracer, "dsm", "rehome_serve x", h.count);
+  TraceSpan serve_span(tracer_, "dsm", "rehome_serve x", h.count);
   struct Served {
     PageId page;
     net::Payload payload;
@@ -942,7 +930,7 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
     const bool servable = e.owner && !e.fetching && !e.pending_use &&
                           page_pcp(preq.page) != Pcp::kDiff &&
                           layout_->GroupOf(preq.page) == kNoGroup &&
-                          !(config_.mirage_window > 0 && hooks_.clock() < e.hold_until);
+                          !(config_.mirage_window > 0 && host_->Clock() < e.hold_until);
     if (!servable) {
       stats_.rehome_misses_served++;
       misses.push_back(preq.page);
@@ -958,7 +946,7 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
     served.push_back({preq.page, std::move(*reply)});
   }
   if (!served.empty()) {
-    hooks_.charge(TimeCategory::kDataTransfer,
+    host_->Charge(TimeCategory::kDataTransfer,
                   costs_->page_service +
                       costs_->bulk_service_extra_page * static_cast<SimTime>(served.size() - 1));
     stats_.rehome_pages_served += served.size();
@@ -980,7 +968,7 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
 void DsmNode::OnRehomeReply(net::Payload reply) {
   net::WireReader r(reply);
   const auto h = r.Get<RehomeReplyHeader>();
-  TraceSpan install_span(hooks_.tracer, "dsm", "rehome_install x", h.nserved);
+  TraceSpan install_span(tracer_, "dsm", "rehome_install x", h.nserved);
   for (uint16_t i = 0; i < h.nserved; ++i) {
     const auto page = r.Get<PageId>();
     const auto len = r.Get<uint32_t>();
@@ -1002,11 +990,11 @@ void DsmNode::OnRehomeReply(net::Payload reply) {
     // Anyone who demand-faulted while the re-home was in flight re-faults through Access();
     // the page simply stays at its current owner.
     while (threads::ServerThread* t = e.waiters.PopFront()) {
-      hooks_.wake(t);
+      host_->Wake(t);
     }
     DFIL_CHECK_GT(pending_fetches_, 0);
-    if (--pending_fetches_ == 0 && hooks_.fetches_drained) {
-      hooks_.fetches_drained();
+    if (--pending_fetches_ == 0) {
+      host_->FetchesDrained();
     }
   }
 }
@@ -1028,11 +1016,11 @@ bool DsmNode::ConsumePrefetchWasted(PageId page) {
 std::optional<net::Payload> DsmNode::ServeInvalidate(NodeId src, net::WireReader body) {
   (void)src;
   const auto page = body.Get<PageId>();
-  TraceSpan inval_span(hooks_.tracer, "dsm", "inval p", page);
+  TraceSpan inval_span(tracer_, "dsm", "inval p", page);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", FlowName(page), tr->current());
   }
-  hooks_.charge(TimeCategory::kDataTransfer, costs_->invalidate_handle);
+  host_->Charge(TimeCategory::kDataTransfer, costs_->invalidate_handle);
   stats_.invalidations_received++;
   for (PageId p : layout_->GroupPagesOf(page)) {
     PageEntry& e = table_[p];
@@ -1087,7 +1075,7 @@ void DsmNode::AdapterAtSyncPoint() {
         stats_.adapter_switches_to_diff++;
         DFIL_LOG(kDebug, "dsm") << "node " << self_ << " adapts group p" << root
                                 << " -> diff (traffic=" << st.traffic << ") @"
-                                << ToMilliseconds(hooks_.clock()) << "ms";
+                                << ToMilliseconds(host_->Clock()) << "ms";
         if (NodeTracer* tr = tracer(); tr != nullptr) {
           tr->InstantOnTrack(kAdaptTid, "dsm",
                              "adapt_diff p" + std::to_string(root) + " traffic=" +
@@ -1106,7 +1094,7 @@ void DsmNode::AdapterAtSyncPoint() {
           stats_.adapter_switches_to_ii++;
           DFIL_LOG(kDebug, "dsm") << "node " << self_ << " adapts group p" << root
                                   << " -> implicit-invalidate @"
-                                  << ToMilliseconds(hooks_.clock()) << "ms";
+                                  << ToMilliseconds(host_->Clock()) << "ms";
           if (NodeTracer* tr = tracer(); tr != nullptr) {
             tr->InstantOnTrack(kAdaptTid, "dsm", "adapt_ii p" + std::to_string(root));
           }

@@ -37,12 +37,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
+#include "src/common/metrics.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
@@ -111,9 +111,9 @@ struct DsmConfig {
   uint32_t adapt_calm_epochs = 2;
 
   // --- Sync-point traffic batching (extension; DESIGN.md §11) ---
-  // Set by the runtime from ClusterConfig::coalesce.{enabled,sync_batch}: diff flush sets are
-  // re-fetched with bulk requests, bulk replies carry the diff tag, and the merge to
-  // `barrier_parent` goes out gated (ack elided; it piggybacks on the reduce-up frame).
+  // Set by the runtime when ClusterConfig::coalesce.enabled: diff flush sets are re-fetched with
+  // bulk requests, bulk replies carry the diff tag, and the merge to `barrier_parent` goes out
+  // gated (ack elided; it piggybacks on the reduce-up frame).
   bool coalesce_sync_batch = false;
   // This node's parent in the reduction tree (kNoNode = no gating: root node, or a barrier kind
   // without a fixed parent, e.g. dissemination).
@@ -142,36 +142,32 @@ struct PageEntry {
   IntrusiveList<threads::ServerThread, &threads::ServerThread::queue_link> waiters;
 };
 
+// The node a DsmNode runs on, as the DSM layer sees it: a Packet host that also schedules the
+// server threads, since a fault suspends only the faulting thread (paper §3).
+class DsmHost : public net::PacketHost {
+ public:
+  // The server thread currently executing on this node (nullptr in handler context).
+  virtual threads::ServerThread* CurrentThread() = 0;
+  // Makes `t` runnable again (ready-queue placement policy is the host's).
+  virtual void Wake(threads::ServerThread* t) = 0;
+  // The current thread is about to suspend on `page`; the engines start replacement server
+  // threads here. May charge time and yield, and the fetch may complete meanwhile.
+  virtual void BeforeFaultBlock(PageId page) = 0;
+  // Marks the calling server thread blocked on (kind, detail) and suspends it. Returns when the
+  // thread is woken. Must not charge.
+  virtual void BlockCurrent(WaitKind kind, uint64_t detail) = 0;
+  // The last outstanding fetch completed (synchronization points wait on this).
+  virtual void FetchesDrained() = 0;
+};
+
 class DsmNode {
  public:
-  struct Hooks {
-    // Charges CPU time to this node's virtual clock.
-    std::function<void(TimeCategory, SimTime)> charge;
-    // Reads this node's virtual clock (for the Mirage hold window).
-    std::function<SimTime()> clock;
-    // Notifies the runtime that the current thread is about to suspend on `page` (the pool/fj
-    // engines start replacement server threads here). May charge time and yield; the fetch may
-    // even complete during it, which FaultAndWait re-checks.
-    std::function<void(PageId)> pre_block;
-    // Suspends the calling server thread (already enqueued on the page's waiter list, state set).
-    // Returns when the thread is woken. Runs on a server-thread context. Must not charge.
-    std::function<void()> block_current;
-    // Makes `t` runnable again (ready-queue placement policy is the runtime's).
-    std::function<void(threads::ServerThread*)> wake;
-    // The server thread currently executing on this node.
-    std::function<threads::ServerThread*()> current_thread;
-    // Invoked when the last outstanding fetch completes (synchronization points wait on this).
-    std::function<void()> fetches_drained;
-    // Optional tracing of the blocked interval of a fault (from suspension to wake-up).
-    std::function<void(PageId)> trace_fault_begin;
-    std::function<void()> trace_fault_end;
-    // Optional causal tracer (spans, flow arcs, trace-id allocation). May be null; trace ids then
-    // stay 0 and all instrumentation is skipped.
-    NodeTracer* tracer = nullptr;
-  };
-
-  DsmNode(NodeId self, const GlobalLayout* layout, net::PacketEndpoint* packet,
-          const sim::CostModel* costs, const DsmConfig& config, Hooks hooks);
+  // `host` owns this node and outlives it; its id is this node's. `tracer` (spans, flow arcs,
+  // trace-id allocation) may be null: trace ids then stay 0 and all instrumentation is skipped.
+  // `metrics` receives the dsm.fault_wait_us histogram.
+  DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint* packet,
+          const sim::CostModel* costs, const DsmConfig& config, NodeTracer* tracer,
+          MetricsRegistry* metrics);
   ~DsmNode();
 
   DsmNode(const DsmNode&) = delete;
@@ -365,15 +361,17 @@ class DsmNode {
     return e.state == PageState::kReadWrite;
   }
 
+  DsmHost* host_;
   NodeId self_;
   const GlobalLayout* layout_;
   net::PacketEndpoint* packet_;
   const sim::CostModel* costs_;
   DsmConfig config_;
-  Hooks hooks_;
-  // hooks_.tracer when it can record, nullptr otherwise (so hot paths skip name building).
+  NodeTracer* tracer_;
+  MetricsRegistry* metrics_;
+  // tracer_ when it can record, nullptr otherwise (so hot paths skip name building).
   NodeTracer* tracer() const {
-    return hooks_.tracer != nullptr && hooks_.tracer->enabled() ? hooks_.tracer : nullptr;
+    return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
   }
 
   // The node's copy of the shared region, zeroed on demand: at region sizes calloc takes fresh

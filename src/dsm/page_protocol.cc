@@ -15,16 +15,10 @@
 #include "src/net/packet.h"
 
 // Coherence-oracle hook, as in dsm_node.cc but through the strategy's node reference.
-#ifndef DFIL_DISABLE_COHERENCE_ORACLE
 #define DFIL_ORACLE(call)         \
   if (node_.oracle_ == nullptr) { \
   } else /* NOLINT */             \
     node_.oracle_->call
-#else
-#define DFIL_ORACLE(call) \
-  do {                    \
-  } while (false)
-#endif
 
 namespace dfil::dsm {
 namespace {
@@ -43,8 +37,8 @@ FaultResult PageProtocol::StartDemandFetch(PageId page, AccessMode mode) {
   ++node_.pending_fetches_;
   // Allocate the causal trace id for this fetch; the request, every chase hop, the owner's serve,
   // and the final install all carry it.
-  e.trace_id = node_.hooks_.tracer != nullptr ? node_.hooks_.tracer->NewTraceId() : 0;
-  TraceContext trace_ctx(node_.hooks_.tracer, e.trace_id);
+  e.trace_id = node_.tracer_ != nullptr ? node_.tracer_->NewTraceId() : 0;
+  TraceContext trace_ctx(node_.tracer_, e.trace_id);
   node_.SendPageRequest(page, mode, e.probable_owner);
   return FaultResult::kStarted;
 }
@@ -164,7 +158,7 @@ void DiffProtocol::TwinInPlace(PageId page) {
   twins_[page].assign(cur, cur + ps);
   e.state = PageState::kReadWrite;
   node_.stats_.diff_twins_created++;
-  node_.hooks_.charge(TimeCategory::kDataTransfer, node_.costs_->diff_twin_copy);
+  node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_twin_copy);
   DFIL_ORACLE(OnTwinWrite(node_.self_, page));
 }
 
@@ -204,7 +198,7 @@ void DiffProtocol::FlushTwins() {
   if (twins_.empty()) {
     return;
   }
-  TraceSpan flush_span(node_.hooks_.tracer, "dsm", "diff_flush e", flush_epoch_);
+  TraceSpan flush_span(node_.tracer_, "dsm", "diff_flush e", flush_epoch_);
   const size_t ps = node_.layout_->page_size();
   // Encode every twin and batch the non-empty diffs by home node. std::map ordering makes both
   // the target sequence and each message's page order deterministic.
@@ -216,7 +210,7 @@ void DiffProtocol::FlushTwins() {
   for (const auto& [p, twin] : twins_) {
     const std::byte* cur =
         node_.replica_.get() + (static_cast<GlobalAddr>(p) << node_.layout_->page_shift());
-    node_.hooks_.charge(TimeCategory::kDataTransfer, node_.costs_->diff_encode_page);
+    node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_encode_page);
     std::vector<net::DiffRun> runs = net::DiffPageRuns(twin.data(), cur, ps);
     if (runs.empty()) {
       continue;  // the twin was never actually changed; nothing to merge
@@ -246,7 +240,7 @@ void DiffProtocol::FlushTwins() {
       }
       node_.stats_.diff_pages_flushed++;
     }
-    const uint64_t flow = node_.hooks_.tracer != nullptr ? node_.hooks_.tracer->NewTraceId() : 0;
+    const uint64_t flow = node_.tracer_ != nullptr ? node_.tracer_->NewTraceId() : 0;
     merges.push_back(Merge{home, w.Take(), flow});
   }
   // Sync-batch mode: remember what was flushed where — the next epoch's first fault into a set
@@ -279,7 +273,7 @@ void DiffProtocol::FlushTwins() {
     if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
       tr->Flow(kFlowStart, "dsm", "diff e" + std::to_string(epoch), m.flow);
     }
-    TraceContext trace_ctx(node_.hooks_.tracer, m.flow);
+    TraceContext trace_ctx(node_.tracer_, m.flow);
     if (is_gated(m)) {
       DFIL_CHECK_EQ(gated_merge_req_, uint64_t{0})
           << "gated merge of epoch " << gated_merge_epoch_ << " still pending";
@@ -296,8 +290,8 @@ void DiffProtocol::FlushTwins() {
             tr->Flow(kFlowEnd, "dsm", "diff e" + std::to_string(epoch), flow);
           }
           DFIL_CHECK_GT(node_.pending_fetches_, 0);
-          if (--node_.pending_fetches_ == 0 && node_.hooks_.fetches_drained) {
-            node_.hooks_.fetches_drained();
+          if (--node_.pending_fetches_ == 0) {
+            node_.host_->FetchesDrained();
           }
         },
         TimeCategory::kDataTransfer);
@@ -316,7 +310,7 @@ void DiffProtocol::FlushTwins() {
 std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader body,
                                                      bool gated) {
   const auto h = body.Get<net::DiffMergeHeader>();
-  TraceSpan apply_span(node_.hooks_.tracer, "dsm", "diff_apply e", h.epoch);
+  TraceSpan apply_span(node_.tracer_, "dsm", "diff_apply e", h.epoch);
   if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", "diff e" + std::to_string(h.epoch), tr->current());
   }
@@ -354,7 +348,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
       node_.stats_.diff_stale_merges_ignored++;
       continue;
     }
-    node_.hooks_.charge(TimeCategory::kDataTransfer, node_.costs_->diff_apply_page);
+    node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_apply_page);
     node_.stats_.diff_pages_merged++;
     if (node_.config_.adapt_protocols) {
       node_.NoteAdaptTraffic(ph.page);  // incoming merges keep the group hot (and pinned)

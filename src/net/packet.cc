@@ -45,13 +45,8 @@ const char* ServiceName(Service service) {
   return "unknown";
 }
 
-PacketEndpoint::PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config,
-                               ChargeFn charge, ClockFn clock)
-    : machine_(machine),
-      self_(self),
-      config_(config),
-      charge_(std::move(charge)),
-      clock_(std::move(clock)) {}
+PacketEndpoint::PacketEndpoint(sim::Machine* machine, PacketHost* host, PacketConfig config)
+    : machine_(machine), host_(host), self_(host->id()), config_(config) {}
 
 PacketEndpoint::~PacketEndpoint() {
   for (auto& [id, out] : outstanding_) {
@@ -98,7 +93,7 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
     Enqueue(dst, kind, service, req_id, body, charge_as, trace, /*held=*/false, 0);
     return;
   }
-  charge_(charge_as, machine_->costs().msg_send_overhead);
+  host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
   WireWriter w;
   w.Put(Header{kind, static_cast<uint16_t>(service), req_id, trace});
@@ -111,7 +106,7 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
   d.klass = static_cast<sim::MsgClass>(kind);
   d.trace = trace;
   d.payload = w.Take();
-  machine_->Send(std::move(d), clock_());
+  machine_->Send(std::move(d), host_->Clock());
 }
 
 namespace {
@@ -132,8 +127,8 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   const bool was_empty = (q.bytes == 0);
   // The first frame into an empty queue pays the full send overhead; later frames only the
   // marginal pack cost. Logical per-service message counts are unchanged by coalescing.
-  charge_(charge_as, was_empty ? machine_->costs().msg_send_overhead
-                               : machine_->costs().coalesce_frame_send);
+  host_->Charge(charge_as, was_empty ? machine_->costs().msg_send_overhead
+                                     : machine_->costs().coalesce_frame_send);
   if (!was_empty) {
     stats_.frames_coalesced++;
   }
@@ -144,8 +139,8 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
     q.held.push_back(std::move(frame));
     if (!q.hold_armed) {
       q.hold_armed = true;
-      q.hold_timer = machine_->ScheduleTimer(self_, clock_() + hold_for, [this, dst] {
-        charge_(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
+      q.hold_timer = machine_->ScheduleTimer(self_, host_->Clock() + hold_for, [this, dst] {
+        host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
         Flush(dst);
       });
     }
@@ -159,9 +154,6 @@ bool PacketEndpoint::ShouldHold(NodeId dst, Service service) const {
   if (service == Service::kDiffMergeGated) {
     return true;  // rides the reduce-up frame of the same sync point
   }
-  if (!coalesce_.hold_requests) {
-    return false;
-  }
   if (service != Service::kPageRequest && service != Service::kBulkPageRequest) {
     return false;
   }
@@ -174,7 +166,7 @@ bool PacketEndpoint::ShouldHold(NodeId dst, Service service) const {
   if (it == last_req_from_.end()) {
     return false;
   }
-  const SimTime age = clock_() - it->second;
+  const SimTime age = host_->Clock() - it->second;
   // Just-served filter: a request that arrived within the last hold window has already been
   // answered (serving is synchronous), so the peer's NEXT request — the only carrier this hold
   // could ride on — is a full exchange period away. Holding would stall this fetch for the whole
@@ -193,7 +185,7 @@ void PacketEndpoint::ScheduleFlushEvent() {
   // Scheduled at the current clock: Machine::Run dispatches an event due at exactly a node's
   // clock before resuming the node, so every critical frame enqueued at this instant — however
   // many handlers run back to back — is packed before the node executes any further.
-  flush_event_ = machine_->ScheduleTimer(self_, clock_(), [this] {
+  flush_event_ = machine_->ScheduleTimer(self_, host_->Clock(), [this] {
     flush_event_pending_ = false;
     FlushBatches();
   });
@@ -271,7 +263,7 @@ void PacketEndpoint::SendFrames(NodeId dst, std::vector<QueuedFrame>& frames) {
   }
   RecordDatagram(w.size(), frames.size());
   d.payload = w.Take();
-  machine_->Send(std::move(d), clock_());
+  machine_->Send(std::move(d), host_->Clock());
 }
 
 void PacketEndpoint::RecordDatagram(size_t payload_bytes, size_t nframes) {
@@ -299,7 +291,7 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
   out.timeout = InitialTimeout(dst, expected_reply_bytes);
   if (coalesce_.enabled &&
       (service == Service::kDiffMerge || service == Service::kDiffMergeGated ||
-       (coalesce_.elide_reduce_replies && service == Service::kReduceUp)) &&
+       service == Service::kReduceUp) &&
       out.timeout < coalesce_.elided_ack_timeout) {
     // Sync-point traffic: a gated merge's or reduce-up's ack is elided (the barrier done stands
     // in, arriving an epoch later), and a plain merge's ack queues behind every peer's flush
@@ -307,7 +299,7 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
     // spuriously into the very congestion that delayed the ack.
     out.timeout = coalesce_.elided_ack_timeout;
   }
-  out.sent_at = clock_();
+  out.sent_at = host_->Clock();
   out.expected_reply_bytes = expected_reply_bytes;
   out.attempts = 1;
   out.charge_as = charge_as;
@@ -373,7 +365,7 @@ void PacketEndpoint::UpdateRtt(NodeId src, const Outstanding& out) {
   if (out.attempts != 1) {
     return;  // Karn's rule: a retransmitted exchange yields an ambiguous sample
   }
-  const SimTime sample = clock_() - out.sent_at;
+  const SimTime sample = host_->Clock() - out.sent_at;
   PeerRtt& p = peer_rtt_[src];
   if (!p.valid) {
     p.srtt = sample;
@@ -400,7 +392,7 @@ void PacketEndpoint::ArmTimer(uint64_t req_id) {
   auto it = outstanding_.find(req_id);
   DFIL_CHECK(it != outstanding_.end());
   it->second.timer =
-      machine_->ScheduleTimer(self_, clock_() + it->second.timeout, [this, req_id] {
+      machine_->ScheduleTimer(self_, host_->Clock() + it->second.timeout, [this, req_id] {
         OnTimeout(req_id);
       });
 }
@@ -414,7 +406,7 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
   DFIL_CHECK_LT(out.attempts, config_.retransmit_limit)
       << "Packet: request " << req_id << " to node " << out.dst << " (service "
       << static_cast<int>(out.service) << ") exceeded the retransmission limit";
-  charge_(out.charge_as, machine_->costs().timer_overhead);
+  host_->Charge(out.charge_as, machine_->costs().timer_overhead);
   DFIL_LOG(kDebug, "packet") << "node " << self_ << " retransmit req " << req_id << " to "
                              << out.dst << " attempt " << out.attempts + 1;
   out.attempts++;
@@ -423,7 +415,7 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
   if (ledger_ != nullptr) {
     // The stall so far: the exchange has been outstanding since its first transmission.
     ledger_->AddBlocked(WaitKind::kRetransmit, static_cast<uint64_t>(out.service), out.sent_at,
-                        clock_());
+                        host_->Clock());
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Instant("net", std::string("retx ") + ServiceName(out.service) + " -> n" +
@@ -443,7 +435,7 @@ void PacketEndpoint::SendRaw(NodeId dst, Service service, Payload body, TimeCate
 void PacketEndpoint::BroadcastRaw(Service service, Payload body, TimeCategory charge_as) {
   // Broadcasts cannot be packed per destination; they go out immediately even when coalescing.
   stats_.raw_sent++;
-  charge_(charge_as, machine_->costs().msg_send_overhead);
+  host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
   const uint64_t trace = CurTrace();
   WireWriter w;
@@ -457,7 +449,7 @@ void PacketEndpoint::BroadcastRaw(Service service, Payload body, TimeCategory ch
   d.klass = sim::MsgClass::kRaw;
   d.trace = trace;
   d.payload = w.Take();
-  machine_->Broadcast(std::move(d), clock_());
+  machine_->Broadcast(std::move(d), host_->Clock());
 }
 
 void PacketEndpoint::OnDatagram(sim::Datagram d) {
@@ -508,18 +500,19 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
       auto it = services_.find(h.service);
       DFIL_CHECK(it != services_.end())
           << "node " << self_ << ": no service " << h.service;
-      charge_(it->second.recv_category, recv_cost);
+      host_->Charge(it->second.recv_category, recv_cost);
       if (coalesce_.enabled && (static_cast<Service>(h.service) == Service::kPageRequest ||
                                 static_cast<Service>(h.service) == Service::kBulkPageRequest)) {
-        last_req_from_[src] = clock_();  // drives the mutual-peer hold heuristic
+        last_req_from_[src] = host_->Clock();  // drives the mutual-peer hold heuristic
       }
       HandleRequest(src, h.req_id, static_cast<Service>(h.service), std::move(body));
       return;
     }
     case Kind::kReply: {
       auto out = outstanding_.find(h.req_id);
-      charge_(out != outstanding_.end() ? out->second.charge_as : TimeCategory::kSyncOverhead,
-              recv_cost);
+      host_->Charge(
+          out != outstanding_.end() ? out->second.charge_as : TimeCategory::kSyncOverhead,
+          recv_cost);
       HandleReply(src, h.req_id, std::move(body));
       return;
     }
@@ -527,12 +520,12 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
       auto it = raw_handlers_.find(h.service);
       DFIL_CHECK(it != raw_handlers_.end())
           << "node " << self_ << ": no raw handler for service " << h.service;
-      charge_(it->second.recv_category, recv_cost);
+      host_->Charge(it->second.recv_category, recv_cost);
       it->second.fn(src, std::move(body));
       return;
     }
     case Kind::kAck: {
-      charge_(TimeCategory::kSyncOverhead, recv_cost);
+      host_->Charge(TimeCategory::kSyncOverhead, recv_cost);
       auto it = pending_replies_.find({src, h.req_id});
       if (it != pending_replies_.end()) {
         it->second.timer.Cancel();
@@ -553,7 +546,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     // Ignore mutating requests while this node is inside a critical section; the requester's
     // retransmission will retry (paper §3: entry/exit are a single assignment, ignored messages
     // are recovered by Packet).
-    if (in_critical_section && in_critical_section()) {
+    if (host_->InCriticalSection()) {
       stats_.deferred_requests++;
       machine_->net_stats().deferred_requests++;
       return;
@@ -610,7 +603,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   }
   if (!entry.idempotent) {
     const SimTime expires =
-        clock_() + config_.retransmit_timeout * config_.response_cache_timeouts;
+        host_->Clock() + config_.retransmit_timeout * config_.response_cache_timeouts;
     response_cache_[{src, req_id}] = CachedReply{*reply, expires};
     cache_fifo_.push_back({src, req_id});
     // Evict in FIFO order: anything expired, plus the oldest entries beyond the size cap. A
@@ -618,7 +611,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     // the rare non-idempotent case, the CHECK below the service catches it loudly in tests.
     while (!cache_fifo_.empty() &&
            (cache_fifo_.size() > kResponseCacheCap ||
-            response_cache_[cache_fifo_.front()].expires < clock_())) {
+            response_cache_[cache_fifo_.front()].expires < host_->Clock())) {
       response_cache_.erase(cache_fifo_.front());
       cache_fifo_.pop_front();
     }
@@ -667,7 +660,7 @@ void PacketEndpoint::SendReplyBuffered(NodeId dst, Service service, uint64_t req
   rep.service = service;
   rep.body = std::move(body);
   rep.trace = CurTrace();
-  rep.timer = machine_->ScheduleTimer(self_, clock_() + config_.retransmit_timeout,
+  rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
                                       [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
   pending_replies_[{dst, req_id}] = std::move(rep);
 }
@@ -681,10 +674,10 @@ void PacketEndpoint::OnReplyTimeout(NodeId dst, uint64_t req_id) {
   DFIL_CHECK_LT(rep.attempts, config_.retransmit_limit) << "buffered reply never acknowledged";
   rep.attempts++;
   stats_.reply_retransmissions++;
-  charge_(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
+  host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
   Transmit(rep.dst, Kind::kReply, rep.service, req_id, rep.body, TimeCategory::kSyncOverhead,
            rep.trace);
-  rep.timer = machine_->ScheduleTimer(self_, clock_() + config_.retransmit_timeout,
+  rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
                                       [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
 }
 

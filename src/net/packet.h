@@ -81,12 +81,6 @@ struct CoalesceConfig {
   // A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
   // window — is held briefly so it can ride on our reply to that peer's next request.
   SimTime mutual_window = Milliseconds(250.0);
-  bool hold_requests = true;  // enable the mutual-peer request hold
-  // Sync-point batching above the transport: diff flush-set bulk refetch and gated merges that
-  // piggyback on the reduce-up frame (src/dsm, src/core).
-  bool sync_batch = true;
-  // Elide reduce-up acks; the barrier done broadcast (or a done-carrying rebuilt reply) stands in.
-  bool elide_reduce_replies = true;
   // Retransmission floor for requests whose ack is elided (gated merges, reduce-ups): their
   // "ack" is the barrier done broadcast, which arrives an epoch-scale time later, so the timer
   // is a loss-recovery backstop — an RTT-scale RTO would retransmit spuriously every barrier.
@@ -135,6 +129,16 @@ struct PacketStats {
   uint64_t requests_canceled = 0;  // outstanding requests canceled before their reply arrived
 };
 
+// The node an endpoint runs on, as the Packet layer sees it: a simulated host whose clock the
+// endpoint reads and charges, and whose critical-section flag gates the mutating services.
+class PacketHost : public sim::NodeHost {
+ public:
+  // Charges CPU cost to this node's virtual clock.
+  virtual void Charge(TimeCategory category, SimTime cost) = 0;
+  // While true, requests for mutating (non-idempotent) services are ignored.
+  virtual bool InCriticalSection() const = 0;
+};
+
 // One node's endpoint of the Packet protocol.
 class PacketEndpoint {
  public:
@@ -143,13 +147,9 @@ class PacketEndpoint {
   using ServiceFn = std::function<std::optional<Payload>(NodeId src, WireReader body)>;
   using ReplyFn = std::function<void(Payload reply)>;
   using RawFn = std::function<void(NodeId src, Payload body)>;
-  // Charges CPU cost to the owning node's virtual clock.
-  using ChargeFn = std::function<void(TimeCategory, SimTime)>;
-  // Reads the owning node's virtual clock.
-  using ClockFn = std::function<SimTime()>;
 
-  PacketEndpoint(sim::Machine* machine, NodeId self, PacketConfig config, ChargeFn charge,
-                 ClockFn clock);
+  // `host` owns the endpoint and outlives it; the endpoint takes its node id from it.
+  PacketEndpoint(sim::Machine* machine, PacketHost* host, PacketConfig config);
   ~PacketEndpoint();
 
   PacketEndpoint(const PacketEndpoint&) = delete;
@@ -200,9 +200,6 @@ class PacketEndpoint {
 
   // Requests still awaiting a reply. Nodes delay at synchronization points until this is zero.
   size_t outstanding() const { return outstanding_.size(); }
-
-  // When set and returning true, requests for mutating (non-idempotent) services are ignored.
-  std::function<bool()> in_critical_section;
 
   const PacketStats& stats() const { return stats_; }
   PacketConfig& config() { return config_; }
@@ -325,11 +322,10 @@ class PacketEndpoint {
   void OnReplyTimeout(NodeId dst, uint64_t req_id);
 
   sim::Machine* machine_;
+  PacketHost* host_;
   NodeId self_;
   PacketConfig config_;
   CoalesceConfig coalesce_;
-  ChargeFn charge_;
-  ClockFn clock_;
   PacketStats stats_;
   NodeTracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;

@@ -49,9 +49,6 @@ void ThreadSystem::SwitchTo(ServerThread* thread) {
   Context::Switch(&host_context_, &thread->context_);
   // The thread switched back: either it blocked/yielded, or it finished.
   current_ = nullptr;
-  if (thread->state_ == ThreadState::kDone && on_exit) {
-    on_exit(thread);
-  }
 }
 
 void ThreadSystem::SwitchToHost() {

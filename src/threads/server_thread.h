@@ -51,8 +51,7 @@ class ServerThread {
   }
 
   // Virtual time at which the thread last suspended in BlockCurrent; paired with the block
-  // reason at wake to produce the blocked-interval record. -1 between records (a thread can be
-  // marked blocked yet woken before it ever suspends — no interval).
+  // reason at wake to produce the blocked-interval record. -1 while the thread is not blocked.
   int64_t blocked_since() const { return blocked_since_; }
   void set_blocked_since(int64_t t) { blocked_since_ = t; }
 
@@ -110,9 +109,6 @@ class ThreadSystem {
   // Number of live (non-recycled) threads.
   size_t live_threads() const { return live_; }
   size_t stacks_allocated() const { return stack_pool_.allocated(); }
-
-  // Invoked (on the host context) after a thread's body returns, before the thread is parked.
-  std::function<void(ServerThread*)> on_exit;
 
  private:
   static void ThreadEntry(void* arg);

@@ -11,33 +11,10 @@
 #include "src/common/metrics.h"
 #include "src/net/packet.h"
 #include "src/sim/machine.h"
+#include "tests/packet_mini_host.h"
 
 namespace dfil::net {
 namespace {
-
-// Host that runs only Packet handlers — no server threads needed at this layer.
-class MiniHost : public sim::NodeHost {
- public:
-  MiniHost(NodeId id, sim::Machine* machine, PacketConfig config = PacketConfig{}) : id_(id) {
-    endpoint = std::make_unique<PacketEndpoint>(
-        machine, id, config, [this](TimeCategory, SimTime t) { clock_ += t; },
-        [this] { return clock_; });
-  }
-  NodeId id() const override { return id_; }
-  SimTime Clock() const override { return clock_; }
-  bool Runnable() const override { return false; }
-  bool Done() const override { return true; }
-  void Step() override {}
-  void AdvanceTo(SimTime t) override { clock_ = t > clock_ ? t : clock_; }
-  void OnDatagram(sim::Datagram d) override { endpoint->OnDatagram(std::move(d)); }
-  std::string DescribeBlocked() const override { return ""; }
-
-  std::unique_ptr<PacketEndpoint> endpoint;
-
- private:
-  NodeId id_;
-  SimTime clock_ = 0;
-};
 
 // Two MiniHosts under a FaultPlan, with coalescing configurable per test.
 struct Rig {

@@ -1,11 +1,12 @@
-// Five pinned runs and the time ledger (common/ledger.h) over them.
+// Seven pinned runs and the time ledger (common/ledger.h) over them.
 //
 // The runs cover every source of a blocked interval: Jacobi at 64 and 13 nodes (the SchedulePin
 // configs: page faults, barriers, sweeps), fork/join quadrature (join and call waits),
 // bag-of-tasks quadrature (channel waits), and the balanced skewed workload under 5% loss
 // (retransmit records, load samples, migrations, the flight ring). Each pin is an FNV-1a hash of
 // the run's dfil-metrics-v2 export, plus its dfil-flight-v1 dump for the lossy run, so a change to
-// any projection of the ledger, down to the last rounded microsecond, moves a pin.
+// any projection of the ledger, down to the last rounded microsecond, moves a pin. The two Jacobi
+// runs also run untraced against the traced pins, so the export cannot depend on tracing.
 //
 // The two exact-partition tests keep the suite names they had when the wait-state ledgers and
 // the pool rows were separate accumulators; both now run over the pinned runs.
@@ -32,7 +33,7 @@ uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-core::RunReport JacobiSwitched(int nodes) {
+core::RunReport JacobiSwitched(int nodes, bool traced = true) {
   apps::JacobiParams p;
   p.n = 256;
   p.iterations = 3;
@@ -41,7 +42,7 @@ core::RunReport JacobiSwitched(int nodes) {
   cfg.nodes = nodes;
   cfg.network = core::NetworkKind::kSwitched;
   cfg.dsm.pcp = dsm::Pcp::kImplicitInvalidate;
-  cfg.trace_enabled = true;
+  cfg.trace_enabled = traced;
   return apps::RunJacobiDf(p, cfg).report;
 }
 
@@ -86,6 +87,8 @@ struct PinnedRun {
 const PinnedRun kPinnedRuns[] = {
     {"jacobi_p64", [] { return JacobiSwitched(64); }, 16829914958466805651ull, 0},
     {"jacobi_p13", [] { return JacobiSwitched(13); }, 14264504417258144361ull, 0},
+    {"jacobi_p64_untraced", [] { return JacobiSwitched(64, false); }, 16829914958466805651ull, 0},
+    {"jacobi_p13_untraced", [] { return JacobiSwitched(13, false); }, 14264504417258144361ull, 0},
     {"quad_df8", QuadratureDf, 2993898773789796172ull, 0},
     {"quad_bag8", QuadratureBag, 8241373154760723570ull, 0},
     {"lossy_balanced4", LossyBalanced, 9905634570205039709ull, 7753899864440578790ull},

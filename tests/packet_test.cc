@@ -7,33 +7,10 @@
 
 #include "src/net/packet.h"
 #include "src/sim/machine.h"
+#include "tests/packet_mini_host.h"
 
 namespace dfil::net {
 namespace {
-
-// Host that runs only Packet handlers — no server threads needed at this layer.
-class MiniHost : public sim::NodeHost {
- public:
-  MiniHost(NodeId id, sim::Machine* machine, PacketConfig config = PacketConfig{}) : id_(id) {
-    endpoint = std::make_unique<PacketEndpoint>(
-        machine, id, config, [this](TimeCategory, SimTime t) { clock_ += t; },
-        [this] { return clock_; });
-  }
-  NodeId id() const override { return id_; }
-  SimTime Clock() const override { return clock_; }
-  bool Runnable() const override { return false; }
-  bool Done() const override { return true; }
-  void Step() override {}
-  void AdvanceTo(SimTime t) override { clock_ = t > clock_ ? t : clock_; }
-  void OnDatagram(sim::Datagram d) override { endpoint->OnDatagram(std::move(d)); }
-  std::string DescribeBlocked() const override { return ""; }
-
-  std::unique_ptr<PacketEndpoint> endpoint;
-
- private:
-  NodeId id_;
-  SimTime clock_ = 0;
-};
 
 struct Rig {
   std::unique_ptr<sim::Machine> machine;
@@ -161,8 +138,7 @@ TEST(PacketTest, NonIdempotentServiceRunsOncePerRequest) {
 
 TEST(PacketTest, CriticalSectionDefersMutatingRequests) {
   Rig rig;
-  bool critical = true;
-  rig.b->endpoint->in_critical_section = [&] { return critical; };
+  rig.b->critical = true;
   int mutations = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestMutate,
@@ -174,7 +150,7 @@ TEST(PacketTest, CriticalSectionDefersMutatingRequests) {
   bool done = false;
   rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](Payload) { done = true; });
   // Release the critical section partway through: the deferred request's retransmission lands.
-  rig.machine->ScheduleTimer(1, Milliseconds(150.0), [&] { critical = false; }).Release();
+  rig.machine->ScheduleTimer(1, Milliseconds(150.0), [&] { rig.b->critical = false; }).Release();
   rig.machine->Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(mutations, 1);

@@ -127,15 +127,6 @@ TEST_P(ContextBackendTest, RecycleReusesThreadsAndStacks) {
   EXPECT_EQ(sys.stacks_allocated(), 1u);
 }
 
-TEST_P(ContextBackendTest, OnExitHookFires) {
-  ThreadSystem sys(GetParam());
-  ServerThread* exited = nullptr;
-  sys.on_exit = [&](ServerThread* t) { exited = t; };
-  ServerThread* t = sys.Create([] {});
-  sys.SwitchTo(t);
-  EXPECT_EQ(exited, t);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBackends, ContextBackendTest,
                          ::testing::Values(ContextBackend::kAsm, ContextBackend::kUcontext),
                          [](const auto& info) {
