@@ -251,9 +251,10 @@ inline void EmitSpeedupRows(JsonReport* jr, const std::vector<SpeedupRow>& rows)
 // for, so a default and an explicit `--nodes=8` are distinguishable.
 inline std::map<std::string, std::string> ProvenanceOf(const BenchArgs& args) {
   std::map<std::string, std::string> p;
-  p["cli.quick"] = args.quick ? "1" : "0";
-  p["cli.coalesce"] = args.coalesce ? "1" : "0";
-  p["cli.balance"] = args.balance ? "1" : "0";
+  // Move-assigned strings: assigning the literal reports a false -Wrestrict in GCC 12.
+  p["cli.quick"] = std::string(args.quick ? "1" : "0");
+  p["cli.coalesce"] = std::string(args.coalesce ? "1" : "0");
+  p["cli.balance"] = std::string(args.balance ? "1" : "0");
   if (args.nodes > 0) {
     p["cli.nodes"] = std::to_string(args.nodes);
   }

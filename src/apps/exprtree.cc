@@ -189,7 +189,8 @@ AppRun RunExprTreeDf(const ExprTreeParams& p, const ClusterConfig& base) {
 
   std::vector<GlobalAddr> matrix(total);
   for (int node = 1; node < total; ++node) {
-    matrix[node] = cluster.layout().AllocPadded(bytes, "m" + std::to_string(node));
+    matrix[node] =
+        cluster.layout().AllocPadded(bytes, std::string("m").append(std::to_string(node)));
     // Group each matrix's pages: a request for any page fetches the whole matrix.
     const PageId first = cluster.layout().PageOf(matrix[node]);
     const PageId last = cluster.layout().PageOf(matrix[node] + bytes - 1);

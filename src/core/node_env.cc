@@ -10,16 +10,12 @@ NodeId NodeEnv::node() const { return rt_->id(); }
 int NodeEnv::nodes() const { return rt_->config().nodes; }
 SimTime NodeEnv::Now() const { return rt_->Clock(); }
 
-void NodeEnv::ChargeWork(SimTime cost) { rt_->Charge(TimeCategory::kWork, cost); }
 void NodeEnv::Charge(TimeCategory category, SimTime cost) { rt_->Charge(category, cost); }
 
-std::byte* NodeEnv::AccessBytes(GlobalAddr addr, size_t len, dsm::AccessMode mode) {
-  if (mode == dsm::AccessMode::kWrite && rt_->config().balancer.enabled) {
-    // Write-footprint capture for rebalance page re-homing (DESIGN.md §13): each write lands in
-    // the current runner's pool record, so a migrated pool carries the pages it produces.
-    rt_->pools().NoteWriteAccess(rt_->dsm().layout().PageOf(addr));
-  }
-  return rt_->dsm().Access(addr, len, mode);
+void NodeEnv::NoteWrite(GlobalAddr addr) {
+  // Each write lands in the current runner's pool record, so a migrated pool carries the pages it
+  // produces.
+  rt_->pools().NoteWriteAccess(dsm_->layout().PageOf(addr));
 }
 
 PoolHandle NodeEnv::CreatePool() { return PoolHandle{rt_->pools().CreatePool()}; }

@@ -43,12 +43,19 @@ class NodeEnv {
   SimTime Now() const;
 
   // --- Work accounting: advances this node's virtual clock by the cost of real computation ---
-  void ChargeWork(SimTime cost);
+  // Defined inline after NodeRuntime (node_runtime.h), so a filament's charge reaches
+  // NodeRuntime::Charge's inline fast path with no call.
+  inline void ChargeWork(SimTime cost);
   void Charge(TimeCategory category, SimTime cost);
 
   // --- Distributed shared memory ---
   // Blocking access: returns a pointer valid until the next potential suspension point.
-  std::byte* AccessBytes(GlobalAddr addr, size_t len, dsm::AccessMode mode);
+  std::byte* AccessBytes(GlobalAddr addr, size_t len, dsm::AccessMode mode) {
+    if (mode == dsm::AccessMode::kWrite && note_writes_) {
+      NoteWrite(addr);
+    }
+    return dsm_->Access(addr, len, mode);
+  }
   template <typename T>
   T Read(GlobalAddr addr) {
     return *reinterpret_cast<const T*>(AccessBytes(addr, sizeof(T), dsm::AccessMode::kRead));
@@ -116,7 +123,16 @@ class NodeEnv {
   void* user_ctx = nullptr;  // per-node application state, set by the node main
 
  private:
+  friend class NodeRuntime;
+
+  // Write-footprint capture for rebalance page re-homing (DESIGN.md §13).
+  void NoteWrite(GlobalAddr addr);
+
   NodeRuntime* rt_;
+  // The node's DSM and whether writes feed the balancer's footprint, set by NodeRuntime once its
+  // DSM node exists (config().balancer.enabled never changes after construction).
+  dsm::DsmNode* dsm_ = nullptr;
+  bool note_writes_ = false;
 };
 
 }  // namespace dfil::core

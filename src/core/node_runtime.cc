@@ -58,6 +58,8 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
   }
   dsm_ = std::make_unique<dsm::DsmNode>(this, layout, packet_.get(), &machine_->costs(), dsm_cfg,
                                         &tracer_, &metrics_);
+  env_.dsm_ = dsm_.get();
+  env_.note_writes_ = config_.balancer.enabled;
   if (config_.coherence_oracle != nullptr) {
     dsm_->AttachOracle(config_.coherence_oracle);
   }
@@ -132,8 +134,7 @@ void NodeRuntime::AdvanceTo(SimTime t) {
 
 void NodeRuntime::OnDatagram(sim::Datagram d) { packet_->OnDatagram(std::move(d)); }
 
-void NodeRuntime::Charge(TimeCategory category, SimTime cost) {
-  DFIL_DCHECK(cost >= 0);
+void NodeRuntime::ChargeSlow(TimeCategory category, SimTime cost) {
   threads::ServerThread* self = threads_.current();
   if (self == nullptr) {
     // Handler (host) context: interrupt work simply extends the node's clock.

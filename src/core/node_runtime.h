@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/intrusive_list.h"
 #include "src/common/ledger.h"
 #include "src/common/metrics.h"
@@ -63,8 +64,22 @@ class NodeRuntime final : public dsm::DsmHost {
   // --- Virtual time ---
   // Advances this node's clock by `cost`, attributing it to `category`. When called from a server
   // thread, yields to the machine whenever an external event falls due mid-charge, so message
-  // handlers interrupt computation at exact virtual times.
-  void Charge(TimeCategory category, SimTime cost) override;
+  // handlers interrupt computation at exact virtual times. A server-thread charge that fits under
+  // the charge limit is booked inline: it is the first iteration of ChargeSlow's loop, which ends
+  // there on the same condition.
+  void Charge(TimeCategory category, SimTime cost) override {
+    DFIL_DCHECK(cost >= 0);
+    threads::ServerThread* self = threads_.current();
+    if (self != nullptr && cost > 0) {
+      const SimTime limit = machine_->ChargeLimit(id_);
+      if (limit >= clock_ + cost || limit == kSimTimeNever) {
+        clock_ += cost;
+        ledger_.AddCharge(category, self->profile_pool(), cost);
+        return;
+      }
+    }
+    ChargeSlow(category, cost);
+  }
 
   // --- Scheduling primitives (used by the engines and the DSM) ---
   // Marks the current server thread blocked on (kind, detail) and suspends it; the caller has
@@ -144,6 +159,9 @@ class NodeRuntime final : public dsm::DsmHost {
   friend class PoolEngine;
   friend class FjEngine;
 
+  // Charge() in handler context, of zero cost, or past the charge limit (charging up to each
+  // limit in turn and yielding there).
+  void ChargeSlow(TimeCategory category, SimTime cost);
   // Charge() helper: returns to the machine so a due event can dispatch; resumes afterwards.
   void YieldForEvent();
 
@@ -256,6 +274,8 @@ class NodeRuntime final : public dsm::DsmHost {
   uint64_t last_plan_applied_ = 0;          // highest plan epoch acted on (src/dst roles)
   uint64_t migrate_applied_epoch_ = 0;      // highest kFilamentMigrate epoch integrated
 };
+
+inline void NodeEnv::ChargeWork(SimTime cost) { rt_->Charge(TimeCategory::kWork, cost); }
 
 }  // namespace dfil::core
 

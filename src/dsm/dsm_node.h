@@ -1,9 +1,9 @@
 // Per-node engine of the multi-threaded distributed shared memory (paper §3).
 //
 // Each node holds a full replica of the shared region plus a page table. Access goes through
-// Access()/TryAccess(): when a page is missing or under-privileged the calling server thread is
-// suspended on the page's waiter queue and a page request goes out through Packet; meanwhile the
-// runtime runs other server threads, which is how DF overlaps communication with computation.
+// Access(): when a page is missing or under-privileged the calling server thread is suspended on
+// the page's waiter queue and a page request goes out through Packet; meanwhile the runtime runs
+// other server threads, which is how DF overlaps communication with computation.
 // Message handlers (page requests, replies, invalidations) run asynchronously — the SIGIO analog —
 // and never block.
 //
@@ -41,6 +41,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/intrusive_list.h"
 #include "src/common/metrics.h"
 #include "src/common/stats.h"
@@ -173,24 +174,23 @@ class DsmNode {
   DsmNode(const DsmNode&) = delete;
   DsmNode& operator=(const DsmNode&) = delete;
 
-  // --- Access paths (server-thread context) ---
+  // --- Access path (server-thread context) ---
 
-  // Fast path: returns a pointer to the bytes when every page in [addr, addr+len) is present with
-  // `mode` access; otherwise nullptr.
-  std::byte* TryAccess(GlobalAddr addr, size_t len, AccessMode mode);
-
-  // Blocking path: faults pages in as needed; returns a valid pointer. Must be called from a
-  // server thread.
-  std::byte* Access(GlobalAddr addr, size_t len, AccessMode mode);
-
-  // Typed convenience accessors.
-  template <typename T>
-  const T& Read(GlobalAddr addr) {
-    return *reinterpret_cast<const T*>(Access(addr, sizeof(T), AccessMode::kRead));
-  }
-  template <typename T>
-  void Write(GlobalAddr addr, const T& value) {
-    *reinterpret_cast<T*>(Access(addr, sizeof(T), AccessMode::kWrite)) = value;
+  // Faults pages in as needed and returns a pointer to the bytes of [addr, addr+len), valid until
+  // the next potential suspension point. Must be called from a server thread. The hit on one page
+  // that owes no NotePageUsed bookkeeping is answered inline, standing in for the free hit of an
+  // mprotect-checked load (DESIGN.md §2); every other access takes AccessSlow.
+  std::byte* Access(GlobalAddr addr, size_t len, AccessMode mode) {
+    DFIL_DCHECK(len > 0);
+    DFIL_DCHECK(addr + len <= layout_->region_bytes());
+    const PageId page = layout_->PageOf(addr);
+    if (page == layout_->PageOf(addr + len - 1)) {
+      const PageEntry& e = table_[page];
+      if (PagePresent(e, mode) && !e.pending_use && !e.prefetched_unused) {
+        return replica_.get() + addr;
+      }
+    }
+    return AccessSlow(addr, len, mode);
   }
 
   // --- Prefetching (any context; never blocks) ---
@@ -268,6 +268,10 @@ class DsmNode {
   friend class WriteInvalidateProtocol;
   friend class ImplicitInvalidateProtocol;
   friend class DiffProtocol;
+  // Access() for a multi-page range, a miss, or a page that owes NotePageUsed bookkeeping: faults
+  // the first missing page until the whole range is present, then marks every page used.
+  std::byte* AccessSlow(GlobalAddr addr, size_t len, AccessMode mode);
+
   // Initiates (or joins) a fetch of `page` with `mode` and suspends the current thread.
   void FaultAndWait(PageId page, AccessMode mode);
 
@@ -336,7 +340,8 @@ class DsmNode {
 
   // Marks a present page as touched; discarding an untouched prefetched copy counts as waste.
   // Also retires the use-once hold: a page fetched for blocked faulters becomes servable again
-  // the moment any local access lands on it.
+  // the moment any local access lands on it. A no-op when both flags are clear, the only case
+  // Access() answers inline.
   void NotePageUsed(PageEntry& e) {
     if (e.prefetched_unused) {
       e.prefetched_unused = false;

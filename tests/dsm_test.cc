@@ -576,5 +576,100 @@ TEST(DsmPrefetchTest, RegularJacobiStripsWasteNoPrefetches) {
   EXPECT_EQ(wasted, 0u) << "perfectly regular strips must not waste a single prefetch";
 }
 
+// --- Inline access hit ---
+//
+// DsmNode::Access answers a hit inline only on a page that owes no NotePageUsed bookkeeping.
+// These two runs each hit a page that does owe it, through the public access path.
+
+TEST(DsmAccessTest, FirstReadOfAPrefetchedCopyCountsAsUse) {
+  // A prefetched copy that lands with no waiters is marked unused. The read that first touches it
+  // must clear the mark; otherwise the implicit invalidation at the next barrier books the copy
+  // as a wasted prefetch, and the hint layer prunes a page the pool does read.
+  Cluster cluster(Config(2, Pcp::kImplicitInvalidate));
+  const GlobalAddr addr = cluster.layout().AllocPadded(cluster.layout().page_size(), "x");
+  const PageId page = cluster.layout().PageOf(addr);
+  bool landed_unused = false;
+  uint64_t value = 0;
+  bool died = false;
+  bool reported_wasted = true;
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    DsmNode& dsm = env.runtime().dsm();
+    if (env.node() == 0) {
+      env.Write<uint64_t>(addr, 42);
+    }
+    env.Barrier();
+    if (env.node() == 1) {
+      dsm.Prefetch(page, 1, AccessMode::kRead);
+      while (dsm.pending_fetches() > 0) {
+        env.ChargeWork(Microseconds(100.0));  // the reply installs the copy mid-charge
+      }
+      landed_unused = dsm.page(page).prefetched_unused;
+      value = env.Read<uint64_t>(addr);
+    }
+    env.Barrier();  // implicit invalidation: node 1's read-only copy dies here
+    if (env.node() == 1) {
+      died = dsm.page(page).state == PageState::kInvalid;
+      reported_wasted = dsm.ConsumePrefetchWasted(page);
+    }
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  ASSERT_TRUE(landed_unused) << "the prefetched copy must land with no waiters";
+  ASSERT_TRUE(died) << "the copy must die at the barrier";
+  EXPECT_EQ(value, 42u);
+  EXPECT_EQ(r.nodes[1].dsm.prefetched_pages, 1u);
+  EXPECT_EQ(r.nodes[1].dsm.prefetch_wasted, 0u);
+  EXPECT_FALSE(reported_wasted);
+}
+
+// The use-once run below: filaments are plain function pointers, so their context is static.
+struct UseOnceRun {
+  GlobalAddr addr = 0;
+  PageId page = 0;
+  bool held_at_read = false;
+  bool held_after_read = true;
+  uint64_t value = 0;
+};
+UseOnceRun use_once;
+
+void FaultingRead(NodeEnv& env, int64_t, int64_t, int64_t) {
+  env.Read<uint64_t>(use_once.addr);
+}
+
+void ReadBeforeTheFaulterRuns(NodeEnv& env, int64_t, int64_t, int64_t) {
+  const DsmNode& dsm = env.runtime().dsm();
+  while (dsm.page(use_once.page).state == PageState::kInvalid) {
+    env.ChargeWork(Microseconds(100.0));  // the reply installs the page mid-charge
+  }
+  use_once.held_at_read = dsm.page(use_once.page).pending_use;
+  use_once.value = env.Read<uint64_t>(use_once.addr);
+  use_once.held_after_read = dsm.page(use_once.page).pending_use;
+}
+
+TEST(DsmAccessTest, HitBeforeTheWokenFaulterRunsRetiresTheUseOnceHold) {
+  // Pool 0's runner faults on node 0's page and blocks; the replacement runner (pool 1) charges
+  // until the page is installed for the blocked faulter (pending_use, which defers serves), then
+  // reads it before the faulter runs. That read is a local use and must retire the hold.
+  Cluster cluster(Config(2, Pcp::kWriteInvalidate));
+  use_once = UseOnceRun{};
+  use_once.addr = cluster.layout().AllocPadded(cluster.layout().page_size(), "x");
+  use_once.page = cluster.layout().PageOf(use_once.addr);
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    if (env.node() == 0) {
+      env.Write<uint64_t>(use_once.addr, 7);
+    }
+    env.Barrier();
+    if (env.node() == 1) {
+      env.CreateFilament(env.CreatePool(), &FaultingRead);
+      env.CreateFilament(env.CreatePool(), &ReadBeforeTheFaulterRuns);
+      env.RunPools();
+    }
+    env.Barrier();
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  ASSERT_TRUE(use_once.held_at_read) << "the page must be installed for a faulter not yet run";
+  EXPECT_EQ(use_once.value, 7u);
+  EXPECT_FALSE(use_once.held_after_read);
+}
+
 }  // namespace
 }  // namespace dfil::dsm

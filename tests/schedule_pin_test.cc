@@ -71,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
     Nodes, SchedulePin,
     ::testing::Values(Pin{64, 131784202, 1512, 1264, 378, 17992316678045315465ull},
                       Pin{13, 305308798, 312, 266, 88, 7536173988298807045ull}),
-    [](const auto& info) { return "p" + std::to_string(info.param.nodes); });
+    [](const auto& info) { return std::string("p").append(std::to_string(info.param.nodes)); });
 
 }  // namespace
 }  // namespace dfil::apps

@@ -1392,8 +1392,8 @@ RunDiff DiffRuns(const RunSummary& a, const RunSummary& b) {
         auto ct = it->second.find(col);
         return ct == it->second.end() ? 0.0 : ct->second;
       };
-      AddDelta(&d.epochs, "e" + std::to_string(epoch) + "." + col, cell(epochs_a),
-               cell(epochs_b));
+      AddDelta(&d.epochs, std::string("e").append(std::to_string(epoch)).append(".").append(col),
+               cell(epochs_a), cell(epochs_b));
     }
   }
 
