@@ -29,7 +29,7 @@ namespace dfil::bench {
 //   --seed=N         cluster RNG seed
 //   --metrics        emit METRICS_<label>.json artifacts for runs that skip them by default
 //   --coalesce       enable per-destination frame coalescing (DESIGN.md §11)
-//   --balance        enable epoch-driven load balancing (DESIGN.md §13; implies wait-state)
+//   --balance        enable epoch-driven load balancing (DESIGN.md §13)
 // Unknown --flags abort with the usage text; bare values are ignored (google-benchmark benches
 // pass their own argv through their framework first).
 struct BenchArgs {

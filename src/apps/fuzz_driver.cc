@@ -281,21 +281,8 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
         faulted.report, scenario + "_seed" + std::to_string(seed), result.violations);
   }
   for (const core::NodeReport& nr : faulted.report.nodes) {
-    const DsmStats& d = nr.dsm;
-    result.dsm.read_faults += d.read_faults;
-    result.dsm.write_faults += d.write_faults;
-    result.dsm.page_requests_served += d.page_requests_served;
-    result.dsm.invalidations_sent += d.invalidations_sent;
-    result.dsm.invalidations_received += d.invalidations_received;
-    result.dsm.implicit_invalidations += d.implicit_invalidations;
-    result.dsm.page_forwards += d.page_forwards;
-    result.dsm.mirage_deferrals += d.mirage_deferrals;
-    result.dsm.fetch_deferrals += d.fetch_deferrals;
-    result.dsm.use_deferrals += d.use_deferrals;
-    result.dsm.grant_reserves += d.grant_reserves;
-    result.dsm.stale_invalidations_ignored += d.stale_invalidations_ignored;
-    result.dsm.stale_transfer_dups_ignored += d.stale_transfer_dups_ignored;
-    result.dsm.discarded_installs += d.discarded_installs;
+    result.packet += nr.packet;
+    result.dsm += nr.dsm;
   }
   return result;
 }

@@ -24,6 +24,7 @@
 #include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/core/cluster.h"
+#include "src/net/packet.h"
 
 namespace dfil::apps {
 
@@ -54,6 +55,7 @@ struct FuzzResult {
 
   // Cluster-wide totals from the faulted run (what the adversary actually exercised).
   MessageStats net;
+  net::PacketStats packet;
   DsmStats dsm;
 
   // The faulted run's trace (null unless FuzzOptions::capture_trace): spans plus the injection

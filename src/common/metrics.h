@@ -1,11 +1,12 @@
 // Metrics registry: named counters and log-scale histograms behind one uniform JSON export.
 //
-// The runtime's ad-hoc stats structs (DsmStats, MessageStats, FilamentStats, PacketStats) stay as
-// the zero-overhead hot-path counters, but they are *subsumed* at report time: the metrics writer
-// (src/core/metrics_io.h) flattens every struct field into a named registry counter, so one JSON
-// schema covers everything a run produces — struct counters, live histograms (fault latency,
-// barrier wait, serve queue depth), and per-page fault heat. tools/dfil consumes that JSON
-// to print the paper's Figure 9 / Figure 10 tables. Naming scheme: DESIGN.md §Observability.
+// The runtime's stats structs (DsmStats, MessageStats, FilamentStats, PacketStats) stay as the
+// zero-overhead hot-path counters, each declared from one field list (src/common/stats.h), but
+// they are *subsumed* at report time: the metrics writer (src/core/metrics_io.h) walks those lists
+// and turns every counter into a named registry counter, so one JSON schema covers everything a
+// run produces — struct counters, live histograms (fault latency, barrier wait, serve queue
+// depth), and per-page fault heat. tools/dfil consumes that JSON to print the paper's Figure 9 /
+// Figure 10 tables. Naming scheme: DESIGN.md §9.
 #ifndef DFIL_COMMON_METRICS_H_
 #define DFIL_COMMON_METRICS_H_
 

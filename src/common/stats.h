@@ -47,92 +47,114 @@ constexpr std::string_view TimeCategoryName(TimeCategory c) {
   }
 }
 
-// Message-traffic counters, used to verify protocol claims (e.g. implicit-invalidate sends no
-// invalidation messages; the tournament barrier sends O(p) messages).
-struct MessageStats {
-  uint64_t messages_sent = 0;
-  uint64_t messages_dropped = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t retransmissions = 0;
-  uint64_t deferred_requests = 0;  // requests ignored because the replier was in a critical section
+// Each stats struct is declared from one field list: LIST(X) applies X to every counter name, in
+// the order exports and printers walk them. DFIL_STATS_STRUCT_BODY(Type, LIST) expands a list into
+// the struct's uint64_t counters (each starting at 0), a ForEach(f) that calls f(name, value) for
+// every counter in list order, and an operator+= that adds another instance counter by counter.
+// The metrics export, the fuzz driver's roll-ups and the tests go through those two, so a counter
+// added to a list reaches all of them with no further edit.
+#define DFIL_STATS_FIELD_(name) uint64_t name = 0;
+#define DFIL_STATS_VISIT_(name) f(#name, name);
+#define DFIL_STATS_ADD_(name) name += other.name;
+#define DFIL_STATS_STRUCT_BODY(Type, LIST) \
+  LIST(DFIL_STATS_FIELD_)                  \
+  template <typename F>                    \
+  void ForEach(F&& f) const {              \
+    LIST(DFIL_STATS_VISIT_)                \
+  }                                        \
+  Type& operator+=(const Type& other) {    \
+    LIST(DFIL_STATS_ADD_)                  \
+    return *this;                          \
+  }
 
-  // Adversarial fault injection (sim::FaultInjector): extra deliveries and deferrals it created.
-  uint64_t messages_duplicated = 0;  // injected duplicate deliveries
-  uint64_t messages_delayed = 0;     // deliveries given injected extra latency
-  uint64_t stall_deferrals = 0;      // deliveries deferred past a receiver stall window
+// Machine-level message counters, kept cluster-wide by the simulated network (sim::Machine), used
+// to verify protocol claims (e.g. implicit-invalidate sends no invalidation messages; the
+// tournament barrier sends O(p) messages). Per-node Packet counters are net::PacketStats.
+#define DFIL_MESSAGE_STATS(X)                                                                      \
+  X(messages_sent)                                                                                 \
+  X(messages_dropped)                                                                              \
+  X(bytes_sent)                                                                                    \
+  /* Adversarial fault injection (sim::FaultInjector): extra deliveries and deferrals it made. */  \
+  X(messages_duplicated) /* injected duplicate deliveries */                                       \
+  X(messages_delayed)    /* deliveries given injected extra latency */                             \
+  X(stall_deferrals)     /* deliveries deferred past a receiver stall window */
+
+struct MessageStats {
+  DFIL_STATS_STRUCT_BODY(MessageStats, DFIL_MESSAGE_STATS)
 };
 
 // DSM activity counters.
+#define DFIL_DSM_STATS(X)                                                                          \
+  X(read_faults)                                                                                   \
+  X(write_faults)                                                                                  \
+  X(page_requests_served)                                                                          \
+  X(invalidations_sent)                                                                            \
+  X(invalidations_received)                                                                        \
+  X(implicit_invalidations) /* read-only copies dropped at synchronization points */               \
+  X(page_forwards)          /* requests forwarded along the owner chain */                         \
+  X(mirage_deferrals)       /* page requests delayed by the Mirage hold window */                  \
+  X(fetch_deferrals)        /* page requests deferred because the entry was in flux */             \
+  X(use_deferrals)          /* serves deferred until a woken faulter touched the page */           \
+  /* Prefetch / bulk-transfer pipeline. */                                                         \
+  X(single_page_requests) /* single-page request messages sent (incl. redirect chases) */          \
+  X(bulk_requests)        /* bulk page-run request messages sent */                                \
+  X(bulk_pages_requested) /* pages covered by bulk requests */                                     \
+  X(bulk_pages_served)    /* owner side: pages shipped inside bulk replies */                      \
+  X(bulk_misses)          /* pages a bulk reply reported as not-owned-here */                      \
+  X(prefetched_pages)     /* pages installed ahead of any demand access */                         \
+  X(prefetch_wasted)      /* prefetched copies discarded without ever being read */                \
+  /* Duplication/reordering defenses (exercised by the fault-injection harness). */                \
+  X(grant_reserves)              /* lost ownership transfers re-served from the grant record */    \
+  X(stale_invalidations_ignored) /* duplicated invalidations that arrived after re-acquisition */  \
+  X(stale_transfer_dups_ignored) /* duplicated transfer requests for an already-answered fault */  \
+  X(discarded_installs)          /* page installs dropped because invalidated in flight */         \
+  /* Multiple-writer diff protocol (kDiff) and the per-page-group adapter. */                      \
+  X(diff_twins_created)        /* pages twinned on first write to a diff copy */                   \
+  X(diff_merges_sent)          /* kDiffMerge messages sent at synchronization points */            \
+  X(diff_pages_flushed)        /* twinned pages encoded and dropped at sync points */              \
+  X(diff_bytes_sent)           /* modified-run payload bytes inside sent diffs */                  \
+  X(diff_merges_applied)       /* merge messages applied at this home node */                      \
+  X(diff_pages_merged)         /* pages patched by applied merges */                               \
+  X(diff_stale_merges_ignored) /* duplicate / old-epoch merges skipped (idempotence) */            \
+  X(diff_bulk_refetches)       /* sync-batch flush sets re-fetched via bulk requests */            \
+  X(adapter_switches_to_diff)  /* page groups this owner flipped implicit-inv -> diff */           \
+  X(adapter_switches_to_ii)    /* page groups flipped back after calm epochs */                    \
+  /* Rebalance page re-homing (load balancer, DESIGN.md §13). All zero with the balancer off. */   \
+  X(pages_rehomed)          /* requester side: ownership transfers installed */                    \
+  X(rehome_requests)        /* kRehomePages batches sent */                                        \
+  X(rehome_pages_requested) /* pages covered by those batches */                                   \
+  X(rehome_pages_served)    /* source side: transfers shipped inside rehome replies */             \
+  X(rehome_misses)          /* requester side: pages the source could not release */               \
+  X(rehome_misses_served)   /* source side: pages it reported back as misses */                    \
+  /* Page-content payload bytes this node shipped: full pages inside data/bulk replies plus */     \
+  /* diff run bytes. The false-sharing bench's headline metric: diff ships O(bytes changed) */     \
+  /* where the single-writer protocols ship whole pages. */                                        \
+  X(page_data_bytes)
+
 struct DsmStats {
-  uint64_t read_faults = 0;
-  uint64_t write_faults = 0;
-  uint64_t page_requests_served = 0;
-  uint64_t invalidations_sent = 0;
-  uint64_t invalidations_received = 0;
-  uint64_t implicit_invalidations = 0;  // read-only copies dropped at synchronization points
-  uint64_t page_forwards = 0;           // requests forwarded along the owner chain
-  uint64_t mirage_deferrals = 0;        // page requests delayed by the Mirage hold window
-  uint64_t fetch_deferrals = 0;         // page requests deferred because the entry was in flux
-  uint64_t use_deferrals = 0;           // serves deferred until a woken faulter touched the page
-
-  // Prefetch / bulk-transfer pipeline.
-  uint64_t single_page_requests = 0;  // single-page request messages sent (incl. redirect chases)
-  uint64_t bulk_requests = 0;         // bulk page-run request messages sent
-  uint64_t bulk_pages_requested = 0;  // pages covered by bulk requests
-  uint64_t bulk_pages_served = 0;     // owner side: pages shipped inside bulk replies
-  uint64_t bulk_misses = 0;           // pages a bulk reply reported as not-owned-here
-  uint64_t prefetched_pages = 0;      // pages installed ahead of any demand access
-  uint64_t prefetch_wasted = 0;       // prefetched copies discarded without ever being read
-
-  // Duplication/reordering defenses (exercised by the fault-injection harness).
-  uint64_t grant_reserves = 0;               // lost ownership transfers re-served from the grant record
-  uint64_t stale_invalidations_ignored = 0;  // duplicated invalidations that arrived after re-acquisition
-  uint64_t stale_transfer_dups_ignored = 0;  // duplicated transfer requests for an already-answered fault
-  uint64_t discarded_installs = 0;           // page installs dropped because invalidated in flight
-
-  // Multiple-writer diff protocol (kDiff) and the per-page-group adapter.
-  uint64_t diff_twins_created = 0;         // pages twinned on first write to a diff copy
-  uint64_t diff_merges_sent = 0;           // kDiffMerge messages sent at synchronization points
-  uint64_t diff_pages_flushed = 0;         // twinned pages encoded and dropped at sync points
-  uint64_t diff_bytes_sent = 0;            // modified-run payload bytes inside sent diffs
-  uint64_t diff_merges_applied = 0;        // merge messages applied at this home node
-  uint64_t diff_pages_merged = 0;          // pages patched by applied merges
-  uint64_t diff_stale_merges_ignored = 0;  // duplicate / old-epoch merges skipped (idempotence)
-  uint64_t diff_bulk_refetches = 0;        // sync-batch flush sets re-fetched via bulk requests
-  uint64_t adapter_switches_to_diff = 0;   // page groups this owner flipped implicit-inv -> diff
-  uint64_t adapter_switches_to_ii = 0;     // page groups flipped back after calm epochs
-
-  // Rebalance page re-homing (load balancer, DESIGN.md §13). All zero when the balancer is off.
-  uint64_t pages_rehomed = 0;           // requester side: ownership transfers installed
-  uint64_t rehome_requests = 0;         // kRehomePages batches sent
-  uint64_t rehome_pages_requested = 0;  // pages covered by those batches
-  uint64_t rehome_pages_served = 0;     // source side: transfers shipped inside rehome replies
-  uint64_t rehome_misses = 0;           // requester side: pages the source could not release
-  uint64_t rehome_misses_served = 0;    // source side: pages it reported back as misses
-
-  // Page-content payload bytes this node shipped: full pages inside data/bulk replies plus diff
-  // run bytes. The false-sharing bench's headline metric — diff ships O(bytes changed) where the
-  // single-writer protocols ship whole pages.
-  uint64_t page_data_bytes = 0;
+  DFIL_STATS_STRUCT_BODY(DsmStats, DFIL_DSM_STATS)
 
   // Page-request message count (the Figure-9 hot-path traffic this node generated).
   uint64_t page_request_messages() const { return single_page_requests + bulk_requests; }
 };
 
 // Filaments runtime counters.
+#define DFIL_FILAMENT_STATS(X)                                                                     \
+  X(filaments_created)                                                                             \
+  X(filaments_run)                                                                                 \
+  X(filaments_run_inlined) /* executed via the pattern-recognized strip path */                    \
+  X(forks_local)                                                                                   \
+  X(forks_pruned) /* forks converted to procedure calls */                                         \
+  X(forks_sent)   /* forks shipped to another node (tree distribution) */                          \
+  X(steals_attempted)                                                                              \
+  X(steals_succeeded)                                                                              \
+  X(steals_denied)                                                                                 \
+  X(steals_attempted_on_us) /* steal requests this node served or denied */                        \
+  X(pool_suspensions)                                                                              \
+  X(server_threads_started)
+
 struct FilamentStats {
-  uint64_t filaments_created = 0;
-  uint64_t filaments_run = 0;
-  uint64_t filaments_run_inlined = 0;  // executed via the pattern-recognized strip path
-  uint64_t forks_local = 0;
-  uint64_t forks_pruned = 0;  // forks converted to procedure calls
-  uint64_t forks_sent = 0;    // forks shipped to another node (tree distribution)
-  uint64_t steals_attempted = 0;
-  uint64_t steals_succeeded = 0;
-  uint64_t steals_denied = 0;
-  uint64_t steals_attempted_on_us = 0;  // steal requests this node served or denied
-  uint64_t pool_suspensions = 0;
-  uint64_t server_threads_started = 0;
+  DFIL_STATS_STRUCT_BODY(FilamentStats, DFIL_FILAMENT_STATS)
 };
 
 }  // namespace dfil

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <string>
 
+#include "src/threads/stack.h"
+
 namespace dfil::core {
 namespace {
 
@@ -74,14 +76,16 @@ sim::FaultPlan ClusterConfig::EffectiveFaultPlan() const {
 }
 
 uint64_t ClusterConfig::Digest() const {
+  // Knobs that became constants, or that are always on, keep their keys at the fixed value, so
+  // the fingerprint of every config that can still be built is unchanged.
   DigestWriter w;
   w.Field("nodes", nodes);
   w.Field("network", network == NetworkKind::kSharedEthernet ? 0 : 1);
   w.Field("seed", seed);
   w.Field("page_shift", page_shift);
   w.Field("wake_at_front", wake_at_front);
-  w.Field("max_server_threads", max_server_threads);
-  w.Field("stack_bytes", stack_bytes);
+  w.Field("max_server_threads", kMaxServerThreads);
+  w.Field("stack_bytes", threads::kDefaultStackBytes);
   w.Field("reliable_broadcast", reliable_broadcast);
   w.Field("barrier", static_cast<int>(barrier));
   w.Field("max_virtual_time", max_virtual_time);
@@ -112,9 +116,10 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("cost.frame_overhead_bytes", c.frame_overhead_bytes);
   w.Field("cost.min_frame_bytes", c.min_frame_bytes);
   w.Field("cost.propagation_delay", c.propagation_delay);
-  w.Field("cost.retransmit_timeout", c.retransmit_timeout);
-  w.Field("cost.retransmit_timeout_max", c.retransmit_timeout_max);
-  w.Field("cost.retransmit_limit", c.retransmit_limit);
+  // Never read by the runtime (Packet takes its timeouts from PacketConfig): the old defaults.
+  w.Field("cost.retransmit_timeout", Milliseconds(100.0));
+  w.Field("cost.retransmit_timeout_max", Milliseconds(400.0));
+  w.Field("cost.retransmit_limit", 60);
   w.Field("cost.matmul_mac", c.matmul_mac);
   w.Field("cost.jacobi_point", c.jacobi_point);
   w.Field("cost.quad_feval", c.quad_feval);
@@ -125,9 +130,9 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("dsm.mirage_window", dsm.mirage_window);
   w.Field("dsm.prefetch_detector", dsm.prefetch_detector);
   w.Field("dsm.prefetch_hints", dsm.prefetch_hints);
-  w.Field("dsm.prefetch_min_run", dsm.prefetch_min_run);
-  w.Field("dsm.prefetch_degree", dsm.prefetch_degree);
-  w.Field("dsm.max_bulk_pages", dsm.max_bulk_pages);
+  w.Field("dsm.prefetch_min_run", dsm::kPrefetchMinRun);
+  w.Field("dsm.prefetch_degree", dsm::kPrefetchDegree);
+  w.Field("dsm.max_bulk_pages", dsm::kMaxBulkPages);
   w.Field("dsm.adapt_protocols", dsm.adapt_protocols);
   w.Field("dsm.adapt_to_diff_threshold", dsm.adapt_to_diff_threshold);
   w.Field("dsm.adapt_calm_epochs", dsm.adapt_calm_epochs);
@@ -136,25 +141,24 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("packet.retransmit_timeout_max", packet.retransmit_timeout_max);
   w.Field("packet.rto_min", packet.rto_min);
   w.Field("packet.retransmit_limit", packet.retransmit_limit);
-  w.Field("packet.response_cache_timeouts", packet.response_cache_timeouts);
+  w.Field("packet.response_cache_timeouts", net::kResponseCacheTimeouts);
   w.Field("packet.ack_replies", packet.ack_replies);
 
   w.Field("coalesce.enabled", coalesce.enabled);
-  w.Field("coalesce.max_datagram_bytes", coalesce.max_datagram_bytes);
-  w.Field("coalesce.request_hold", coalesce.request_hold);
-  w.Field("coalesce.ack_hold", coalesce.ack_hold);
-  w.Field("coalesce.mutual_window", coalesce.mutual_window);
-  // Always on; the keys stay in the digest so fingerprints of earlier runs still match.
+  w.Field("coalesce.max_datagram_bytes", net::kMaxDatagramBytes);
+  w.Field("coalesce.request_hold", net::kRequestHold);
+  w.Field("coalesce.ack_hold", net::kAckHold);
+  w.Field("coalesce.mutual_window", net::kMutualWindow);
   w.Field("coalesce.hold_requests", true);
   w.Field("coalesce.sync_batch", true);
   w.Field("coalesce.elide_reduce_replies", true);
-  w.Field("coalesce.elided_ack_timeout", coalesce.elided_ack_timeout);
+  w.Field("coalesce.elided_ack_timeout", net::kElidedAckTimeout);
 
   w.Field("fj.steal_enabled", fj.steal_enabled);
   w.Field("fj.prune_threshold", fj.prune_threshold);
-  w.Field("fj.steal_min_surplus", fj.steal_min_surplus);
-  w.Field("fj.steal_retry", fj.steal_retry);
-  w.Field("fj.steal_grace", fj.steal_grace);
+  w.Field("fj.steal_min_surplus", kStealMinSurplus);
+  w.Field("fj.steal_retry", kStealRetry);
+  w.Field("fj.steal_grace", kStealGrace);
 
   w.Field("balancer.enabled", balancer.enabled);
   w.Field("balancer.balance_trigger_ratio", balancer.balance_trigger_ratio);
@@ -204,9 +208,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
     reject("page_shift must be in [6, 20] (got " + std::to_string(page_shift) +
            "); pages below 64 B thrash the directory, above 1 MB defeat fine-grain sharing");
   }
-  if (max_server_threads < 1) {
-    reject("max_server_threads must be >= 1 (got " + std::to_string(max_server_threads) + ")");
-  }
 
   const sim::FaultPlan plan = EffectiveFaultPlan();
   if (!InUnitInterval(plan.loss_rate)) {
@@ -216,16 +217,6 @@ std::vector<std::string> ClusterConfig::Validate() const {
   if (PlanCanDropFrames(plan) && !reliable_broadcast) {
     reject("reliable_broadcast is required when the fault plan can drop frames: a lost done "
            "broadcast hangs every barrier");
-  }
-
-  if (coalesce.enabled) {
-    if (coalesce.max_datagram_bytes < 256) {
-      reject("coalesce.max_datagram_bytes must be >= 256 (got " +
-             std::to_string(coalesce.max_datagram_bytes) + "); smaller than any single frame");
-    }
-    if (coalesce.request_hold < 0 || coalesce.ack_hold < 0 || coalesce.mutual_window < 0) {
-      reject("coalesce hold windows must be non-negative");
-    }
   }
 
   if (balancer.enabled) {

@@ -29,11 +29,16 @@ enum class NetworkKind {
 struct ForkJoinConfig {
   bool steal_enabled = true;  // receiver-initiated dynamic load balancing
   int prune_threshold = 4;    // local queue depth at which forks become procedure calls
-  int steal_min_surplus = 1;  // a victim gives queued work whenever it has any
-  SimTime steal_retry = Milliseconds(4.0);   // idle re-poll interval after a full denial round
-  SimTime steal_grace = Milliseconds(50.0);  // nodes may steal this long after start even if the
-                                             // distribution tree never reached them
 };
+
+// Fork/join stealing's fixed parameters.
+inline constexpr int kStealMinSurplus = 1;  // a victim gives queued work whenever it has any
+inline constexpr SimTime kStealRetry = Milliseconds(4.0);  // idle re-poll after a denial round
+// Nodes may steal this long after start even if the distribution tree never reached them.
+inline constexpr SimTime kStealGrace = Milliseconds(50.0);
+
+// Server threads one node may have alive at once; reaching it aborts the run.
+inline constexpr int kMaxServerThreads = 128;
 
 struct ClusterConfig {
   int nodes = 8;
@@ -65,9 +70,7 @@ struct ClusterConfig {
   // fork/join anti-thrashing mechanism (paper §2.3).
   bool wake_at_front = false;
 
-  // Server threads.
-  int max_server_threads = 128;
-  size_t stack_bytes = 256 * 1024;
+  // Server-thread context-switch implementation.
   threads::ContextBackend backend = threads::DefaultContextBackend();
 
   // Fork/join.

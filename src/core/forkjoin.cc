@@ -39,7 +39,7 @@ void FjEngine::RegisterServices() {
         queue_.push_back(Task{reinterpret_cast<FjFn>(ship.fn), ship.args, ship.origin,
                               ship.cell_addr});
         got_first_work_ = true;
-        steal_backoff_ = rt_->config().fj.steal_retry;  // fresh work: poll eagerly again
+        steal_backoff_ = kStealRetry;  // fresh work: poll eagerly again
         EnsureWorkerForQueue();
         return net::Payload{};
       },
@@ -75,7 +75,7 @@ void FjEngine::RegisterServices() {
         last_steal_demand_ = rt_->Clock();
         net::WireWriter w;
         if (phase_active_ && !terminated_ &&
-            queue_.size() >= static_cast<size_t>(rt_->config().fj.steal_min_surplus)) {
+            queue_.size() >= static_cast<size_t>(kStealMinSurplus)) {
           Task task = queue_.front();  // oldest = coarsest work
           queue_.pop_front();
           w.Put(uint8_t{1});
@@ -136,8 +136,8 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
   ship_next_ = true;
   got_first_work_ = rt_->id() == 0;
   next_victim_ = (rt_->id() + 1) % rt_->config().nodes;
-  steal_allowed_at_ = rt_->Clock() + rt_->config().fj.steal_grace;
-  steal_backoff_ = rt_->config().fj.steal_retry;
+  steal_allowed_at_ = rt_->Clock() + kStealGrace;
+  steal_backoff_ = kStealRetry;
   last_steal_demand_ = rt_->Clock() - Seconds(1.0);
   ComputeTreeChildren();
 
@@ -283,12 +283,12 @@ void FjEngine::WorkerLoop(bool is_main) {
     }
     if (CanStealNow()) {
       if (TrySteal()) {
-        steal_backoff_ = rt_->config().fj.steal_retry;
+        steal_backoff_ = kStealRetry;
         continue;
       }
       // Full denial round: back off so the busy nodes are not flooded with hopeless polls (the
       // paper's §4.3 observation about load-balance denials).
-      steal_backoff_ = std::min<SimTime>(steal_backoff_ * 2, rt_->config().fj.steal_retry * 16);
+      steal_backoff_ = std::min<SimTime>(steal_backoff_ * 2, kStealRetry * 16);
     }
     if (terminated_) {
       return;

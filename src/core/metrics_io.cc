@@ -9,87 +9,22 @@
 namespace dfil::core {
 namespace {
 
-// Every stats-struct field becomes a "<layer>.<name>" counter in one per-node registry, so the
+// Every stats-struct counter becomes a "<layer>.<name>" counter in one per-node registry, so the
 // JSON (and everything downstream: dfil, the CI gate) sees a single uniform namespace.
 MetricsRegistry FlattenNode(const NodeReport& nr) {
   MetricsRegistry m = nr.metrics;  // live histograms + runtime counters first
-
-  const DsmStats& d = nr.dsm;
-  m.Set("dsm.read_faults", d.read_faults);
-  m.Set("dsm.write_faults", d.write_faults);
-  m.Set("dsm.page_requests_served", d.page_requests_served);
-  m.Set("dsm.invalidations_sent", d.invalidations_sent);
-  m.Set("dsm.invalidations_received", d.invalidations_received);
-  m.Set("dsm.implicit_invalidations", d.implicit_invalidations);
-  m.Set("dsm.page_forwards", d.page_forwards);
-  m.Set("dsm.mirage_deferrals", d.mirage_deferrals);
-  m.Set("dsm.fetch_deferrals", d.fetch_deferrals);
-  m.Set("dsm.use_deferrals", d.use_deferrals);
-  m.Set("dsm.single_page_requests", d.single_page_requests);
-  m.Set("dsm.bulk_requests", d.bulk_requests);
-  m.Set("dsm.bulk_pages_requested", d.bulk_pages_requested);
-  m.Set("dsm.bulk_pages_served", d.bulk_pages_served);
-  m.Set("dsm.bulk_misses", d.bulk_misses);
-  m.Set("dsm.prefetched_pages", d.prefetched_pages);
-  m.Set("dsm.prefetch_wasted", d.prefetch_wasted);
-  m.Set("dsm.grant_reserves", d.grant_reserves);
-  m.Set("dsm.stale_invalidations_ignored", d.stale_invalidations_ignored);
-  m.Set("dsm.stale_transfer_dups_ignored", d.stale_transfer_dups_ignored);
-  m.Set("dsm.discarded_installs", d.discarded_installs);
-  m.Set("dsm.diff_twins_created", d.diff_twins_created);
-  m.Set("dsm.diff_merges_sent", d.diff_merges_sent);
-  m.Set("dsm.diff_pages_flushed", d.diff_pages_flushed);
-  m.Set("dsm.diff_bytes_sent", d.diff_bytes_sent);
-  m.Set("dsm.diff_merges_applied", d.diff_merges_applied);
-  m.Set("dsm.diff_pages_merged", d.diff_pages_merged);
-  m.Set("dsm.diff_stale_merges_ignored", d.diff_stale_merges_ignored);
-  m.Set("dsm.diff_bulk_refetches", d.diff_bulk_refetches);
-  m.Set("dsm.adapter_switches_to_diff", d.adapter_switches_to_diff);
-  m.Set("dsm.adapter_switches_to_ii", d.adapter_switches_to_ii);
-  m.Set("dsm.pages_rehomed", d.pages_rehomed);
-  m.Set("dsm.rehome_requests", d.rehome_requests);
-  m.Set("dsm.rehome_pages_requested", d.rehome_pages_requested);
-  m.Set("dsm.rehome_pages_served", d.rehome_pages_served);
-  m.Set("dsm.rehome_misses", d.rehome_misses);
-  m.Set("dsm.rehome_misses_served", d.rehome_misses_served);
-  m.Set("dsm.page_data_bytes", d.page_data_bytes);
-  m.Set("dsm.page_request_messages", d.page_request_messages());
-
-  const net::PacketStats& p = nr.packet;
-  m.Set("net.requests_sent", p.requests_sent);
-  m.Set("net.replies_sent", p.replies_sent);
-  m.Set("net.acks_sent", p.acks_sent);
-  m.Set("net.reply_retransmissions", p.reply_retransmissions);
-  m.Set("net.retransmissions", p.retransmissions);
-  m.Set("net.duplicate_requests", p.duplicate_requests);
-  m.Set("net.duplicate_replies", p.duplicate_replies);
-  m.Set("net.deferred_requests", p.deferred_requests);
-  m.Set("net.raw_sent", p.raw_sent);
-  m.Set("net.replies_first_serve", p.replies_first_serve);
-  m.Set("net.replies_rebuilt", p.replies_rebuilt);
-  m.Set("net.datagrams_sent", p.datagrams_sent);
-  m.Set("net.wire_bytes", p.wire_bytes);
-  m.Set("net.frames_coalesced", p.frames_coalesced);
-  m.Set("net.replies_elided", p.replies_elided);
-  m.Set("net.requests_canceled", p.requests_canceled);
+  const auto set_under = [&m](const char* layer) {
+    return [&m, layer](const char* name, uint64_t value) {
+      m.Set(std::string(layer).append(name), value);
+    };
+  };
+  nr.dsm.ForEach(set_under("dsm."));
+  m.Set("dsm.page_request_messages", nr.dsm.page_request_messages());
+  nr.packet.ForEach(set_under("net."));
   for (const auto& [svc, count] : nr.sent_by_service) {
     m.Set(std::string("net.sent.") + net::ServiceName(static_cast<net::Service>(svc)), count);
   }
-
-  const FilamentStats& f = nr.filaments;
-  m.Set("fil.filaments_created", f.filaments_created);
-  m.Set("fil.filaments_run", f.filaments_run);
-  m.Set("fil.filaments_run_inlined", f.filaments_run_inlined);
-  m.Set("fil.forks_local", f.forks_local);
-  m.Set("fil.forks_pruned", f.forks_pruned);
-  m.Set("fil.forks_sent", f.forks_sent);
-  m.Set("fil.steals_attempted", f.steals_attempted);
-  m.Set("fil.steals_succeeded", f.steals_succeeded);
-  m.Set("fil.steals_denied", f.steals_denied);
-  m.Set("fil.steals_attempted_on_us", f.steals_attempted_on_us);
-  m.Set("fil.pool_suspensions", f.pool_suspensions);
-  m.Set("fil.server_threads_started", f.server_threads_started);
-
+  nr.filaments.ForEach(set_under("fil."));
   return m;
 }
 
@@ -102,28 +37,21 @@ std::map<std::string, uint64_t> ClusterCounters(const RunReport& report) {
     for (const auto& [name, value] : flat.counters()) {
       totals[name] += value;
     }
-    totals["net.barrier_messages"] +=
-        nr.sent_by_service.count(static_cast<uint16_t>(net::Service::kReduceUp)) != 0
-            ? nr.sent_by_service.at(static_cast<uint16_t>(net::Service::kReduceUp))
-            : 0;
-    totals["net.barrier_messages"] +=
-        nr.sent_by_service.count(static_cast<uint16_t>(net::Service::kReduceDone)) != 0
-            ? nr.sent_by_service.at(static_cast<uint16_t>(net::Service::kReduceDone))
-            : 0;
+    uint64_t& barrier_messages = totals["net.barrier_messages"];
+    for (const net::Service svc : {net::Service::kReduceUp, net::Service::kReduceDone}) {
+      const auto it = nr.sent_by_service.find(static_cast<uint16_t>(svc));
+      barrier_messages += it != nr.sent_by_service.end() ? it->second : 0;
+    }
   }
-  totals["net.messages_sent"] = report.net.messages_sent;
-  totals["net.messages_dropped"] = report.net.messages_dropped;
-  totals["net.bytes_sent"] = report.net.bytes_sent;
-  totals["net.messages_duplicated"] = report.net.messages_duplicated;
-  totals["net.messages_delayed"] = report.net.messages_delayed;
-  totals["net.stall_deferrals"] = report.net.stall_deferrals;
+  report.net.ForEach([&totals](const char* name, uint64_t value) {
+    totals[std::string("net.").append(name)] = value;
+  });
   return totals;
 }
 
-// Cluster-wide per-filament-function rollup of the per-pool ledgers. Key is the deterministic fn
-// id (first-registration order, identical across nodes for SPMD programs); fn -1 is the residual:
-// non-pool run time plus all serve time (handlers serve the cluster, not any one pool).
-struct FnRollup {
+// One row of a pool-ledger table, in the per-node "pools" arrays and in "pools_by_fn". Serve time
+// is booked only in the residual row: handlers serve the cluster, not any one pool.
+struct PoolRowTotals {
   SimTime run = 0;
   SimTime blocked = 0;
   SimTime serve = 0;
@@ -132,21 +60,33 @@ struct FnRollup {
   uint64_t migrated_in = 0;
 };
 
-std::map<int, FnRollup> RollupByFn(const RunReport& report) {
-  std::map<int, FnRollup> by_fn;
+// Writes the row's fields and its closing brace, after the keys the caller already wrote.
+void WritePoolRow(std::ostream& os, const PoolRowTotals& r) {
+  os << ", \"run_us\": " << ToMicroseconds(r.run)
+     << ", \"blocked_us\": " << ToMicroseconds(r.blocked)
+     << ", \"serve_us\": " << ToMicroseconds(r.serve) << ", \"faults\": " << r.faults
+     << ", \"filaments_run\": " << r.filaments_run << ", \"migrated_in\": " << r.migrated_in
+     << "}";
+}
+
+// Cluster-wide per-filament-function rollup of the per-pool ledgers. Key is the deterministic fn
+// id (first-registration order, identical across nodes for SPMD programs); fn -1 is the residual:
+// non-pool run time plus all serve time.
+std::map<int, PoolRowTotals> RollupByFn(const RunReport& report) {
+  std::map<int, PoolRowTotals> by_fn;
   for (const NodeReport& nr : report.nodes) {
     for (const TimeLedger::PoolRow& lg : nr.breakdown.pools()) {
       if (!lg.booked) {
         continue;
       }
-      FnRollup& r = by_fn[lg.fn];
+      PoolRowTotals& r = by_fn[lg.fn];
       r.run += lg.run;
       r.blocked += lg.blocked;
       r.faults += lg.faults;
       r.filaments_run += lg.filaments_run;
       r.migrated_in += lg.migrated_in;
     }
-    FnRollup& other = by_fn[-1];
+    PoolRowTotals& other = by_fn[-1];
     other.run += nr.breakdown.other_run();
     other.serve += nr.breakdown.serve_time();
   }
@@ -194,12 +134,8 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
   os << "\n    },\n    \"pools_by_fn\": [";
   first = true;
   for (const auto& [fn, r] : RollupByFn(report)) {
-    os << (first ? "\n" : ",\n") << "      {\"fn\": " << fn
-       << ", \"run_us\": " << ToMicroseconds(r.run)
-       << ", \"blocked_us\": " << ToMicroseconds(r.blocked)
-       << ", \"serve_us\": " << ToMicroseconds(r.serve) << ", \"faults\": " << r.faults
-       << ", \"filaments_run\": " << r.filaments_run << ", \"migrated_in\": " << r.migrated_in
-       << "}";
+    os << (first ? "\n" : ",\n") << "      {\"fn\": " << fn;
+    WritePoolRow(os, r);
     first = false;
   }
   os << (first ? "]" : "\n    ]");
@@ -236,19 +172,15 @@ void WriteMetricsJson(const RunReport& report, const std::string& label, std::os
       if (!lg.booked) {
         continue;
       }
-      os << "\n        {\"pool\": " << pool << ", \"fn\": " << lg.fn
-         << ", \"run_us\": " << ToMicroseconds(lg.run)
-         << ", \"blocked_us\": " << ToMicroseconds(lg.blocked)
-         << ", \"serve_us\": 0, \"faults\": " << lg.faults
-         << ", \"filaments_run\": " << lg.filaments_run << ", \"migrated_in\": " << lg.migrated_in
-         << "},";
+      os << "\n        {\"pool\": " << pool << ", \"fn\": " << lg.fn;
+      WritePoolRow(os, {lg.run, lg.blocked, 0, lg.faults, lg.filaments_run, lg.migrated_in});
+      os << ",";
     }
     // Residual row: run time outside any pool (main/sync/balancer code) plus all handler serve
     // time. With it, sum(run_us)+sum(serve_us) over rows equals this node's run_us+serve_us.
-    os << "\n        {\"pool\": -1, \"fn\": -1, \"run_us\": "
-       << ToMicroseconds(nr.breakdown.other_run())
-       << ", \"blocked_us\": 0, \"serve_us\": " << ToMicroseconds(nr.breakdown.serve_time())
-       << ", \"faults\": 0, \"filaments_run\": 0, \"migrated_in\": 0}\n      ]";
+    os << "\n        {\"pool\": -1, \"fn\": -1";
+    WritePoolRow(os, {.run = nr.breakdown.other_run(), .serve = nr.breakdown.serve_time()});
+    os << "\n      ]";
     os << ",\n      \"epochs\": [";
     const auto& epochs = nr.metrics.epochs();
     for (size_t e = 0; e < epochs.size(); ++e) {

@@ -1,4 +1,4 @@
-// Uniform metrics export: flattens a RunReport — the ad-hoc stats structs (DsmStats,
+// Uniform metrics export: flattens a RunReport — the stats structs (DsmStats,
 // MessageStats, FilamentStats, PacketStats), the time ledger, per-service message counts,
 // per-page fault heat, and the live MetricsRegistry histograms — into one JSON document that
 // tools/dfil (and the CI regression gate) consume.
@@ -34,8 +34,7 @@
 //        "page_heat": [[page, faults], ...]},                // non-zero entries only
 //       ...]
 //   }
-// Counter naming: "<layer>.<counter>" with layers dsm/net/fil/sync/time (DESIGN.md
-// §Observability).
+// Counter naming: "<layer>.<counter>" with layers dsm/net/fil/sync/core (DESIGN.md §9).
 #ifndef DFIL_CORE_METRICS_IO_H_
 #define DFIL_CORE_METRICS_IO_H_
 

@@ -23,40 +23,32 @@ namespace dfil::core {
     }                                              \
   } while (false)
 
+namespace {
+
+// This node's parent in the reduction tree, or kNoNode at the root. With coalescing on, the diff
+// protocol gates its merge to the parent (ack elided, retransmission canceled by the done
+// broadcast) and the transport packs it with the reduce-up of the same sync point. The
+// dissemination barrier has no parent/done structure, so nothing is gated there.
+NodeId BarrierParent(NodeId id, ClusterConfig::BarrierKind barrier) {
+  if (id == 0 || barrier == ClusterConfig::BarrierKind::kDissemination) {
+    return kNoNode;
+  }
+  return barrier == ClusterConfig::BarrierKind::kCentral ? 0 : id - (id & -id);
+}
+
+}  // namespace
+
 NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
                          const dsm::GlobalLayout* layout)
-    : id_(id),
-      config_(config),
-      machine_(machine),
-      threads_(config.backend, config.stack_bytes),
-      env_(this) {
+    : id_(id), config_(config), machine_(machine), threads_(config.backend), env_(this) {
   tracer_.BindNode(id_, [this] { return CurrentTid(); }, [this] { return clock_; });
   packet_ = std::make_unique<net::PacketEndpoint>(machine_, this, config_.packet);
   packet_->set_tracer(&tracer_);
   packet_->set_metrics(&metrics_);
   packet_->set_coalesce(config_.coalesce);
   packet_->set_ledger(&ledger_);
-
-  dsm::DsmConfig dsm_cfg = config_.dsm;
-  if (config_.coalesce.enabled) {
-    // Sync-batch mode: the DSM learns this node's barrier parent so the diff protocol can gate
-    // the merge it sends there (ack elided, retransmission canceled by the done broadcast) and
-    // the transport can pack it with the reduce-up of the same sync point. The dissemination
-    // barrier has no parent/done structure, so gating stays off there.
-    dsm_cfg.coalesce_sync_batch = true;
-    switch (config_.barrier) {
-      case ClusterConfig::BarrierKind::kTournamentBroadcast:
-        dsm_cfg.barrier_parent = id_ == 0 ? kNoNode : id_ - (id_ & -id_);
-        break;
-      case ClusterConfig::BarrierKind::kCentral:
-        dsm_cfg.barrier_parent = id_ == 0 ? kNoNode : 0;
-        break;
-      case ClusterConfig::BarrierKind::kDissemination:
-        dsm_cfg.barrier_parent = kNoNode;
-        break;
-    }
-  }
-  dsm_ = std::make_unique<dsm::DsmNode>(this, layout, packet_.get(), &machine_->costs(), dsm_cfg,
+  dsm_ = std::make_unique<dsm::DsmNode>(this, layout, packet_.get(), &machine_->costs(),
+                                        config_.dsm, BarrierParent(id_, config_.barrier),
                                         &tracer_, &metrics_);
   env_.dsm_ = dsm_.get();
   env_.note_writes_ = config_.balancer.enabled;
@@ -247,7 +239,7 @@ void NodeRuntime::WakeAtTail(threads::ServerThread* t) {
 }
 
 threads::ServerThread* NodeRuntime::SpawnThread(std::function<void()> body) {
-  DFIL_CHECK_LT(threads_.live_threads(), static_cast<size_t>(config_.max_server_threads))
+  DFIL_CHECK_LT(threads_.live_threads(), static_cast<size_t>(kMaxServerThreads))
       << "node " << id_ << ": server thread limit reached";
   Charge(TimeCategory::kFilamentExec, costs().thread_create);
   threads::ServerThread* t = threads_.Create(std::move(body));

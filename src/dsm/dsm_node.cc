@@ -90,14 +90,15 @@ uint64_t Bit(NodeId n) { return uint64_t{1} << n; }
 }  // namespace
 
 DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint* packet,
-                 const sim::CostModel* costs, const DsmConfig& config, NodeTracer* tracer,
-                 MetricsRegistry* metrics)
+                 const sim::CostModel* costs, const DsmConfig& config, NodeId barrier_parent,
+                 NodeTracer* tracer, MetricsRegistry* metrics)
     : host_(host),
       self_(host->id()),
       layout_(layout),
       packet_(packet),
       costs_(costs),
       config_(config),
+      barrier_parent_(barrier_parent),
       tracer_(tracer),
       metrics_(metrics),
       replica_(static_cast<std::byte*>(std::calloc(layout->region_bytes(), 1))),
@@ -615,8 +616,8 @@ void DsmNode::NoteFaultForDetector(PageId page, AccessMode mode) {
                        ? fault_run_len_ + 1
                        : 1;
   last_fault_page_ = page;
-  if (fault_run_len_ >= config_.prefetch_min_run) {
-    Prefetch(page + 1, config_.prefetch_degree, AccessMode::kRead);
+  if (fault_run_len_ >= kPrefetchMinRun) {
+    Prefetch(page + 1, kPrefetchDegree, AccessMode::kRead);
   }
 }
 
@@ -654,10 +655,10 @@ void DsmNode::StartBulkFetch(PageId first, int count) {
       continue;
     }
     // Extend a maximal run of eligible pages sharing a probable-owner hint, capped at
-    // max_bulk_pages; hint changes split the run so replies carry few misses.
+    // kMaxBulkPages; hint changes split the run so replies carry few misses.
     const NodeId target = table_[p].probable_owner;
     PageId run_end = p + 1;
-    while (run_end < end && run_end - p < static_cast<PageId>(config_.max_bulk_pages) &&
+    while (run_end < end && run_end - p < static_cast<PageId>(kMaxBulkPages) &&
            eligible(run_end) && table_[run_end].probable_owner == target) {
       ++run_end;
     }
@@ -736,8 +737,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     // Bit 0 of the copyset field doubles as the diff tag in coalescing sync-batch mode: the home
     // marks served diff-mode pages so a flush-set bulk refetch installs twin-eligible copies.
     // Only set when sync-batch is on, so off-mode bulk replies stay byte-identical.
-    const uint64_t diff_tag =
-        (config_.coalesce_sync_batch && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
+    const uint64_t diff_tag = (sync_batch() && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
     w.Put(PageBlockHeader{p, diff_tag});
     w.PutBytes(replica_.get() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
     DFIL_ORACLE(OnServeRead(self_, src, p));
@@ -851,7 +851,7 @@ void DsmNode::RequestRehome(const std::vector<PageId>& pages, NodeId source) {
     ++e.fetch_seq;  // a fresh fault, exactly like StartDemandFetch
     ++pending_fetches_;
     batch.emplace_back(p, e.fetch_seq);
-    if (batch.size() >= static_cast<size_t>(config_.max_bulk_pages)) {
+    if (batch.size() >= static_cast<size_t>(kMaxBulkPages)) {
       flush();
     }
   }

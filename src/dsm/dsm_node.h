@@ -80,6 +80,11 @@ constexpr const char* PcpName(Pcp pcp) {
 
 enum class AccessMode : uint8_t { kRead = 0, kWrite = 1 };
 
+// Prefetch and bulk-transfer sizes (DsmConfig::prefetch_detector, prefetch_hints).
+inline constexpr int kPrefetchMinRun = 2;  // consecutive adjacent faults that arm the detector
+inline constexpr int kPrefetchDegree = 4;  // pages the armed detector fetches ahead of the fault
+inline constexpr int kMaxBulkPages = 16;   // cap on the page count of one bulk request
+
 enum class PageState : uint8_t { kInvalid, kReadOnly, kReadWrite };
 
 struct DsmConfig {
@@ -90,15 +95,12 @@ struct DsmConfig {
   SimTime mirage_window = Milliseconds(2.0);
 
   // --- Strip-aware prefetching / bulk transfers (extension; both off = paper behaviour) ---
-  // Sequential-fault detector: after `prefetch_min_run` consecutive demand read faults on
-  // adjacent pages, the remainder of the run is fetched with one bulk request.
+  // Sequential-fault detector: after kPrefetchMinRun consecutive demand read faults on adjacent
+  // pages, the remainder of the run is fetched with one bulk request.
   bool prefetch_detector = false;
   // Strip hints: the pool engine re-issues last sweep's per-pool fault footprint as bulk
   // prefetches before running the pool's filaments.
   bool prefetch_hints = false;
-  int prefetch_min_run = 2;   // consecutive adjacent faults that arm the detector
-  int prefetch_degree = 4;    // pages the armed detector fetches ahead of the faulting page
-  int max_bulk_pages = 16;    // cap on the page count of one bulk request
 
   // --- Per-page-group protocol adaptation (extension; DESIGN.md §10) ---
   // Requires pcp == kImplicitInvalidate. Every page group starts under implicit-invalidate; the
@@ -110,15 +112,6 @@ struct DsmConfig {
   bool adapt_protocols = false;
   uint32_t adapt_to_diff_threshold = 3;
   uint32_t adapt_calm_epochs = 2;
-
-  // --- Sync-point traffic batching (extension; DESIGN.md §11) ---
-  // Set by the runtime when ClusterConfig::coalesce.enabled: diff flush sets are re-fetched with
-  // bulk requests, bulk replies carry the diff tag, and the merge to `barrier_parent` goes out
-  // gated (ack elided; it piggybacks on the reduce-up frame).
-  bool coalesce_sync_batch = false;
-  // This node's parent in the reduction tree (kNoNode = no gating: root node, or a barrier kind
-  // without a fixed parent, e.g. dissemination).
-  NodeId barrier_parent = kNoNode;
 };
 
 struct PageEntry {
@@ -165,10 +158,12 @@ class DsmNode {
  public:
   // `host` owns this node and outlives it; its id is this node's. `tracer` (spans, flow arcs,
   // trace-id allocation) may be null: trace ids then stay 0 and all instrumentation is skipped.
-  // `metrics` receives the dsm.fault_wait_us histogram.
+  // `metrics` receives the dsm.fault_wait_us histogram. `barrier_parent` is this node's parent in
+  // the reduction tree: kNoNode at the root, or under a barrier with no fixed parent
+  // (dissemination).
   DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint* packet,
-          const sim::CostModel* costs, const DsmConfig& config, NodeTracer* tracer,
-          MetricsRegistry* metrics);
+          const sim::CostModel* costs, const DsmConfig& config, NodeId barrier_parent,
+          NodeTracer* tracer, MetricsRegistry* metrics);
   ~DsmNode();
 
   DsmNode(const DsmNode&) = delete;
@@ -230,7 +225,7 @@ class DsmNode {
   // --- Rebalance page re-homing (load balancer; DESIGN.md §13) ---
 
   // Requests ownership of `pages` from `source` in one batched kRehomePages exchange per
-  // max_bulk_pages run, so a migrated strip's next epoch faults locally instead of chasing
+  // kMaxBulkPages run, so a migrated strip's next epoch faults locally instead of chasing
   // ownership page by page. Pages that are owned here, already being fetched, grouped, or under
   // the diff protocol (which never transfers ownership) are skipped. Each re-homed page goes
   // through the standard single-page install path — grants, copyset invalidation rounds, the
@@ -309,7 +304,7 @@ class DsmNode {
   // --- Bulk transfers / prefetching ---
 
   // Sequential-fault detector (called on every demand read fault when enabled): arms on
-  // `prefetch_min_run` adjacent faults and bulk-prefetches the run's continuation.
+  // kPrefetchMinRun adjacent faults and bulk-prefetches the run's continuation.
   void NoteFaultForDetector(PageId page, AccessMode mode);
 
   // Marks every eligible page of [first, first+count) as fetching and sends one bulk request per
@@ -372,8 +367,13 @@ class DsmNode {
   net::PacketEndpoint* packet_;
   const sim::CostModel* costs_;
   DsmConfig config_;
+  NodeId barrier_parent_;
   NodeTracer* tracer_;
   MetricsRegistry* metrics_;
+  // Sync-point traffic batching (DESIGN.md §11) rides on frame coalescing: diff flush sets are
+  // re-fetched with bulk requests, bulk replies carry the diff tag, and the merge to
+  // barrier_parent_ goes out gated (ack elided; it piggybacks on the reduce-up frame).
+  bool sync_batch() const { return packet_->coalesce().enabled; }
   // tracer_ when it can record, nullptr otherwise (so hot paths skip name building).
   NodeTracer* tracer() const {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;

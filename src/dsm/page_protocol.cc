@@ -111,7 +111,7 @@ FaultResult DiffProtocol::OnWriteFault(PageId page) {
 }
 
 bool DiffProtocol::MaybeBulkRefetch(PageId page) {
-  if (!node_.config_.coalesce_sync_batch || last_flush_sets_.empty()) {
+  if (!node_.sync_batch() || last_flush_sets_.empty()) {
     return false;
   }
   for (auto it = last_flush_sets_.begin(); it != last_flush_sets_.end(); ++it) {
@@ -245,7 +245,7 @@ void DiffProtocol::FlushTwins() {
   }
   // Sync-batch mode: remember what was flushed where — the next epoch's first fault into a set
   // re-fetches the whole set with bulk requests instead of RTT-chained single-page faults.
-  if (node_.config_.coalesce_sync_batch) {
+  if (node_.sync_batch()) {
     last_flush_sets_.clear();
     for (const auto& [p, twin] : twins_) {
       last_flush_sets_[node_.table_[p].probable_owner].insert(p);
@@ -254,9 +254,8 @@ void DiffProtocol::FlushTwins() {
   // The merge to the barrier parent goes out gated: its ack is elided (the done broadcast stands
   // in), it does not count as an outstanding fetch, and the transport holds its frame so it packs
   // with the reduce-up of the same sync point.
-  const bool gating =
-      node_.config_.coalesce_sync_batch && node_.config_.barrier_parent != kNoNode;
-  auto is_gated = [&](const Merge& m) { return gating && m.home == node_.config_.barrier_parent; };
+  const bool gating = node_.sync_batch() && node_.barrier_parent_ != kNoNode;
+  auto is_gated = [&](const Merge& m) { return gating && m.home == node_.barrier_parent_; };
   // Count every acked merge as an outstanding fetch BEFORE sending any: a send's time charge can
   // dispatch pending events (even this flush's own ack), and a premature zero crossing would
   // release the barrier's drain wait while merges are still unacknowledged.

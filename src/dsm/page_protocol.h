@@ -160,7 +160,7 @@ class DiffProtocol final : public PageProtocol {
 
   bool HasTwin(PageId page) const { return twins_.count(page) != 0; }
 
-  // --- Coalescing sync-batch support (config_.coalesce_sync_batch) ---
+  // --- Coalescing sync-batch support (DsmNode::sync_batch) ---
 
   // Highest flush epoch applied from `src` (0 = none).
   uint64_t applied_epoch(NodeId src) const {

@@ -121,7 +121,7 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   const size_t frame_bytes = kFrameLenBytes + sizeof(Header) + body.size();
   // MTU flush: packing this frame would overflow the datagram, so flush what is queued first.
   // A single frame bigger than the MTU still goes out (as a singleton legacy datagram).
-  if (q.bytes > 0 && sizeof(Header) + q.bytes + frame_bytes > coalesce_.max_datagram_bytes) {
+  if (q.bytes > 0 && sizeof(Header) + q.bytes + frame_bytes > kMaxDatagramBytes) {
     FlushQueue(dst);
   }
   const bool was_empty = (q.bytes == 0);
@@ -171,10 +171,10 @@ bool PacketEndpoint::ShouldHold(NodeId dst, Service service) const {
   // answered (serving is synchronous), so the peer's NEXT request — the only carrier this hold
   // could ride on — is a full exchange period away. Holding would stall this fetch for the whole
   // hold and still flush alone; send it now instead.
-  if (age < coalesce_.request_hold) {
+  if (age < kRequestHold) {
     return false;
   }
-  return age <= coalesce_.mutual_window;
+  return age <= kMutualWindow;
 }
 
 void PacketEndpoint::ScheduleFlushEvent() {
@@ -292,12 +292,12 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
   if (coalesce_.enabled &&
       (service == Service::kDiffMerge || service == Service::kDiffMergeGated ||
        service == Service::kReduceUp) &&
-      out.timeout < coalesce_.elided_ack_timeout) {
+      out.timeout < kElidedAckTimeout) {
     // Sync-point traffic: a gated merge's or reduce-up's ack is elided (the barrier done stands
     // in, arriving an epoch later), and a plain merge's ack queues behind every peer's flush
     // wave at the home. Keep these timers as loss backstops — an RTT-scale RTO retransmits
     // spuriously into the very congestion that delayed the ack.
-    out.timeout = coalesce_.elided_ack_timeout;
+    out.timeout = kElidedAckTimeout;
   }
   out.sent_at = host_->Clock();
   out.expected_reply_bytes = expected_reply_bytes;
@@ -312,7 +312,7 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
   }
   if (coalesce_.enabled && ShouldHold(dst, service)) {
     Enqueue(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace, /*held=*/true,
-            coalesce_.request_hold);
+            kRequestHold);
   } else {
     Transmit(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace);
   }
@@ -411,7 +411,6 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
                              << out.dst << " attempt " << out.attempts + 1;
   out.attempts++;
   stats_.retransmissions++;
-  machine_->net_stats().retransmissions++;
   if (ledger_ != nullptr) {
     // The stall so far: the exchange has been outstanding since its first transmission.
     ledger_->AddBlocked(WaitKind::kRetransmit, static_cast<uint64_t>(out.service), out.sent_at,
@@ -548,7 +547,6 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     // are recovered by Packet).
     if (host_->InCriticalSection()) {
       stats_.deferred_requests++;
-      machine_->net_stats().deferred_requests++;
       return;
     }
     // Duplicate of a request we already served: re-send the cached reply rather than re-running
@@ -574,7 +572,6 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   if (!reply.has_value()) {
     elide_current_reply_ = false;
     stats_.deferred_requests++;
-    machine_->net_stats().deferred_requests++;
     return;
   }
   if (entry.idempotent) {
@@ -602,8 +599,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     return;
   }
   if (!entry.idempotent) {
-    const SimTime expires =
-        host_->Clock() + config_.retransmit_timeout * config_.response_cache_timeouts;
+    const SimTime expires = host_->Clock() + config_.retransmit_timeout * kResponseCacheTimeouts;
     response_cache_[{src, req_id}] = CachedReply{*reply, expires};
     cache_fifo_.push_back({src, req_id});
     // Evict in FIFO order: anything expired, plus the oldest entries beyond the size cap. A
@@ -632,7 +628,7 @@ void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, Payload body) {
     stats_.acks_sent++;
     if (coalesce_.enabled) {
       Enqueue(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
-              CurTrace(), /*held=*/true, coalesce_.ack_hold);
+              CurTrace(), /*held=*/true, kAckHold);
     } else {
       Transmit(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
                CurTrace());

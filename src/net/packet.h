@@ -68,24 +68,26 @@ const char* ServiceName(Service service);
 // format, charges, and message schedule are byte-identical to the uncoalesced protocol.
 struct CoalesceConfig {
   bool enabled = false;
-  // Flush when packing one more frame would push the datagram payload past this limit (a
-  // UDP-practical MTU on the simulated network; a single oversized frame still goes out alone).
-  size_t max_datagram_bytes = 8800;
-  // How long a tolerant (held) frame may wait for a carrier before its hold timer flushes it.
-  // Sized to cover the fault skew between neighbouring nodes in a phase-locked exchange (they
-  // reach their boundary pages several ms apart); the just-served filter in ShouldHold keeps
-  // this from charging fetches whose carrier already left.
-  SimTime request_hold = Milliseconds(20.0);
-  // How long a piggybacked ack may wait (ack_replies mode only).
-  SimTime ack_hold = Milliseconds(2.0);
-  // A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
-  // window — is held briefly so it can ride on our reply to that peer's next request.
-  SimTime mutual_window = Milliseconds(250.0);
-  // Retransmission floor for requests whose ack is elided (gated merges, reduce-ups): their
-  // "ack" is the barrier done broadcast, which arrives an epoch-scale time later, so the timer
-  // is a loss-recovery backstop — an RTT-scale RTO would retransmit spuriously every barrier.
-  SimTime elided_ack_timeout = Milliseconds(1000.0);
 };
+
+// Coalescing's fixed parameters.
+// Flush when packing one more frame would push the datagram payload past this limit (a
+// UDP-practical MTU on the simulated network; a single oversized frame still goes out alone).
+inline constexpr size_t kMaxDatagramBytes = 8800;
+// How long a tolerant (held) frame may wait for a carrier before its hold timer flushes it.
+// Sized to cover the fault skew between neighbouring nodes in a phase-locked exchange (they
+// reach their boundary pages several ms apart); the just-served filter in ShouldHold keeps
+// this from charging fetches whose carrier already left.
+inline constexpr SimTime kRequestHold = Milliseconds(20.0);
+// How long a piggybacked ack may wait (ack_replies mode only).
+inline constexpr SimTime kAckHold = Milliseconds(2.0);
+// A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
+// window — is held briefly so it can ride on our reply to that peer's next request.
+inline constexpr SimTime kMutualWindow = Milliseconds(250.0);
+// Retransmission floor for requests whose ack is elided (gated merges, reduce-ups): their
+// "ack" is the barrier done broadcast, which arrives an epoch-scale time later, so the timer
+// is a loss-recovery backstop — an RTT-scale RTO would retransmit spuriously every barrier.
+inline constexpr SimTime kElidedAckTimeout = Milliseconds(1000.0);
 
 struct PacketConfig {
   SimTime retransmit_timeout = Milliseconds(100.0);  // >> quiet RTT and transient reply queueing
@@ -96,8 +98,6 @@ struct PacketConfig {
   // a shared-medium barrier routinely queues an ack past any quiet-time RTT estimate.
   SimTime rto_min = Milliseconds(100.0);
   int retransmit_limit = 60;
-  // How long a cached non-idempotent reply stays valid (relative to the initial timeout).
-  int response_cache_timeouts = 20;
   // TCP-like ablation (paper §3: "a different reliability mechanism—such as the one in TCP—might
   // perform better" on lossy networks): replies are buffered at the replier and retransmitted
   // until explicitly acknowledged, instead of being rebuilt on request retransmission. Costs one
@@ -105,28 +105,35 @@ struct PacketConfig {
   bool ack_replies = false;
 };
 
+// How long a cached non-idempotent reply stays valid, in initial retransmission timeouts.
+inline constexpr int kResponseCacheTimeouts = 20;
+
 // Statistics specific to the Packet layer of one node.
+#define DFIL_PACKET_STATS(X)                                                                       \
+  X(requests_sent)                                                                                 \
+  X(replies_sent)                                                                                  \
+  X(acks_sent)                                                                                     \
+  X(reply_retransmissions)                                                                         \
+  X(retransmissions)                                                                               \
+  X(duplicate_requests)                                                                            \
+  X(duplicate_replies)                                                                             \
+  X(deferred_requests) /* ignored due to a critical section or a busy service */                   \
+  X(raw_sent)                                                                                      \
+  /* Idempotent services only: replies are never buffered, so a retransmitted request makes */     \
+  /* the service rebuild its reply from current state (paper Figure 3c). Splitting first */        \
+  /* serves from rebuilds makes that loss-recovery path, and bulk-reply idempotence, */            \
+  /* observable in tests. */                                                                       \
+  X(replies_first_serve)                                                                           \
+  X(replies_rebuilt)                                                                               \
+  /* Wire-level accounting: one datagram may carry many logical frames when coalescing is on. */   \
+  X(datagrams_sent)                                                                                \
+  X(wire_bytes)        /* framed bytes on the wire (link headers + packed frames) */               \
+  X(frames_coalesced)  /* frames that rode an already-open datagram */                             \
+  X(replies_elided)    /* idempotent replies suppressed (a later frame stands in) */               \
+  X(requests_canceled) /* outstanding requests canceled before their reply arrived */
+
 struct PacketStats {
-  uint64_t requests_sent = 0;
-  uint64_t replies_sent = 0;
-  uint64_t acks_sent = 0;
-  uint64_t reply_retransmissions = 0;
-  uint64_t retransmissions = 0;
-  uint64_t duplicate_requests = 0;
-  uint64_t duplicate_replies = 0;
-  uint64_t deferred_requests = 0;  // ignored due to a critical section or a busy service
-  uint64_t raw_sent = 0;
-  // Idempotent services only: replies are never buffered, so a retransmitted request makes the
-  // service rebuild its reply from current state (paper Figure 3c). Splitting first serves from
-  // rebuilds makes that loss-recovery path — and bulk-reply idempotence — observable in tests.
-  uint64_t replies_first_serve = 0;
-  uint64_t replies_rebuilt = 0;
-  // Wire-level accounting: one datagram may carry many logical frames when coalescing is on.
-  uint64_t datagrams_sent = 0;
-  uint64_t wire_bytes = 0;         // framed bytes on the wire (link headers + packed frames)
-  uint64_t frames_coalesced = 0;   // frames that rode an already-open datagram
-  uint64_t replies_elided = 0;     // idempotent replies suppressed (a later frame stands in)
-  uint64_t requests_canceled = 0;  // outstanding requests canceled before their reply arrived
+  DFIL_STATS_STRUCT_BODY(PacketStats, DFIL_PACKET_STATS)
 };
 
 // The node an endpoint runs on, as the Packet layer sees it: a simulated host whose clock the

@@ -65,11 +65,6 @@ struct CostModel {
   size_t min_frame_bytes = 64;              // Ethernet minimum frame
   SimTime propagation_delay = Microseconds(5.0);
 
-  // --- Packet protocol ---
-  SimTime retransmit_timeout = Milliseconds(100.0);  // >> quiet RTT and transient reply queueing
-  SimTime retransmit_timeout_max = Milliseconds(400.0);
-  int retransmit_limit = 60;
-
   // --- Application work costs (per-application calibration, DESIGN.md §2) ---
   SimTime matmul_mac = Microseconds(1.529);       // 512x512x512 macs -> ~205 s sequential
   SimTime jacobi_point = Microseconds(9.257);     // 254*254*360 updates -> ~215 s sequential
@@ -95,7 +90,6 @@ struct CostModel {
     m.wire_bytes_per_us = 12.5;  // 100 Mb/s
     m.msg_send_overhead = Microseconds(250.0);
     m.msg_recv_overhead = Microseconds(275.0);
-    m.retransmit_timeout = Milliseconds(5.0);
     return m;
   }
 };

@@ -6,8 +6,7 @@
 
 namespace dfil::threads {
 
-ThreadSystem::ThreadSystem(ContextBackend backend, size_t stack_bytes)
-    : backend_(backend), stack_pool_(stack_bytes) {
+ThreadSystem::ThreadSystem(ContextBackend backend) : backend_(backend) {
   host_context_.InitAsCaller(backend_);
 }
 

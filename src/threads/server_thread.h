@@ -84,7 +84,7 @@ class ServerThread {
 // Per-node thread manager.
 class ThreadSystem {
  public:
-  ThreadSystem(ContextBackend backend, size_t stack_bytes = kDefaultStackBytes);
+  explicit ThreadSystem(ContextBackend backend);
   ~ThreadSystem();
 
   ThreadSystem(const ThreadSystem&) = delete;

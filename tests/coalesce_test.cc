@@ -294,7 +294,7 @@ TEST(CoalesceTest, MutualPeerHoldRidesOnOwedReply) {
   rig.a->endpoint->SendRequest(1, Service::kPageRequest, Int64Payload(1),
                                [&](Payload) { ++replies; });
   // t=30ms: node 1 requests from node 0. Age since node 0's request (~29ms) sits between
-  // request_hold (20ms) and mutual_window (250ms), and node 1 is the higher-numbered peer, so
+  // kRequestHold (20ms) and kMutualWindow (250ms), and node 1 is the higher-numbered peer, so
   // the request is HELD for a carrier.
   rig.machine
       ->ScheduleTimer(1, Milliseconds(30.0),
@@ -354,7 +354,7 @@ TEST(CoalesceTest, HoldTimerFlushesCarrierlessRequest) {
   rig.a->endpoint->SendRequest(1, Service::kPageRequest, Int64Payload(1),
                                [&](Payload) { ++replies; });
   // Node 1's request is held at t=30ms, but node 0 never sends again: the per-destination hold
-  // timer (request_hold) must flush it on its own, well before the retransmission timeout.
+  // timer (kRequestHold) must flush it on its own, well before the retransmission timeout.
   rig.machine
       ->ScheduleTimer(1, Milliseconds(30.0),
                       [&] {

@@ -382,8 +382,6 @@ TEST(DsmPrefetchTest, ExplicitPrefetchCoalescesRequestsIntoOneBulk) {
 TEST(DsmPrefetchTest, DetectorTurnsSequentialFaultsIntoBulkFetches) {
   ClusterConfig cfg = Config(2, Pcp::kWriteInvalidate);
   cfg.dsm.prefetch_detector = true;
-  cfg.dsm.prefetch_min_run = 2;
-  cfg.dsm.prefetch_degree = 4;
   Cluster cluster(cfg);
   const size_t ps = cluster.layout().page_size();
   GlobalAddr blob = cluster.layout().AllocPadded(16 * ps, "blob");

@@ -37,13 +37,7 @@ core::ClusterConfig AdversarialConfig(int nodes, dsm::Pcp pcp) {
 DsmStats SumDsm(const core::RunReport& report) {
   DsmStats sum;
   for (const core::NodeReport& nr : report.nodes) {
-    sum.read_faults += nr.dsm.read_faults;
-    sum.write_faults += nr.dsm.write_faults;
-    sum.use_deferrals += nr.dsm.use_deferrals;
-    sum.grant_reserves += nr.dsm.grant_reserves;
-    sum.stale_invalidations_ignored += nr.dsm.stale_invalidations_ignored;
-    sum.stale_transfer_dups_ignored += nr.dsm.stale_transfer_dups_ignored;
-    sum.discarded_installs += nr.dsm.discarded_installs;
+    sum += nr.dsm;
   }
   return sum;
 }
@@ -68,7 +62,7 @@ TEST(FuzzReplayTest, SameScenarioAndSeedReplayIdentically) {
   EXPECT_EQ(a.oracle_checks, b.oracle_checks);
   EXPECT_EQ(a.net.messages_dropped, b.net.messages_dropped);
   EXPECT_EQ(a.net.messages_duplicated, b.net.messages_duplicated);
-  EXPECT_EQ(a.net.retransmissions, b.net.retransmissions);
+  EXPECT_EQ(a.packet.retransmissions, b.packet.retransmissions);
   EXPECT_EQ(a.dsm.write_faults, b.dsm.write_faults);
   EXPECT_EQ(a.dsm.page_requests_served, b.dsm.page_requests_served);
 }
@@ -79,6 +73,16 @@ TEST(FuzzReplayTest, CleanScenarioIsAnOracleCanary) {
   EXPECT_TRUE(r.ok()) << r.Summary();
   EXPECT_GT(r.oracle_checks, 0u);
   EXPECT_GT(r.quiescent_points, 0u);
+}
+
+TEST(FuzzReplayTest, RollUpsCarryEveryCounter) {
+  // The result sums whole stats structs, so a diff-protocol case reports the merges it sent (a
+  // roll-up that copied a hand-picked subset of DsmStats left every diff counter at 0).
+  const FuzzResult r = RunFuzzCase("clean", 7, {});
+  ASSERT_NE(r.config_desc.find("pcp=diff"), std::string::npos) << r.config_desc;
+  EXPECT_TRUE(r.ok()) << r.Summary();
+  EXPECT_GT(r.dsm.diff_merges_sent, 0u);
+  EXPECT_GT(r.packet.requests_sent, 0u);
 }
 
 // --- Pinned fuzzer finds ---------------------------------------------------------------------
@@ -129,7 +133,7 @@ TEST(FuzzPinnedRegressionTest, LostOwnershipTransfersReServeFromGrantRecord) {
 TEST(FuzzPinnedRegressionTest, WriteInvalidateUnderLossCompletesCorrectly) {
   const FuzzResult r = RunFuzzCase("uniform-loss", 9, {});
   EXPECT_TRUE(r.ok()) << r.Summary();
-  EXPECT_GT(r.net.retransmissions, 0u);
+  EXPECT_GT(r.packet.retransmissions, 0u);
 }
 
 // Pins the stale-done guard in NodeRuntime's reduce handler (DESIGN.md §11). With coalescing on,

@@ -32,19 +32,7 @@ ClusterConfig Config(int nodes, Pcp pcp) {
 DsmStats SumDsm(const core::RunReport& r) {
   DsmStats total;
   for (const auto& nr : r.nodes) {
-    total.read_faults += nr.dsm.read_faults;
-    total.write_faults += nr.dsm.write_faults;
-    total.invalidations_sent += nr.dsm.invalidations_sent;
-    total.diff_twins_created += nr.dsm.diff_twins_created;
-    total.diff_merges_sent += nr.dsm.diff_merges_sent;
-    total.diff_pages_flushed += nr.dsm.diff_pages_flushed;
-    total.diff_bytes_sent += nr.dsm.diff_bytes_sent;
-    total.diff_merges_applied += nr.dsm.diff_merges_applied;
-    total.diff_pages_merged += nr.dsm.diff_pages_merged;
-    total.diff_stale_merges_ignored += nr.dsm.diff_stale_merges_ignored;
-    total.adapter_switches_to_diff += nr.dsm.adapter_switches_to_diff;
-    total.adapter_switches_to_ii += nr.dsm.adapter_switches_to_ii;
-    total.page_data_bytes += nr.dsm.page_data_bytes;
+    total += nr.dsm;
   }
   return total;
 }

@@ -94,32 +94,21 @@ int main(int argc, char** argv) {
       }
     }
     if (have_seed) {
-      std::printf(
-          "    checks=%llu quiescent_points=%llu makespan_ms=%.3f\n"
-          "    dropped=%llu duplicated=%llu delayed=%llu stall_deferrals=%llu retransmits=%llu\n"
-          "    grant_reserves=%llu stale_invals=%llu stale_transfer_dups=%llu "
-          "discarded_installs=%llu\n"
-          "    read_faults=%llu write_faults=%llu served=%llu invals_sent=%llu forwards=%llu "
-          "mirage_deferrals=%llu fetch_deferrals=%llu use_deferrals=%llu\n",
-          static_cast<unsigned long long>(r.oracle_checks),
-          static_cast<unsigned long long>(r.quiescent_points), dfil::ToMilliseconds(r.makespan),
-          static_cast<unsigned long long>(r.net.messages_dropped),
-          static_cast<unsigned long long>(r.net.messages_duplicated),
-          static_cast<unsigned long long>(r.net.messages_delayed),
-          static_cast<unsigned long long>(r.net.stall_deferrals),
-          static_cast<unsigned long long>(r.net.retransmissions),
-          static_cast<unsigned long long>(r.dsm.grant_reserves),
-          static_cast<unsigned long long>(r.dsm.stale_invalidations_ignored),
-          static_cast<unsigned long long>(r.dsm.stale_transfer_dups_ignored),
-          static_cast<unsigned long long>(r.dsm.discarded_installs),
-          static_cast<unsigned long long>(r.dsm.read_faults),
-          static_cast<unsigned long long>(r.dsm.write_faults),
-          static_cast<unsigned long long>(r.dsm.page_requests_served),
-          static_cast<unsigned long long>(r.dsm.invalidations_sent),
-          static_cast<unsigned long long>(r.dsm.page_forwards),
-          static_cast<unsigned long long>(r.dsm.mirage_deferrals),
-          static_cast<unsigned long long>(r.dsm.fetch_deferrals),
-          static_cast<unsigned long long>(r.dsm.use_deferrals));
+      std::printf("    checks=%llu quiescent_points=%llu makespan_ms=%.3f\n",
+                  static_cast<unsigned long long>(r.oracle_checks),
+                  static_cast<unsigned long long>(r.quiescent_points),
+                  dfil::ToMilliseconds(r.makespan));
+      // Every nonzero counter of the cluster-wide roll-ups, one per line.
+      const auto print_under = [](const char* layer) {
+        return [layer](const char* name, uint64_t value) {
+          if (value != 0) {
+            std::printf("    %s%s=%llu\n", layer, name, static_cast<unsigned long long>(value));
+          }
+        };
+      };
+      r.net.ForEach(print_under("net."));
+      r.packet.ForEach(print_under("net."));
+      r.dsm.ForEach(print_under("dsm."));
     }
     if (!trace_path.empty() && r.trace != nullptr) {
       std::ofstream out(trace_path);
