@@ -89,8 +89,8 @@ void RunScenario(const char* name, std::set<int> drop, std::set<int> delay) {
   SimTime done_at = 0;
   net::WireWriter w;
   w.Put(int64_t{21});
-  a.endpoint->SendRequest(1, net::Service::kTestEcho, w.Take(), [&](net::Payload reply) {
-    result = net::WireReader(reply).Get<int64_t>();
+  a.endpoint->SendRequest(1, net::Service::kTestEcho, w.Take(), [&](net::WireReader reply) {
+    result = reply.Get<int64_t>();
     done_at = a.Clock();
   });
   machine->Run();

@@ -94,7 +94,7 @@ void FjEngine::RegisterServices() {
     WakeAllIdle();
   };
   pk.RegisterRawHandler(net::Service::kTerminate,
-                        [handle_terminate](NodeId, net::Payload) { handle_terminate(); });
+                        [handle_terminate](NodeId, net::WireReader) { handle_terminate(); });
   pk.RegisterService(
       net::Service::kTerminate,
       [handle_terminate](NodeId, net::WireReader) -> std::optional<net::Payload> {

@@ -67,11 +67,10 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
 
   packet_->RegisterRawHandler(
       net::Service::kAppData,
-      [this](NodeId src, net::Payload body) {
-        net::WireReader r(body);
+      [this](NodeId src, net::WireReader r) {
         const auto tag = r.Get<uint32_t>();
         Channel& ch = channels_[{src, tag}];
-        ch.messages.emplace_back(r.Rest().begin(), r.Rest().end());
+        ch.messages.emplace_back(r.Rest().begin(), r.Rest().end());  // outlives the datagram
         if (ch.waiter != nullptr) {
           threads::ServerThread* t = ch.waiter;
           ch.waiter = nullptr;
@@ -258,8 +257,8 @@ net::Payload NodeRuntime::CallService(NodeId dst, net::Service service, net::Pay
   } state;
   packet_->SendRequest(
       dst, service, std::move(body),
-      [this, self, &state](net::Payload reply) {
-        state.reply = std::move(reply);
+      [this, self, &state](net::WireReader reply) {
+        state.reply.assign(reply.Rest().begin(), reply.Rest().end());  // outlives the datagram
         state.done = true;
         if (self->state() == threads::ThreadState::kBlocked &&
             self->block_kind() == WaitKind::kCall) {
@@ -387,9 +386,7 @@ void NodeRuntime::RegisterReduceServices() {
     }
   };
   packet_->RegisterRawHandler(net::Service::kReduceDone,
-                              [handle_done](NodeId, net::Payload body) {
-                                handle_done(net::WireReader(body));
-                              });
+                              [handle_done](NodeId, net::WireReader body) { handle_done(body); });
   packet_->RegisterService(
       net::Service::kReduceDone,
       [handle_done](NodeId, net::WireReader body) -> std::optional<net::Payload> {
@@ -488,13 +485,12 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
                      config_.barrier != ClusterConfig::BarrierKind::kDissemination;
   const uint64_t req = packet_->SendRequest(
       dst, net::Service::kReduceUp, w.Take(),
-      [this](net::Payload reply) {
+      [this](net::WireReader r) {
         pending_up_req_ = 0;
-        if (reply.empty()) {
+        if (r.remaining() == 0) {
           return;  // plain ack (elision off, or the parent had not seen done yet)
         }
         // Done-carrying reply: the parent answered a retransmitted up with the barrier result.
-        net::WireReader r(reply);
         const auto epoch = r.Get<uint64_t>();
         const auto value = r.Get<double>();
         if (config_.balancer.enabled) {

@@ -300,7 +300,7 @@ void DsmNode::StartInvalidations(PageId page, uint64_t targets) {
     stats_.invalidations_sent++;
     packet_->SendRequest(
         n, net::Service::kInvalidate, w.Take(),
-        [this, page](net::Payload) {
+        [this, page](net::WireReader) {
           PageEntry& entry = table_[page];
           DFIL_CHECK_GT(entry.pending_invalidate_acks, 0);
           if (--entry.pending_invalidate_acks == 0) {
@@ -318,10 +318,7 @@ void DsmNode::SendPageRequest(PageId page, AccessMode mode, NodeId target) {
   w.Put(RequestBody{page, mode, table_[page].fetch_seq});
   packet_->SendRequest(
       target, net::Service::kPageRequest, w.Take(),
-      [this, page, mode, target](net::Payload reply) {
-        (void)target;
-        OnPageReply(page, mode, std::move(reply));
-      },
+      [this, page, mode](net::WireReader reply) { OnPageReply(page, mode, reply); },
       TimeCategory::kDataTransfer);
 }
 
@@ -458,9 +455,10 @@ net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool 
   const std::vector<PageId> group = layout_->GroupPagesOf(page);
   const uint8_t flags =
       static_cast<uint8_t>((transfer_ownership ? kReplyFlagOwnership : 0) | extra_flags);
-  net::WireWriter w;
-  w.Put(ReplyHeader{kReplyOk, self_, flags, static_cast<uint16_t>(group.size())});
   const size_t ps = layout_->page_size();
+  net::WireWriter w;
+  w.Reserve(sizeof(ReplyHeader) + group.size() * (sizeof(PageBlockHeader) + ps));
+  w.Put(ReplyHeader{kReplyOk, self_, flags, static_cast<uint16_t>(group.size())});
   for (PageId p : group) {
     const PageEntry& e = table_[p];
     const uint64_t copyset = include_copyset ? (from_grant ? e.grant_copyset : e.copyset) : 0;
@@ -471,8 +469,7 @@ net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool 
   return w.Take();
 }
 
-void DsmNode::OnPageReply(PageId page, AccessMode mode, net::Payload reply) {
-  net::WireReader r(reply);
+void DsmNode::OnPageReply(PageId page, AccessMode mode, net::WireReader r) {
   const auto h = r.Get<ReplyHeader>();
   PageEntry& e = table_[page];
   DFIL_CHECK(e.fetching) << "page reply for a page we are not fetching";
@@ -693,7 +690,7 @@ void DsmNode::SendBulkRequest(PageId first, uint16_t count, NodeId target) {
       sizeof(BulkReplyHeader) + count * (sizeof(PageBlockHeader) + layout_->page_size());
   packet_->SendRequest(
       target, net::Service::kBulkPageRequest, w.Take(),
-      [this](net::Payload reply) { OnBulkReply(std::move(reply)); },
+      [this](net::WireReader reply) { OnBulkReply(reply); },
       TimeCategory::kDataTransfer, expected_reply);
 }
 
@@ -724,10 +721,12 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
                       costs_->bulk_service_extra_page * static_cast<SimTime>(hits.size() - 1));
     stats_.bulk_pages_served += hits.size();
   }
+  const size_t ps = layout_->page_size();
   net::WireWriter w;
+  w.Reserve(sizeof(BulkReplyHeader) + hits.size() * (sizeof(PageBlockHeader) + ps) +
+            misses.size() * sizeof(PageId));
   w.Put(BulkReplyHeader{self_, req.first, static_cast<uint16_t>(hits.size()),
                         static_cast<uint16_t>(misses.size())});
-  const size_t ps = layout_->page_size();
   for (PageId p : hits) {
     PageEntry& e = table_[p];
     if (proto(p).TracksCopyset()) {
@@ -749,8 +748,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
   return w.Take();
 }
 
-void DsmNode::OnBulkReply(net::Payload reply) {
-  net::WireReader r(reply);
+void DsmNode::OnBulkReply(net::WireReader r) {
   const auto h = r.Get<BulkReplyHeader>();
   TraceSpan install_span(tracer_, "dsm", "bulk_install p", h.first);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
@@ -880,7 +878,7 @@ void DsmNode::SendRehomeRequest(const std::vector<std::pair<PageId, uint32_t>>& 
                       sizeof(PageBlockHeader) + layout_->page_size());
   packet_->SendRequest(
       source, net::Service::kRehomePages, w.Take(),
-      [this](net::Payload reply) { OnRehomeReply(std::move(reply)); },
+      [this](net::WireReader reply) { OnRehomeReply(reply); },
       TimeCategory::kDataTransfer, expected_reply);
 }
 
@@ -952,20 +950,18 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
   return w.Take();
 }
 
-void DsmNode::OnRehomeReply(net::Payload reply) {
-  net::WireReader r(reply);
+void DsmNode::OnRehomeReply(net::WireReader r) {
   const auto h = r.Get<RehomeReplyHeader>();
   TraceSpan install_span(tracer_, "dsm", "rehome_install x", h.nserved);
   for (uint16_t i = 0; i < h.nserved; ++i) {
     const auto page = r.Get<PageId>();
     const auto len = r.Get<uint32_t>();
-    net::Payload embedded(len);
-    r.GetBytes(embedded.data(), len);
+    const net::WireReader embedded(r.GetSpan(len));
     stats_.pages_rehomed++;
     // The embedded payload is a standard single-page transfer reply: route it through the
     // normal install path so grants, copyset invalidation rounds, the Mirage window, waiter
     // wake-ups and the oracle hooks all behave exactly as for a demand fault.
-    OnPageReply(page, AccessMode::kWrite, std::move(embedded));
+    OnPageReply(page, AccessMode::kWrite, embedded);
   }
   for (uint16_t i = 0; i < h.nmisses; ++i) {
     const PageId p = r.Get<PageId>();

@@ -280,7 +280,7 @@ class DsmNode {
   // Handles an incoming page request; returns the reply payload or nullopt to defer.
   std::optional<net::Payload> ServePageRequest(NodeId src, net::WireReader body);
   std::optional<net::Payload> ServeInvalidate(NodeId src, net::WireReader body);
-  void OnPageReply(PageId page, AccessMode mode, net::Payload reply);
+  void OnPageReply(PageId page, AccessMode mode, net::WireReader reply);
 
   // --- PageProtocol plumbing (policy helpers the strategies share; page_protocol.h) ---
 
@@ -317,7 +317,7 @@ class DsmNode {
   // Serves a bulk request from current state: ships the pages this node owns as read-only copies
   // and reports the rest as misses (idempotent; never defers, never transfers ownership).
   std::optional<net::Payload> ServeBulkRequest(NodeId src, net::WireReader body);
-  void OnBulkReply(net::Payload reply);
+  void OnBulkReply(net::WireReader reply);
 
   // --- Rebalance page re-homing ---
 
@@ -327,7 +327,7 @@ class DsmNode {
   // as an embedded ownership-transfer reply; everything else is a miss. Never defers — the whole
   // batch answers at once, and a per-page grant record keeps re-serves loss-safe.
   std::optional<net::Payload> ServeRehomeRequest(NodeId src, net::WireReader body);
-  void OnRehomeReply(net::Payload reply);
+  void OnRehomeReply(net::WireReader reply);
 
   // Completes one page of a bulk fetch (no group logic: bulk runs cover ungrouped pages only).
   // `diff_copy` installs the page as a multiple-writer copy (from the block's diff tag).

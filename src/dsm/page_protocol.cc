@@ -6,6 +6,8 @@
 // diff protocol is new; DESIGN.md §10 describes it.
 #include "src/dsm/page_protocol.h"
 
+#include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -226,7 +228,15 @@ void DiffProtocol::FlushTwins() {
   };
   std::vector<Merge> merges;
   for (auto& [home, pages] : by_home) {
+    size_t bytes = sizeof(net::DiffMergeHeader);
+    for (const PageDiff& d : pages) {
+      bytes += sizeof(net::DiffPageHeader);
+      for (const net::DiffRun& run : d.runs) {
+        bytes += sizeof(net::DiffRun) + run.len;
+      }
+    }
     net::WireWriter w;
+    w.Reserve(bytes);
     w.Put(net::DiffMergeHeader{flush_epoch_, static_cast<uint16_t>(pages.size())});
     for (const PageDiff& d : pages) {
       w.Put(net::DiffPageHeader{d.page, static_cast<uint16_t>(d.runs.size())});
@@ -284,7 +294,7 @@ void DiffProtocol::FlushTwins() {
     }
     node_.packet_->SendRequest(
         m.home, net::Service::kDiffMerge, std::move(m.payload),
-        [this, epoch, flow = m.flow](net::Payload) {
+        [this, epoch, flow = m.flow](net::WireReader) {
           if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
             tr->Flow(kFlowEnd, "dsm", "diff e" + std::to_string(epoch), flow);
           }
@@ -326,7 +336,6 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
     return net::Payload{};
   }
   applied_epoch_[src] = h.epoch;
-  std::vector<std::byte> scratch(node_.layout_->page_size());
   bool applied_any = false;
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto ph = body.Get<net::DiffPageHeader>();
@@ -340,7 +349,10 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
     runs.reserve(ph.nruns);
     for (uint16_t r = 0; r < ph.nruns; ++r) {
       const auto run = body.Get<net::DiffRun>();
-      body.GetBytes(own ? frame + run.offset : scratch.data(), run.len);
+      const std::span<const std::byte> bytes = body.GetSpan(run.len);
+      if (own) {
+        std::memcpy(frame + run.offset, bytes.data(), run.len);
+      }
       runs.push_back(run);
     }
     if (!own) {

@@ -78,8 +78,31 @@ void PacketEndpoint::RegisterRawHandler(Service service, RawFn fn, TimeCategory 
   DFIL_CHECK(inserted) << "raw handler registered twice: " << static_cast<int>(service);
 }
 
+Payload PacketEndpoint::Frame(Kind kind, Service service, uint64_t req_id, uint64_t trace,
+                              std::span<const std::byte> body) {
+  WireWriter w;
+  w.Reserve(sizeof(Header) + body.size());
+  w.Put(Header{kind, static_cast<uint16_t>(service), req_id, trace});
+  w.PutBytes(body.data(), body.size());
+  return w.Take();
+}
+
+sim::Datagram PacketEndpoint::LegacyDatagram(NodeId dst, Kind kind, Service service,
+                                             uint64_t trace, Payload frame) {
+  RecordDatagram(frame.size(), 1);
+  sim::Datagram d;
+  d.src = self_;
+  d.dst = dst;
+  d.type = static_cast<uint32_t>(service);
+  d.klass = static_cast<sim::MsgClass>(kind);
+  d.trace = trace;
+  d.payload = std::move(frame);
+  return d;
+}
+
 void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t req_id,
-                              const Payload& body, TimeCategory charge_as, uint64_t trace) {
+                              std::span<const std::byte> body, TimeCategory charge_as,
+                              uint64_t trace) {
   // Kind and sim::MsgClass share the wire numbering so fault rules can filter on the class.
   static_assert(static_cast<uint8_t>(Kind::kRequest) ==
                 static_cast<uint8_t>(sim::MsgClass::kRequest));
@@ -95,18 +118,9 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
   }
   host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
-  WireWriter w;
-  w.Put(Header{kind, static_cast<uint16_t>(service), req_id, trace});
-  w.PutBytes(body.data(), body.size());
-  RecordDatagram(w.size(), 1);
-  sim::Datagram d;
-  d.src = self_;
-  d.dst = dst;
-  d.type = static_cast<uint32_t>(service);
-  d.klass = static_cast<sim::MsgClass>(kind);
-  d.trace = trace;
-  d.payload = w.Take();
-  machine_->Send(std::move(d), host_->Clock());
+  machine_->Send(
+      LegacyDatagram(dst, kind, service, trace, Frame(kind, service, req_id, trace, body)),
+      host_->Clock());
 }
 
 namespace {
@@ -115,8 +129,8 @@ constexpr size_t kFrameLenBytes = sizeof(uint32_t);
 }  // namespace
 
 void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t req_id,
-                             const Payload& body, TimeCategory charge_as, uint64_t trace,
-                             bool held, SimTime hold_for) {
+                             std::span<const std::byte> body, TimeCategory charge_as,
+                             uint64_t trace, bool held, SimTime hold_for) {
   DstQueue& q = queues_[dst];
   const size_t frame_bytes = kFrameLenBytes + sizeof(Header) + body.size();
   // MTU flush: packing this frame would overflow the datagram, so flush what is queued first.
@@ -134,7 +148,7 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   }
   sent_by_service_[static_cast<uint16_t>(service)]++;
   q.bytes += frame_bytes;
-  QueuedFrame frame{kind, service, req_id, body, trace};
+  QueuedFrame frame{kind, service, trace, Frame(kind, service, req_id, trace, body)};
   if (held) {
     q.held.push_back(std::move(frame));
     if (!q.hold_armed) {
@@ -234,34 +248,36 @@ void PacketEndpoint::FlushQueue(NodeId dst) {
 }
 
 void PacketEndpoint::SendFrames(NodeId dst, std::vector<QueuedFrame>& frames) {
+  if (frames.size() == 1) {
+    // A singleton flush sends the frame's bytes as they are: the legacy wire format,
+    // byte-identical to an uncoalesced send.
+    QueuedFrame& f = frames[0];
+    machine_->Send(LegacyDatagram(dst, f.kind, f.service, f.trace, std::move(f.bytes)),
+                   host_->Clock());
+    return;
+  }
+  size_t bytes = sizeof(Header);
+  for (const QueuedFrame& f : frames) {
+    bytes += kFrameLenBytes + f.bytes.size();
+  }
+  WireWriter w;
+  w.Reserve(bytes);
+  w.Put(Header{Kind::kPacked, 0, static_cast<uint64_t>(frames.size()), 0});
+  for (const QueuedFrame& f : frames) {
+    w.Put(static_cast<uint32_t>(f.bytes.size()));
+    w.PutBytes(f.bytes.data(), f.bytes.size());
+  }
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
+                                std::to_string(dst));
+  }
+  RecordDatagram(w.size(), frames.size());
   sim::Datagram d;
   d.src = self_;
   d.dst = dst;
-  WireWriter w;
-  if (frames.size() == 1) {
-    // A singleton flush uses the legacy wire format — byte-identical to an uncoalesced send.
-    QueuedFrame& f = frames[0];
-    w.Put(Header{f.kind, static_cast<uint16_t>(f.service), f.req_id, f.trace});
-    w.PutBytes(f.body.data(), f.body.size());
-    d.type = static_cast<uint32_t>(f.service);
-    d.klass = static_cast<sim::MsgClass>(f.kind);
-    d.trace = f.trace;
-  } else {
-    w.Put(Header{Kind::kPacked, 0, static_cast<uint64_t>(frames.size()), 0});
-    for (QueuedFrame& f : frames) {
-      w.Put(static_cast<uint32_t>(sizeof(Header) + f.body.size()));
-      w.Put(Header{f.kind, static_cast<uint16_t>(f.service), f.req_id, f.trace});
-      w.PutBytes(f.body.data(), f.body.size());
-    }
-    d.type = 0;
-    d.klass = sim::MsgClass::kPacked;
-    d.trace = frames[0].trace;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
-                                  std::to_string(dst));
-    }
-  }
-  RecordDatagram(w.size(), frames.size());
+  d.type = 0;
+  d.klass = sim::MsgClass::kPacked;
+  d.trace = frames[0].trace;
   d.payload = w.Take();
   machine_->Send(std::move(d), host_->Clock());
 }
@@ -286,7 +302,7 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
   Outstanding out;
   out.dst = dst;
   out.service = service;
-  out.body = body;
+  out.body = std::move(body);
   out.on_reply = std::move(on_reply);
   out.timeout = InitialTimeout(dst, expected_reply_bytes);
   if (coalesce_.enabled &&
@@ -311,10 +327,10 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
     metrics_->Hist("net.serve_queue_depth").Record(static_cast<double>(outstanding_.size() + 1));
   }
   if (coalesce_.enabled && ShouldHold(dst, service)) {
-    Enqueue(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace, /*held=*/true,
-            kRequestHold);
+    Enqueue(dst, Kind::kRequest, service, req_id, out.body, charge_as, out.trace,
+            /*held=*/true, kRequestHold);
   } else {
-    Transmit(dst, Kind::kRequest, service, req_id, body, charge_as, out.trace);
+    Transmit(dst, Kind::kRequest, service, req_id, out.body, charge_as, out.trace);
   }
   outstanding_.emplace(req_id, std::move(out));
   ArmTimer(req_id);
@@ -426,29 +442,22 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
   ArmTimer(req_id);
 }
 
-void PacketEndpoint::SendRaw(NodeId dst, Service service, Payload body, TimeCategory charge_as) {
+void PacketEndpoint::SendRaw(NodeId dst, Service service, std::span<const std::byte> body,
+                             TimeCategory charge_as) {
   stats_.raw_sent++;
   Transmit(dst, Kind::kRaw, service, 0, body, charge_as, CurTrace());
 }
 
-void PacketEndpoint::BroadcastRaw(Service service, Payload body, TimeCategory charge_as) {
+void PacketEndpoint::BroadcastRaw(Service service, std::span<const std::byte> body,
+                                  TimeCategory charge_as) {
   // Broadcasts cannot be packed per destination; they go out immediately even when coalescing.
   stats_.raw_sent++;
   host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
   const uint64_t trace = CurTrace();
-  WireWriter w;
-  w.Put(Header{Kind::kRaw, static_cast<uint16_t>(service), 0, trace});
-  w.PutBytes(body.data(), body.size());
-  RecordDatagram(w.size(), 1);
-  sim::Datagram d;
-  d.src = self_;
-  d.dst = sim::kBroadcastDst;
-  d.type = static_cast<uint32_t>(service);
-  d.klass = sim::MsgClass::kRaw;
-  d.trace = trace;
-  d.payload = w.Take();
-  machine_->Broadcast(std::move(d), host_->Clock());
+  machine_->Broadcast(LegacyDatagram(sim::kBroadcastDst, Kind::kRaw, service, trace,
+                                     Frame(Kind::kRaw, service, 0, trace, body)),
+                      host_->Clock());
 }
 
 void PacketEndpoint::OnDatagram(sim::Datagram d) {
@@ -461,6 +470,8 @@ void PacketEndpoint::OnDatagram(sim::Datagram d) {
     // that. The event stays armed and fires later as a no-op on the emptied queues.
     FlushBatches();
   }
+  // Every frame is read in place: handlers get readers into d.payload, which lives until the
+  // last frame is dispatched and then goes back to the spare list.
   WireReader r(d.payload);
   const Header h = r.Get<Header>();
   if (h.kind == Kind::kPacked) {
@@ -472,21 +483,18 @@ void PacketEndpoint::OnDatagram(sim::Datagram d) {
     for (size_t i = 0; i < nframes; ++i) {
       const size_t len = r.Get<uint32_t>();
       DFIL_CHECK_GE(len, sizeof(Header)) << "corrupt packed frame";
-      Payload frame_bytes(len);
-      r.GetBytes(frame_bytes.data(), len);
-      WireReader fr(frame_bytes);
-      const Header fh = fr.Get<Header>();
-      Payload body(fr.Rest().begin(), fr.Rest().end());
-      DispatchFrame(d.src, fh, std::move(body), /*first=*/i == 0);
+      WireReader frame(r.GetSpan(len));
+      const Header fh = frame.Get<Header>();
+      DispatchFrame(d.src, fh, frame, /*first=*/i == 0);
     }
     DFIL_CHECK_EQ(r.remaining(), size_t{0}) << "trailing bytes after packed frames";
-    return;
+  } else {
+    DispatchFrame(d.src, h, r, /*first=*/true);
   }
-  Payload body(r.Rest().begin(), r.Rest().end());
-  DispatchFrame(d.src, h, std::move(body), /*first=*/true);
+  ReturnSpare(std::move(d.payload));
 }
 
-void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bool first) {
+void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, WireReader body, bool first) {
   // The first frame of a datagram pays the full receive overhead (SIGIO + syscall + copy); later
   // frames only the marginal unpack-and-dispatch cost.
   const SimTime recv_cost =
@@ -504,7 +512,7 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
                                 static_cast<Service>(h.service) == Service::kBulkPageRequest)) {
         last_req_from_[src] = host_->Clock();  // drives the mutual-peer hold heuristic
       }
-      HandleRequest(src, h.req_id, static_cast<Service>(h.service), std::move(body));
+      HandleRequest(src, h.req_id, static_cast<Service>(h.service), body);
       return;
     }
     case Kind::kReply: {
@@ -512,7 +520,7 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
       host_->Charge(
           out != outstanding_.end() ? out->second.charge_as : TimeCategory::kSyncOverhead,
           recv_cost);
-      HandleReply(src, h.req_id, std::move(body));
+      HandleReply(src, h.req_id, body);
       return;
     }
     case Kind::kRaw: {
@@ -520,7 +528,7 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
       DFIL_CHECK(it != raw_handlers_.end())
           << "node " << self_ << ": no raw handler for service " << h.service;
       host_->Charge(it->second.recv_category, recv_cost);
-      it->second.fn(src, std::move(body));
+      it->second.fn(src, body);
       return;
     }
     case Kind::kAck: {
@@ -538,7 +546,8 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, Payload body, bo
   DFIL_CHECK(false) << "corrupt packet kind";
 }
 
-void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service, Payload body) {
+void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
+                                   WireReader body) {
   ServiceEntry& entry = services_.find(static_cast<uint16_t>(service))->second;
 
   if (!entry.idempotent) {
@@ -568,7 +577,7 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   }
 
   elide_current_reply_ = false;
-  std::optional<Payload> reply = entry.fn(src, WireReader(body));
+  std::optional<Payload> reply = entry.fn(src, body);
   if (!reply.has_value()) {
     elide_current_reply_ = false;
     stats_.deferred_requests++;
@@ -617,10 +626,11 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     SendReplyBuffered(src, service, req_id, std::move(*reply));
   } else {
     Transmit(src, Kind::kReply, service, req_id, *reply, TimeCategory::kSyncOverhead, CurTrace());
+    ReturnSpare(std::move(*reply));  // framed: the frame holds its own copy
   }
 }
 
-void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, Payload body) {
+void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, WireReader body) {
   if (config_.ack_replies) {
     // TCP-like mode: explicitly acknowledge every reply (duplicates included, or the replier
     // would retransmit its buffered copy forever). With coalescing on the ack is held so it can
@@ -644,7 +654,7 @@ void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, Payload body) {
   ReplyFn on_reply = std::move(it->second.on_reply);
   outstanding_.erase(it);
   if (on_reply) {
-    on_reply(std::move(body));
+    on_reply(body);
   }
 }
 

@@ -23,6 +23,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -150,10 +151,12 @@ class PacketHost : public sim::NodeHost {
 class PacketEndpoint {
  public:
   // A service consumes a request body and returns the reply body, or nullopt to defer the request
-  // entirely (it will be served on a later retransmission).
+  // entirely (it will be served on a later retransmission). Services, reply handlers and raw
+  // handlers all read their body in place: the reader points into the received datagram, whose
+  // buffer is recycled once the handler returns, so a handler copies whatever it keeps.
   using ServiceFn = std::function<std::optional<Payload>(NodeId src, WireReader body)>;
-  using ReplyFn = std::function<void(Payload reply)>;
-  using RawFn = std::function<void(NodeId src, Payload body)>;
+  using ReplyFn = std::function<void(WireReader reply)>;
+  using RawFn = std::function<void(NodeId src, WireReader body)>;
 
   // `host` owns the endpoint and outlives it; the endpoint takes its node id from it.
   PacketEndpoint(sim::Machine* machine, PacketHost* host, PacketConfig config);
@@ -197,12 +200,13 @@ class PacketEndpoint {
   const CoalesceConfig& coalesce() const { return coalesce_; }
 
   // Unreliable one-shot datagrams (bare UDP semantics).
-  void SendRaw(NodeId dst, Service service, Payload body,
+  void SendRaw(NodeId dst, Service service, std::span<const std::byte> body,
                TimeCategory charge_as = TimeCategory::kSyncOverhead);
-  void BroadcastRaw(Service service, Payload body,
+  void BroadcastRaw(Service service, std::span<const std::byte> body,
                     TimeCategory charge_as = TimeCategory::kSyncOverhead);
 
-  // Datagram ingress (wired from the owning NodeHost). Charges receive overhead.
+  // Datagram ingress (wired from the owning NodeHost). Charges receive overhead, dispatches each
+  // frame in place, then hands the datagram's buffer back for reuse (ReturnSpare).
   void OnDatagram(sim::Datagram d);
 
   // Requests still awaiting a reply. Nodes delay at synchronization points until this is zero.
@@ -256,9 +260,8 @@ class PacketEndpoint {
   struct QueuedFrame {
     Kind kind;
     Service service;
-    uint64_t req_id;
-    Payload body;
     uint64_t trace;
+    Payload bytes;  // Header + body: exactly what a singleton datagram carries
   };
 
   struct DstQueue {
@@ -292,13 +295,20 @@ class PacketEndpoint {
     SimTime expires;
   };
 
-  void Transmit(NodeId dst, Kind kind, Service service, uint64_t req_id, const Payload& body,
-                TimeCategory charge_as, uint64_t trace);
+  // Header + body in one buffer sized to fit: a frame's bytes are written once, here.
+  static Payload Frame(Kind kind, Service service, uint64_t req_id, uint64_t trace,
+                       std::span<const std::byte> body);
+  // A legacy (one-frame) datagram carrying `frame` as it is; records its datagram-level stats.
+  sim::Datagram LegacyDatagram(NodeId dst, Kind kind, Service service, uint64_t trace,
+                               Payload frame);
+  void Transmit(NodeId dst, Kind kind, Service service, uint64_t req_id,
+                std::span<const std::byte> body, TimeCategory charge_as, uint64_t trace);
   // Coalescing send path: queues the frame to `dst` (charging send overhead for the first frame,
   // the marginal pack cost for the rest). Critical frames arm the same-clock flush event; held
   // frames wait for a carrier or their per-destination hold timer.
-  void Enqueue(NodeId dst, Kind kind, Service service, uint64_t req_id, const Payload& body,
-               TimeCategory charge_as, uint64_t trace, bool held, SimTime hold_for);
+  void Enqueue(NodeId dst, Kind kind, Service service, uint64_t req_id,
+               std::span<const std::byte> body, TimeCategory charge_as, uint64_t trace, bool held,
+               SimTime hold_for);
   // True when a page/bulk request to `dst` should be held for mutual-peer piggybacking, or the
   // service is a gated diff merge (always held; it rides the reduce-up frame).
   bool ShouldHold(NodeId dst, Service service) const;
@@ -317,13 +327,13 @@ class PacketEndpoint {
   // Feeds one reply into the per-peer RTT estimator (Karn's rule: first-attempt samples only).
   void UpdateRtt(NodeId src, const Outstanding& out);
   // Dispatches one unpacked frame; `first` selects full receive overhead vs the marginal cost.
-  void DispatchFrame(NodeId src, const Header& h, Payload body, bool first);
+  void DispatchFrame(NodeId src, const Header& h, WireReader body, bool first);
   // The node's current causal trace id (0 when no tracer is wired).
   uint64_t CurTrace() const { return tracer_ != nullptr ? tracer_->current() : 0; }
   void ArmTimer(uint64_t req_id);
   void OnTimeout(uint64_t req_id);
-  void HandleRequest(NodeId src, uint64_t req_id, Service service, Payload body);
-  void HandleReply(NodeId src, uint64_t req_id, Payload body);
+  void HandleRequest(NodeId src, uint64_t req_id, Service service, WireReader body);
+  void HandleReply(NodeId src, uint64_t req_id, WireReader body);
   // ack_replies mode: buffer an outgoing reply and retransmit it until acknowledged.
   void SendReplyBuffered(NodeId dst, Service service, uint64_t req_id, Payload body);
   void OnReplyTimeout(NodeId dst, uint64_t req_id);

@@ -18,8 +18,37 @@ namespace dfil::net {
 
 using Payload = std::vector<std::byte>;
 
+// --- Spare message buffers ----------------------------------------------------------------------
+//
+// A bulk page reply is about 64 KB. After a free of 64 KB or more, glibc trims the top of its heap
+// back to the kernel, so a freed reply buffer makes the next one fault its pages in again. Large
+// buffers are therefore kept for reuse: the Packet receive path hands back a datagram's buffer
+// once its frames are dispatched, and WireWriter::Reserve takes from the list before allocating.
+// The list is per OS thread: every node of a cluster shares it (node 0, the default home, serves
+// every bulk reply and receives few), and clusters run on different threads never share one.
+// A buffer's bytes are poisoned for AddressSanitizer while it sits in the list, and the list hands
+// out its oldest buffer first, so each stays poisoned as long as it can. Under ASan a view of a
+// message of kSpareMinBytes or more kept past its event therefore fails only until its buffer is
+// reused; a smaller message is freed, and ASan's quarantine catches a late read of it.
+
+// Smaller messages (requests, acks, single-page replies of about 4 KB) bypass the list: malloc
+// recycles them cheaply, and holding them would only crowd out the large buffers.
+inline constexpr size_t kSpareMinBytes = 16 * 1024;
+// Caps what the list pins: 32 bulk replies of 66 KB are about 2 MB. On the 8-node diff
+// false-sharing run (perfbench fs8_diff_co) the list then serves 88% of large reservations, and
+// an attempt's minor page faults fall from about 60 k to 2.3 k.
+inline constexpr size_t kMaxSpares = 32;
+
+// Keeps `buf` for reuse when it holds at least kSpareMinBytes and the calling thread's list has
+// room; frees it otherwise.
+void ReturnSpare(Payload buf);
+
 class WireWriter {
  public:
+  // Sizes the buffer for `bytes` in total before anything is written. A size of kSpareMinBytes or
+  // more takes the list's oldest spare buffer that large, emptied, when it has one.
+  void Reserve(size_t bytes);
+
   template <typename T>
   void Put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -30,11 +59,10 @@ class WireWriter {
 
   void PutBytes(const void* data, size_t len) {
     if (len == 0) {
-      return;  // empty payloads may come with a null pointer; memcpy(p, nullptr, 0) is UB
+      return;  // empty payloads may come with a null pointer
     }
-    const size_t old = buf_.size();
-    buf_.resize(old + len);
-    std::memcpy(buf_.data() + old, data, len);
+    const auto* bytes = static_cast<const std::byte*>(data);
+    buf_.insert(buf_.end(), bytes, bytes + len);
   }
 
   size_t size() const { return buf_.size(); }
@@ -58,13 +86,19 @@ class WireReader {
     return value;
   }
 
-  void GetBytes(void* out, size_t len) {
-    if (len == 0) {
-      return;
-    }
+  // The next `len` bytes, in place: the view lives as long as the bytes this reader reads.
+  std::span<const std::byte> GetSpan(size_t len) {
     DFIL_CHECK_LE(pos_ + len, data_.size());
-    std::memcpy(out, data_.data() + pos_, len);
+    const std::span<const std::byte> bytes = data_.subspan(pos_, len);
     pos_ += len;
+    return bytes;
+  }
+
+  void GetBytes(void* out, size_t len) {
+    const std::span<const std::byte> bytes = GetSpan(len);
+    if (len != 0) {
+      std::memcpy(out, bytes.data(), len);
+    }
   }
 
   std::span<const std::byte> Rest() const { return data_.subspan(pos_); }

@@ -2,18 +2,8 @@
 
 #include <cstdint>
 
+#include "src/common/asan.h"
 #include "src/common/check.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define DFIL_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define DFIL_ASAN 1
-#endif
-#endif
-#if defined(DFIL_ASAN)
-#include <sanitizer/asan_interface.h>
-#endif
 
 extern "C" {
 // Implemented in context_switch_x86_64.S.
@@ -61,13 +51,11 @@ void Context::Init(std::span<std::byte> stack, EntryFn entry, void* arg, Context
   backend_ = backend;
   DFIL_CHECK_GE(stack.size(), static_cast<size_t>(1024));
 
-#if defined(DFIL_ASAN)
   // A fiber that switches away forever never unwinds, so its frame redzones stay poisoned in
   // ASan's shadow. When the stack pool recycles that memory, writing the new boot frame (or the
   // new fiber's first frames) trips a false stack-buffer-overflow. The old contents are dead by
   // contract, so clear the shadow for the whole stack.
-  __asan_unpoison_memory_region(stack.data(), stack.size());
-#endif
+  AsanUnpoison(stack.data(), stack.size());
 
   if (backend == ContextBackend::kAsm) {
     // 16-align the stack top; plant the boot frame so the first switch "returns" into

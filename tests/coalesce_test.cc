@@ -6,7 +6,9 @@
 
 #include <functional>
 #include <memory>
+#include <iterator>
 #include <optional>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/net/packet.h"
@@ -60,7 +62,7 @@ TEST(CoalesceTest, OffByDefaultSendsOneDatagramPerMessage) {
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) {
     rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i),
-                                 [&](Payload) { ++replies; });
+                                 [&](WireReader) { ++replies; });
   }
   rig.machine->Run();
   EXPECT_EQ(replies, kRequests);
@@ -77,7 +79,7 @@ TEST(CoalesceTest, SingletonFlushStaysOneDatagram) {
   RegisterEcho(*rig.b);
   int64_t got = 0;
   rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(41),
-                               [&](Payload p) { got = WireReader(p).Get<int64_t>(); });
+                               [&](WireReader p) { got = p.Get<int64_t>(); });
   rig.machine->Run();
   EXPECT_EQ(got, 42);
   // A lone frame flushes as a legacy singleton: one datagram each way, nothing coalesced.
@@ -94,7 +96,7 @@ TEST(CoalesceTest, BackToBackRequestsPackIntoOneDatagram) {
   constexpr int kRequests = 8;
   for (int i = 0; i < kRequests; ++i) {
     rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i),
-                                 [&](Payload p) { sum += WireReader(p).Get<int64_t>(); });
+                                 [&](WireReader p) { sum += p.Get<int64_t>(); });
   }
   rig.machine->Run();
   EXPECT_EQ(sum, kRequests * (kRequests - 1) / 2 + kRequests);
@@ -125,7 +127,7 @@ TEST(CoalesceTest, MtuBoundSplitsOversizedBatches) {
     for (int j = 0; j < 250; ++j) {
       w.Put(static_cast<int64_t>(i * 1000 + j));
     }
-    rig.a->endpoint->SendRequest(1, Service::kTestEcho, w.Take(), [&](Payload) { ++replies; });
+    rig.a->endpoint->SendRequest(1, Service::kTestEcho, w.Take(), [&](WireReader) { ++replies; });
   }
   rig.machine->Run();
   EXPECT_EQ(replies, kRequests);
@@ -134,6 +136,95 @@ TEST(CoalesceTest, MtuBoundSplitsOversizedBatches) {
   EXPECT_GE(as.datagrams_sent, 2u);
   EXPECT_LT(as.datagrams_sent, static_cast<uint64_t>(kRequests));
   EXPECT_GT(as.frames_coalesced, 0u);
+}
+
+// `len` bytes of a pattern keyed by `seed`, so a body shifted, truncated or mixed with another
+// message's bytes cannot match.
+Payload Pattern(uint32_t len, uint32_t seed) {
+  Payload p(len);
+  for (uint32_t i = 0; i < len; ++i) {
+    p[i] = static_cast<std::byte>((i * 31 + seed * 7 + (i >> 8)) & 0xff);
+  }
+  return p;
+}
+
+struct LargeBodyRun {
+  std::vector<Payload> replies;  // indexed like kReplyLens
+  Payload raw;
+  PacketStats a, b;
+};
+
+// Replies of these sizes (bytes) are requested back to back at one instant: one above 64 KB, then
+// four small ones that a coalescing endpoint packs into one datagram.
+constexpr uint32_t kReplyLens[] = {70000, 100, 37, 512, 8};
+// A raw datagram above the 16 KB size at which message buffers are kept for reuse.
+constexpr uint32_t kRawLen = 20000;
+
+LargeBodyRun RunLargeBodies(bool coalesce) {
+  Rig rig({}, coalesce);
+  // The request names the reply's length and pattern seed.
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [](NodeId, WireReader r) -> std::optional<Payload> {
+        const auto len = r.Get<uint32_t>();
+        const auto seed = r.Get<uint32_t>();
+        return Pattern(len, seed);
+      },
+      /*idempotent=*/true);
+  LargeBodyRun run;
+  run.replies.resize(std::size(kReplyLens));
+  // Handlers read in place, so each copies the body it keeps.
+  rig.b->endpoint->RegisterRawHandler(
+      Service::kAppData,
+      [&](NodeId, WireReader body) { run.raw.assign(body.Rest().begin(), body.Rest().end()); },
+      TimeCategory::kDataTransfer);
+  for (uint32_t i = 0; i < std::size(kReplyLens); ++i) {
+    WireWriter w;
+    w.Put(kReplyLens[i]);
+    w.Put(i);
+    rig.a->endpoint->SendRequest(1, Service::kTestEcho, w.Take(), [&run, i](WireReader p) {
+      run.replies[i].assign(p.Rest().begin(), p.Rest().end());
+    });
+  }
+  rig.a->endpoint->SendRaw(1, Service::kAppData, Pattern(kRawLen, 99));
+  sim::RunResult r = rig.machine->Run();
+  EXPECT_TRUE(r.completed);
+  run.a = rig.a->endpoint->stats();
+  run.b = rig.b->endpoint->stats();
+  return run;
+}
+
+void ExpectBodiesExact(const LargeBodyRun& run) {
+  for (uint32_t i = 0; i < std::size(kReplyLens); ++i) {
+    EXPECT_EQ(run.replies[i], Pattern(kReplyLens[i], i)) << "reply " << i;
+  }
+  EXPECT_EQ(run.raw, Pattern(kRawLen, 99));
+}
+
+TEST(CoalesceTest, LargeBodiesArriveByteExactUncoalesced) {
+  const LargeBodyRun run = RunLargeBodies(/*coalesce=*/false);
+  ExpectBodiesExact(run);
+  // One datagram per message. The wire counts are pinned: how a body is buffered moves no byte.
+  EXPECT_EQ(run.a.datagrams_sent, 6u);
+  EXPECT_EQ(run.b.datagrams_sent, 5u);
+  EXPECT_EQ(run.a.wire_bytes, 20532u);
+  EXPECT_EQ(run.b.wire_bytes, 71067u);
+  EXPECT_EQ(run.a.frames_coalesced, 0u);
+  EXPECT_EQ(run.b.frames_coalesced, 0u);
+}
+
+TEST(CoalesceTest, LargeBodiesArriveByteExactCoalesced) {
+  const LargeBodyRun run = RunLargeBodies(/*coalesce=*/true);
+  ExpectBodiesExact(run);
+  // The 70000-byte reply exceeds kMaxDatagramBytes and goes out as a singleton legacy datagram;
+  // the four small replies behind it pack into one datagram, as do the five requests. The raw
+  // body also exceeds the MTU and goes alone. The wire counts are pinned, as above.
+  EXPECT_EQ(run.a.datagrams_sent, 2u);
+  EXPECT_EQ(run.b.datagrams_sent, 2u);
+  EXPECT_EQ(run.a.wire_bytes, 20344u);
+  EXPECT_EQ(run.b.wire_bytes, 70933u);
+  EXPECT_EQ(run.a.frames_coalesced, 4u);
+  EXPECT_EQ(run.b.frames_coalesced, 3u);
 }
 
 TEST(CoalesceTest, PackedUnpackIsIdempotentUnderDuplication) {
@@ -160,9 +251,9 @@ TEST(CoalesceTest, PackedUnpackIsIdempotentUnderDuplication) {
   int replies = 0;
   int64_t sum = 0;
   for (int i = 0; i < kRequests; ++i) {
-    rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](Payload p) {
+    rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](WireReader p) {
       ++replies;
-      sum += WireReader(p).Get<int64_t>();
+      sum += p.Get<int64_t>();
     });
   }
   sim::RunResult r = rig.machine->Run();
@@ -188,7 +279,7 @@ TEST(CoalesceTest, PackedDatagramLossRecovers) {
   int replies = 0;
   for (int i = 0; i < kRequests; ++i) {
     rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i),
-                                 [&](Payload) { ++replies; });
+                                 [&](WireReader) { ++replies; });
   }
   sim::RunResult r = rig.machine->Run();
   EXPECT_TRUE(r.completed);
@@ -221,9 +312,9 @@ TEST(CoalesceTest, PackedReorderDeliversEveryFrameOnce) {
   int replies = 0;
   int64_t sum = 0;
   for (int i = 0; i < kRequests; ++i) {
-    rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](Payload p) {
+    rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](WireReader p) {
       ++replies;
-      sum += WireReader(p).Get<int64_t>();
+      sum += p.Get<int64_t>();
     });
   }
   sim::RunResult r = rig.machine->Run();
@@ -248,7 +339,7 @@ TEST(CoalesceTest, PackedBurstLossRecovers) {
   int replies = 0;
   for (int i = 0; i < kRequests; ++i) {
     rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i),
-                                 [&](Payload) { ++replies; });
+                                 [&](WireReader) { ++replies; });
   }
   sim::RunResult r = rig.machine->Run();
   EXPECT_TRUE(r.completed);
@@ -269,7 +360,7 @@ TEST(CoalesceTest, ElidedReplyThenCancelClearsOutstanding) {
       /*idempotent=*/true);
   bool reply_ran = false;
   const uint64_t req = rig.a->endpoint->SendRequest(1, Service::kTestEcho, {},
-                                                    [&](Payload) { reply_ran = true; });
+                                                    [&](WireReader) { reply_ran = true; });
   // A broader signal (in the runtime: the barrier done broadcast) supersedes the elided reply;
   // model it with a timer that cancels the request before the first retransmission would fire.
   rig.machine->ScheduleTimer(0, Milliseconds(30.0), [&] { rig.a->endpoint->CancelRequest(req); })
@@ -292,7 +383,7 @@ TEST(CoalesceTest, MutualPeerHoldRidesOnOwedReply) {
   int replies = 0;
   // t=0: node 0 requests from node 1, making them mutual peers (and stamping last_req_from_).
   rig.a->endpoint->SendRequest(1, Service::kPageRequest, Int64Payload(1),
-                               [&](Payload) { ++replies; });
+                               [&](WireReader) { ++replies; });
   // t=30ms: node 1 requests from node 0. Age since node 0's request (~29ms) sits between
   // kRequestHold (20ms) and kMutualWindow (250ms), and node 1 is the higher-numbered peer, so
   // the request is HELD for a carrier.
@@ -300,7 +391,7 @@ TEST(CoalesceTest, MutualPeerHoldRidesOnOwedReply) {
       ->ScheduleTimer(1, Milliseconds(30.0),
                       [&] {
                         rig.b->endpoint->SendRequest(0, Service::kPageRequest, Int64Payload(2),
-                                                     [&](Payload) { ++replies; });
+                                                     [&](WireReader) { ++replies; });
                       })
       .Release();
   // t=35ms: node 0 requests again; node 1's reply to it is the carrier the held frame rides on.
@@ -308,7 +399,7 @@ TEST(CoalesceTest, MutualPeerHoldRidesOnOwedReply) {
       ->ScheduleTimer(0, Milliseconds(35.0),
                       [&] {
                         rig.a->endpoint->SendRequest(1, Service::kPageRequest, Int64Payload(3),
-                                                     [&](Payload) { ++replies; });
+                                                     [&](WireReader) { ++replies; });
                       })
       .Release();
   sim::RunResult r = rig.machine->Run();
@@ -327,7 +418,7 @@ TEST(CoalesceTest, JustServedFilterSendsRequestImmediately) {
   RegisterEcho(*rig.b, Service::kPageRequest);
   int replies = 0;
   rig.a->endpoint->SendRequest(1, Service::kPageRequest, Int64Payload(1),
-                               [&](Payload) { ++replies; });
+                               [&](WireReader) { ++replies; });
   // t=10ms: node 0's request was served ~8ms ago — inside the hold window — so node 0's next
   // request (the only possible carrier) is a full exchange period away. The just-served filter
   // must send node 1's request immediately instead of stalling it for the whole hold.
@@ -335,7 +426,7 @@ TEST(CoalesceTest, JustServedFilterSendsRequestImmediately) {
       ->ScheduleTimer(1, Milliseconds(10.0),
                       [&] {
                         rig.b->endpoint->SendRequest(0, Service::kPageRequest, Int64Payload(2),
-                                                     [&](Payload) { ++replies; });
+                                                     [&](WireReader) { ++replies; });
                       })
       .Release();
   sim::RunResult r = rig.machine->Run();
@@ -352,14 +443,14 @@ TEST(CoalesceTest, HoldTimerFlushesCarrierlessRequest) {
   RegisterEcho(*rig.b, Service::kPageRequest);
   int replies = 0;
   rig.a->endpoint->SendRequest(1, Service::kPageRequest, Int64Payload(1),
-                               [&](Payload) { ++replies; });
+                               [&](WireReader) { ++replies; });
   // Node 1's request is held at t=30ms, but node 0 never sends again: the per-destination hold
   // timer (kRequestHold) must flush it on its own, well before the retransmission timeout.
   rig.machine
       ->ScheduleTimer(1, Milliseconds(30.0),
                       [&] {
                         rig.b->endpoint->SendRequest(0, Service::kPageRequest, Int64Payload(2),
-                                                     [&](Payload) { ++replies; });
+                                                     [&](WireReader) { ++replies; });
                       })
       .Release();
   sim::RunResult r = rig.machine->Run();
@@ -388,7 +479,7 @@ TEST(CoalesceTest, RttEstimatorAbsorbsReplyJitter) {
   constexpr int kExchanges = 20;
   int replies = 0;
   std::function<void()> next = [&] {
-    rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(replies), [&](Payload) {
+    rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(replies), [&](WireReader) {
       if (++replies < kExchanges) {
         next();
       }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -287,6 +288,19 @@ TEST(WireTest, BytesAndRest) {
   char out[4];
   r.GetBytes(out, 4);
   EXPECT_EQ(std::memcmp(out, data, 4), 0);
+}
+
+TEST(WireTest, GetSpanReadsInPlace) {
+  net::WireWriter w;
+  w.Put<uint32_t>(5);
+  w.Put<uint64_t>(9);
+  net::Payload p = w.Take();
+  net::WireReader r(p);
+  EXPECT_EQ(r.Get<uint32_t>(), 5u);
+  const std::span<const std::byte> view = r.GetSpan(sizeof(uint64_t));
+  EXPECT_EQ(view.data(), p.data() + sizeof(uint32_t));
+  EXPECT_EQ(view.size(), sizeof(uint64_t));
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 // The run rule stated one byte at a time, the reference DiffPageRuns must reproduce exactly.

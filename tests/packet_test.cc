@@ -4,6 +4,9 @@
 
 #include <memory>
 #include <optional>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/machine.h"
@@ -42,8 +45,8 @@ TEST(PacketTest, RequestReplyRoundTrip) {
       },
       true);
   int64_t got = 0;
-  rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(41), [&](Payload p) {
-    got = WireReader(p).Get<int64_t>();
+  rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(41), [&](WireReader p) {
+    got = p.Get<int64_t>();
   });
   rig.machine->Run();
   EXPECT_EQ(got, 42);
@@ -62,8 +65,8 @@ TEST(PacketTest, ManyOutstandingRequestsComplete) {
   int64_t sum = 0;
   constexpr int kRequests = 50;
   for (int i = 0; i < kRequests; ++i) {
-    rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i), [&](Payload p) {
-      sum += WireReader(p).Get<int64_t>();
+    rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i), [&](WireReader p) {
+      sum += p.Get<int64_t>();
     });
   }
   rig.machine->Run();
@@ -87,7 +90,7 @@ TEST_P(PacketLossTest, ReliableUnderLoss) {
   constexpr int kRequests = 30;
   for (int i = 0; i < kRequests; ++i) {
     rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i),
-                                 [&](Payload) { ++replies; });
+                                 [&](WireReader) { ++replies; });
   }
   sim::RunResult r = rig.machine->Run();
   EXPECT_TRUE(r.completed);
@@ -124,9 +127,9 @@ TEST(PacketTest, NonIdempotentServiceRunsOncePerRequest) {
   int replies = 0;
   int64_t sum = 0;
   for (int i = 0; i < kRequests; ++i) {
-    rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](Payload p) {
+    rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](WireReader p) {
       ++replies;
-      sum += WireReader(p).Get<int64_t>();
+      sum += p.Get<int64_t>();
     });
   }
   rig.machine->Run();
@@ -148,7 +151,7 @@ TEST(PacketTest, CriticalSectionDefersMutatingRequests) {
       },
       /*idempotent=*/false);
   bool done = false;
-  rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](Payload) { done = true; });
+  rig.a->endpoint->SendRequest(1, Service::kTestMutate, {}, [&](WireReader) { done = true; });
   // Release the critical section partway through: the deferred request's retransmission lands.
   rig.machine->ScheduleTimer(1, Milliseconds(150.0), [&] { rig.b->critical = false; }).Release();
   rig.machine->Run();
@@ -171,8 +174,8 @@ TEST(PacketTest, ServiceDeferralViaNullopt) {
       },
       true);
   int64_t got = 0;
-  rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [&](Payload p) {
-    got = WireReader(p).Get<int64_t>();
+  rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [&](WireReader p) {
+    got = p.Get<int64_t>();
   });
   rig.machine->Run();
   EXPECT_EQ(got, 99);
@@ -183,7 +186,7 @@ TEST(PacketTest, RawDatagramsAreFireAndForget) {
   Rig rig(1.0, 1);  // total loss
   int received = 0;
   rig.b->endpoint->RegisterRawHandler(Service::kAppData,
-                                      [&](NodeId, Payload) { ++received; });
+                                      [&](NodeId, WireReader) { ++received; });
   rig.a->endpoint->SendRaw(1, Service::kAppData, Int64Payload(1));
   sim::RunResult r = rig.machine->Run();
   EXPECT_TRUE(r.completed);  // nothing retries; the datagram is simply gone
@@ -216,7 +219,7 @@ TEST_P(AckModeLossTest, TcpLikeModeIsAlsoReliable) {
   int replies = 0;
   constexpr int kRequests = 20;
   for (int i = 0; i < kRequests; ++i) {
-    a.endpoint->SendRequest(1, Service::kTestMutate, {}, [&](Payload) { ++replies; });
+    a.endpoint->SendRequest(1, Service::kTestMutate, {}, [&](WireReader) { ++replies; });
   }
   sim::RunResult r = machine->Run();
   EXPECT_TRUE(r.completed);
@@ -233,13 +236,108 @@ TEST_P(AckModeLossTest, TcpLikeModeIsAlsoReliable) {
 
 INSTANTIATE_TEST_SUITE_P(Loss, AckModeLossTest, ::testing::Values(0.0, 0.2));
 
+TEST(PacketTest, LargeBuffersGoBackToTheSpareList) {
+  // On a new thread, whose spare list starts empty.
+  std::thread([] {
+    Rig rig;
+    rig.b->endpoint->RegisterService(
+        Service::kTestEcho,
+        [](NodeId, WireReader) -> std::optional<Payload> { return Payload(70000); },
+        /*idempotent=*/true);
+    size_t reply_bytes = 0;
+    rig.a->endpoint->SendRequest(1, Service::kTestEcho, {},
+                                 [&](WireReader p) { reply_bytes = p.remaining(); });
+    rig.machine->Run();
+    EXPECT_EQ(reply_bytes, 70000u);
+    // Oldest first: the service's reply once it was framed, then the reply datagram (24 header
+    // bytes more) once it was dispatched. The third reservation finds the list empty and
+    // allocates exactly what it asks.
+    std::vector<size_t> capacities;
+    for (int i = 0; i < 3; ++i) {
+      WireWriter w;
+      w.Reserve(kSpareMinBytes);
+      capacities.push_back(w.Take().capacity());
+    }
+    EXPECT_EQ(capacities, (std::vector<size_t>{70000, 70000 + 24, kSpareMinBytes}));
+  }).join();
+}
+
+// Malformed datagrams handed straight to OnDatagram. Each must die on a receive-side check rather
+// than dispatch garbage. The frames are built by hand from a mirror of the endpoint's private frame
+// header (same field order, so the same layout).
+struct RawHeader {
+  uint8_t kind;
+  uint16_t service;
+  uint64_t req_id;
+  uint64_t trace;
+};
+static_assert(sizeof(RawHeader) == 24);
+constexpr uint8_t kAckKind = 4;
+constexpr uint8_t kPackedKind = 5;
+
+// Delivers `w`'s bytes to node 1 of a fresh rig as a datagram from node 0.
+void DeliverToB(WireWriter& w) {
+  Rig rig;
+  sim::Datagram d;
+  d.src = 0;
+  d.dst = 1;
+  d.payload = w.Take();
+  rig.b->endpoint->OnDatagram(std::move(d));
+}
+
+// One packed frame: its uint32 length prefix, then an ack header (a frame that dispatches as a
+// no-op on an endpoint with no buffered replies).
+void PutAckFrame(WireWriter& w) {
+  w.Put(static_cast<uint32_t>(sizeof(RawHeader)));
+  w.Put(RawHeader{kAckKind, 0, 77, 0});
+}
+
+TEST(PacketDeathTest, DatagramShorterThanAHeaderDies) {
+  WireWriter w;
+  w.PutBytes(std::vector<std::byte>(sizeof(RawHeader) - 1).data(), sizeof(RawHeader) - 1);
+  EXPECT_DEATH(DeliverToB(w), "\\(pos_ \\+ sizeof\\(T\\)\\) <= \\(data_\\.size\\(\\)\\)");
+}
+
+TEST(PacketDeathTest, PackedFrameRunningPastTheDatagramDies) {
+  WireWriter w;
+  w.Put(RawHeader{kPackedKind, 0, 2, 0});
+  w.Put(uint32_t{100});  // claims 100 bytes; only one 24-byte header follows
+  w.Put(RawHeader{kAckKind, 0, 77, 0});
+  EXPECT_DEATH(DeliverToB(w), "\\(pos_ \\+ len\\) <= \\(data_\\.size\\(\\)\\)");
+}
+
+TEST(PacketDeathTest, TrailingBytesAfterPackedFramesDie) {
+  WireWriter w;
+  w.Put(RawHeader{kPackedKind, 0, 2, 0});
+  PutAckFrame(w);
+  PutAckFrame(w);
+  w.Put(uint16_t{0});
+  EXPECT_DEATH(DeliverToB(w), "trailing bytes after packed frames");
+}
+
+TEST(PacketDeathTest, PackedHeaderClaimingOneFrameDies) {
+  WireWriter w;
+  w.Put(RawHeader{kPackedKind, 0, 1, 0});
+  PutAckFrame(w);
+  EXPECT_DEATH(DeliverToB(w), "packed datagram with fewer than two frames");
+}
+
+TEST(PacketDeathTest, PackedFrameShorterThanAHeaderDies) {
+  WireWriter w;
+  w.Put(RawHeader{kPackedKind, 0, 2, 0});
+  w.Put(uint32_t{10});
+  w.PutBytes(std::vector<std::byte>(10).data(), 10);
+  PutAckFrame(w);
+  EXPECT_DEATH(DeliverToB(w), "corrupt packed frame");
+}
+
 TEST(PacketTest, RetransmissionUsesExponentialBackoff) {
   Rig rig(1.0, 1);  // nothing gets through; watch the retry clock
   rig.a->endpoint->config().retransmit_limit = 4;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho, [](NodeId, WireReader) -> std::optional<Payload> { return Payload{}; },
       true);
-  rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [](Payload) {});
+  rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [](WireReader) {});
   EXPECT_DEATH(rig.machine->Run(), "exceeded the retransmission limit");
 }
 
