@@ -230,12 +230,14 @@ class TimeLedger {
   PoolRow& Pool(int pool) {
     DFIL_DCHECK(pool >= 0) << "pool " << pool;
     if (static_cast<size_t>(pool) >= pools_.size()) {
-      pools_.resize(static_cast<size_t>(pool) + 1);
+      GrowPools(pool);
     }
     PoolRow& row = pools_[static_cast<size_t>(pool)];
     row.booked = true;
     return row;
   }
+  // Adds rows up to `pool`. Out of line, so that AddCharge inlines without it.
+  void GrowPools(int pool);
 
   std::array<SimTime, kNumTimeCategories> figure10_{};
   SimTime serve_ = 0;

@@ -178,7 +178,7 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
   return result;
 }
 
-FjHandle FjEngine::Fork(FjFn fn, const FjArgs& args) {
+FjHandle FjEngine::ForkSlow(FjFn fn, const FjArgs& args) {
   DFIL_CHECK(phase_active_) << "Fork outside RunForkJoin";
   FilamentStats& fs = rt_->fil_stats();
 
@@ -198,23 +198,9 @@ FjHandle FjEngine::Fork(FjFn fn, const FjArgs& args) {
   }
   ship_next_ = true;
 
-  // Dynamic pruning: enough local work queued to keep everyone busy — a fork is now a call.
-  // "Everyone busy" is a cluster property: while steal requests keep arriving, other nodes are
-  // NOT busy, so pruning stays off and forks remain visible to thieves (bounded by a queue cap).
-  const bool steal_demand =
-      rt_->config().fj.steal_enabled && rt_->Clock() - last_steal_demand_ < Milliseconds(100.0) &&
-      queue_.size() < 64;
-  if (tree_children_.empty() && !steal_demand &&
-      queue_.size() >= static_cast<size_t>(rt_->config().fj.prune_threshold)) {
-    fs.forks_pruned++;
-    rt_->Charge(TimeCategory::kFilamentExec, rt_->costs().fork_inline);
-    FjHandle h{nullptr, {}};
-    h.inline_result = fn(rt_->env(), args);
-    return h;
-  }
-
-  // Otherwise: a real local filament. Creating it mutates the thread queues — a critical section
-  // (a single flag assignment each way); concurrent steal requests are deferred meanwhile.
+  // Otherwise a real local filament: Fork has already pruned every fork that it could, in this
+  // same state. Creating it mutates the thread queues — a critical section (a single flag
+  // assignment each way); concurrent steal requests are deferred meanwhile.
   auto* cell = new JoinCell();
   rt_->EnterCritical();
   queue_.push_back(Task{fn, args, rt_->id(), reinterpret_cast<uint64_t>(cell)});
@@ -226,10 +212,7 @@ FjHandle FjEngine::Fork(FjFn fn, const FjArgs& args) {
   return FjHandle{cell, {}};
 }
 
-FjResult FjEngine::Join(FjHandle& handle) {
-  if (handle.cell == nullptr) {
-    return handle.inline_result;  // pruned fork: join is a return
-  }
+FjResult FjEngine::JoinSlow(FjHandle& handle) {
   JoinCell* cell = handle.cell;
   threads::ServerThread* self = rt_->CurrentThread();
 

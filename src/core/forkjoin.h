@@ -46,9 +46,16 @@ class FjEngine {
   // on node 0 (zeroes elsewhere). Ends with a barrier.
   FjResult Run(FjFn root, const FjArgs& args);
 
-  // Fork a child filament (ship / enqueue / pruned inline call) and join on its result.
-  FjHandle Fork(FjFn fn, const FjArgs& args);
-  FjResult Join(FjHandle& handle);
+  // Fork a child filament (ship / enqueue / pruned inline call) and join on its result. Fork is
+  // defined inline after NodeRuntime (node_runtime.h): a pruned fork and its join run inline, and
+  // every other case goes to ForkSlow / JoinSlow.
+  inline FjHandle Fork(FjFn fn, const FjArgs& args);
+  FjResult Join(FjHandle& handle) {
+    if (handle.cell == nullptr) {
+      return handle.inline_result;  // pruned fork: join is a return
+    }
+    return JoinSlow(handle);
+  }
 
   // Runtime hook: an fj worker is about to suspend on a page fault; keep the queue served.
   void OnWorkerBlocked();
@@ -66,6 +73,10 @@ class FjEngine {
     uint64_t cell_addr;  // JoinCell* on the origin node
   };
 
+  // Fork() of a fork that is not pruned: ship it to a tree child, or queue a local filament.
+  FjHandle ForkSlow(FjFn fn, const FjArgs& args);
+  // Join() of a fork that was not pruned: run the child here if it is still queued, else block.
+  FjResult JoinSlow(FjHandle& handle);
   void RegisterServices();
   void ComputeTreeChildren();
   void WorkerLoop(bool is_main);

@@ -36,8 +36,6 @@ void NodeEnv::RunIterative(const std::function<bool(int)>& after_iteration) {
 }
 
 FjResult NodeEnv::RunForkJoin(FjFn root, const FjArgs& args) { return rt_->fj().Run(root, args); }
-FjHandle NodeEnv::Fork(FjFn fn, const FjArgs& args) { return rt_->fj().Fork(fn, args); }
-FjResult NodeEnv::Join(FjHandle& handle) { return rt_->fj().Join(handle); }
 
 double NodeEnv::Reduce(double value, ReduceOp op) { return rt_->Reduce(value, op); }
 

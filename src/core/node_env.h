@@ -85,8 +85,10 @@ class NodeEnv {
   // Collective: call on every node. Node 0 executes `root`; all nodes serve forked work until the
   // root completes. Returns the root's result on node 0 (zeroes elsewhere).
   FjResult RunForkJoin(FjFn root, const FjArgs& args);
-  FjHandle Fork(FjFn fn, const FjArgs& args);
-  FjResult Join(FjHandle& handle);
+  // Defined inline after NodeRuntime (node_runtime.h), so a pruned fork and its join run with no
+  // call.
+  inline FjHandle Fork(FjFn fn, const FjArgs& args);
+  inline FjResult Join(FjHandle& handle);
 
   // --- Reductions / barriers (collective; the synchronization points of the paper §3) ---
   double Reduce(double value, ReduceOp op);

@@ -31,6 +31,7 @@
 #include "src/common/trace.h"
 #include "src/common/types.h"
 #include "src/core/config.h"
+#include "src/core/forkjoin.h"
 #include "src/core/node_env.h"
 #include "src/dsm/dsm_node.h"
 #include "src/net/packet.h"
@@ -40,7 +41,6 @@
 namespace dfil::core {
 
 class PoolEngine;
-class FjEngine;
 
 class NodeRuntime final : public dsm::DsmHost {
  public:
@@ -276,6 +276,31 @@ class NodeRuntime final : public dsm::DsmHost {
 };
 
 inline void NodeEnv::ChargeWork(SimTime cost) { rt_->Charge(TimeCategory::kWork, cost); }
+inline FjHandle NodeEnv::Fork(FjFn fn, const FjArgs& args) { return rt_->fj().Fork(fn, args); }
+inline FjResult NodeEnv::Join(FjHandle& handle) { return rt_->fj().Join(handle); }
+
+// Dynamic pruning: enough local work queued to keep everyone busy — a fork is now a call.
+// "Everyone busy" is a cluster property: while steal requests keep arriving, other nodes are NOT
+// busy, so pruning stays off and forks remain visible to thieves (bounded by a queue cap). A fork
+// with a tree child left to ship to is never pruned. Outside a fork/join phase, ForkSlow dies
+// (last_steal_demand_ is only set for a phase, so the phase is tested first).
+inline FjHandle FjEngine::Fork(FjFn fn, const FjArgs& args) {
+  const ForkJoinConfig& fj = rt_->config().fj;
+  const bool prune =
+      phase_active_ && tree_children_.empty() &&
+      queue_.size() >= static_cast<size_t>(fj.prune_threshold) &&
+      !(fj.steal_enabled && rt_->Clock() - last_steal_demand_ < Milliseconds(100.0) &&
+        queue_.size() < 64);
+  if (!prune) {
+    return ForkSlow(fn, args);
+  }
+  ship_next_ = true;  // what ForkSlow does for a fork it does not ship
+  rt_->fil_stats().forks_pruned++;
+  rt_->Charge(TimeCategory::kFilamentExec, rt_->costs().fork_inline);
+  FjHandle h{nullptr, {}};
+  h.inline_result = fn(rt_->env(), args);
+  return h;
+}
 
 }  // namespace dfil::core
 

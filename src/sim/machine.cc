@@ -14,6 +14,16 @@ void Machine::AddHost(NodeHost* host) {
   hosts_.push_back(host);
 }
 
+SimTime Machine::CausalHorizon(NodeId self) const {
+  SimTime min_other = kSimTimeNever;
+  for (const NodeHost* host : hosts_) {
+    if (host->id() != self && host->Runnable() && host->Clock() < min_other) {
+      min_other = host->Clock();
+    }
+  }
+  return min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
+}
+
 void Machine::Deliver(NodeId dst, Datagram d, SimTime at) {
   DFIL_CHECK_GE(dst, 0);
   DFIL_CHECK_LT(static_cast<size_t>(dst), hosts_.size());

@@ -158,29 +158,17 @@ class Machine {
   // Conservative causality horizon for `self`: no other runnable node can affect `self` (or the
   // network) before its own clock plus the lookahead — the minimum CPU cost of initiating any
   // action (a message send). A charging node must not advance past min(next event, horizon), or
-  // it would act "in the past" of its peers.
-  SimTime CausalHorizon(NodeId self) const {
-    SimTime min_other = kSimTimeNever;
-    for (const NodeHost* host : hosts_) {
-      if (host->id() != self && host->Runnable() && host->Clock() < min_other) {
-        min_other = host->Clock();
-      }
-    }
-    return min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
-  }
+  // it would act "in the past" of its peers. Scans every host.
+  SimTime CausalHorizon(NodeId self) const;
 
   // The limit a node running on behalf of `self` may charge up to before yielding. Inside Run,
   // the host being stepped reads its horizon from a memo taken before its Step(): by the NodeHost
-  // contract no other host's clock or runnability can change until that Step() returns.
+  // contract no other host's clock or runnability can change until that Step() returns. Only a
+  // host charging outside Run's Step() (tests, probes) pays for the CausalHorizon scan.
   SimTime ChargeLimit(NodeId self) const {
     const SimTime ev = NextExternalTime();
-    SimTime hz;
-    if (self == stepping_) {
-      hz = stepping_horizon_;
-      DFIL_DCHECK(hz == CausalHorizon(self));
-    } else {
-      hz = CausalHorizon(self);
-    }
+    const SimTime hz = self == stepping_ ? stepping_horizon_ : CausalHorizon(self);
+    DFIL_DCHECK(hz == CausalHorizon(self));
     return ev < hz ? ev : hz;
   }
 

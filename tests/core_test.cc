@@ -278,6 +278,19 @@ TEST(ForkJoinTest, PruneThresholdControlsQueueDepth) {
   }
 }
 
+TEST(ForkJoinDeathTest, ForkOutsideRunForkJoinDies) {
+  // Fork answers a pruned fork inline; a fork outside a fork/join phase must still reach the
+  // check in the slow path.
+  ClusterConfig cfg;
+  cfg.nodes = 1;
+  EXPECT_DEATH(
+      {
+        Cluster cluster(cfg);
+        cluster.Run([](NodeEnv& env) { env.Fork(&LeafTask, FjArgs{}); });
+      },
+      "Fork outside RunForkJoin");
+}
+
 // Range-splitting tree over 256 leaves; the leftmost eighth carries coarse 10 ms leaves (the
 // quadrature-style imbalance), the rest are 50 us.
 FjResult ImbalancedRange(NodeEnv& env, const FjArgs& a) {

@@ -1,13 +1,16 @@
 // Pins the complete virtual-time schedule of Jacobi DF at the node counts the host-time benchmark
-// runs (64) and at a non-power-of-two count (13). The simulator's scheduler must pick the same
-// node at every step however it indexes the runnable hosts, so a tie-order slip anywhere shows up
-// here as a changed makespan, event count, datagram count, fault count or trace hash.
+// runs (64) and at a non-power-of-two count (13), and of fork/join quadrature on shared Ethernet
+// at 8 and 13 nodes. The simulator's scheduler must pick the same node at every step however it
+// indexes the runnable hosts, and a pruned fork must cost what it did as an out-of-line call, so a
+// tie-order slip or a moved charge anywhere shows up here as a changed makespan, event count,
+// datagram count, fault or fork count, or trace hash.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
 #include "src/apps/jacobi.h"
+#include "src/apps/quadrature.h"
 
 namespace dfil::apps {
 namespace {
@@ -18,6 +21,12 @@ uint64_t Fnv1a(const std::string& bytes) {
     h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
   }
   return h;
+}
+
+uint64_t TraceHash(const core::RunReport& report) {
+  std::ostringstream trace;
+  report.trace->WriteChromeTrace(trace);
+  return Fnv1a(trace.str());
 }
 
 struct Pin {
@@ -53,14 +62,12 @@ TEST_P(SchedulePin, JacobiSwitchedScheduleIsUnchanged) {
     faults += nr.dsm.read_faults + nr.dsm.write_faults;
   }
   ASSERT_NE(df.report.trace, nullptr);
-  std::ostringstream trace;
-  df.report.trace->WriteChromeTrace(trace);
 
   EXPECT_EQ(df.report.makespan, pin.makespan);
   EXPECT_EQ(df.report.events, pin.events);
   EXPECT_EQ(datagrams, pin.datagrams);
   EXPECT_EQ(faults, pin.faults);
-  EXPECT_EQ(Fnv1a(trace.str()), pin.trace_hash);
+  EXPECT_EQ(TraceHash(df.report), pin.trace_hash);
 }
 
 void PrintTo(const Pin& pin, std::ostream* os) { *os << "p=" << pin.nodes; }
@@ -71,6 +78,63 @@ INSTANTIATE_TEST_SUITE_P(
     Nodes, SchedulePin,
     ::testing::Values(Pin{64, 131784202, 1512, 1264, 378, 17992316678045315465ull},
                       Pin{13, 305308798, 312, 266, 88, 7536173988298807045ull}),
+    [](const auto& info) { return std::string("p").append(std::to_string(info.param.nodes)); });
+
+struct FjPin {
+  int nodes;
+  SimTime makespan;
+  uint64_t events;
+  uint64_t datagrams;
+  uint64_t forks_pruned;
+  uint64_t forks_local;
+  uint64_t forks_sent;
+  uint64_t filaments_run;
+  uint64_t steals_succeeded;
+  uint64_t trace_hash;
+};
+
+class SchedulePinForkJoin : public ::testing::TestWithParam<FjPin> {};
+
+TEST_P(SchedulePinForkJoin, QuadratureEthernetScheduleIsUnchanged) {
+  const FjPin pin = GetParam();
+  QuadratureParams p;
+  p.tolerance = 1e-6;
+  core::ClusterConfig cfg;
+  cfg.nodes = pin.nodes;
+  cfg.network = core::NetworkKind::kSharedEthernet;
+  cfg.trace_enabled = true;
+  const AppRun df = RunQuadratureDf(p, cfg);
+  ASSERT_TRUE(df.report.completed) << df.report.deadlock_report;
+  EXPECT_EQ(df.checksum, RunQuadratureSeq(p, core::ClusterConfig{}).checksum);
+
+  uint64_t datagrams = 0;
+  FilamentStats fs;
+  for (const core::NodeReport& nr : df.report.nodes) {
+    datagrams += nr.packet.datagrams_sent;
+    fs += nr.filaments;
+  }
+  ASSERT_NE(df.report.trace, nullptr);
+
+  EXPECT_EQ(df.report.makespan, pin.makespan);
+  EXPECT_EQ(df.report.events, pin.events);
+  EXPECT_EQ(datagrams, pin.datagrams);
+  EXPECT_EQ(fs.forks_pruned, pin.forks_pruned);
+  EXPECT_EQ(fs.forks_local, pin.forks_local);
+  EXPECT_EQ(fs.forks_sent, pin.forks_sent);
+  EXPECT_EQ(fs.filaments_run, pin.filaments_run);
+  EXPECT_EQ(fs.steals_succeeded, pin.steals_succeeded);
+  EXPECT_EQ(TraceHash(df.report), pin.trace_hash);
+}
+
+void PrintTo(const FjPin& pin, std::ostream* os) { *os << "p=" << pin.nodes; }
+
+// Recorded with the pruned fork and its join as out-of-line calls into FjEngine, and with the
+// event queue pruning cancelled entries whenever NextTime() or empty() was read.
+INSTANTIATE_TEST_SUITE_P(
+    Nodes, SchedulePinForkJoin,
+    ::testing::Values(
+        FjPin{8, 1162213851, 482, 461, 107868, 88079, 7, 88086, 37, 5468970854877725391ull},
+        FjPin{13, 712829612, 1117, 1072, 82654, 113288, 12, 113300, 89, 5238769971391085009ull}),
     [](const auto& info) { return std::string("p").append(std::to_string(info.param.nodes)); });
 
 }  // namespace

@@ -70,6 +70,34 @@ TEST(EventQueueTest, EmptyAfterAllCancelled) {
   EXPECT_EQ(q.NextTime(), kSimTimeNever);
 }
 
+TEST(EventQueueTest, PopPrunesCancelledEntriesBehindTheHead) {
+  // NextTime() and empty() read the head as it is, so Pop() must leave a live entry there.
+  EventQueue q;
+  q.Schedule(10, [] {}).Release();
+  EventHandle cancelled = q.Schedule(20, [] {});
+  q.Schedule(30, [] {}).Release();
+  cancelled.Cancel();
+  EXPECT_EQ(q.Pop().first, 10);
+  EXPECT_EQ(q.NextTime(), 30);
+  EXPECT_FALSE(q.empty());
+}
+
+TEST(EventQueueTest, CancelAfterFireLeavesQueueUnchanged) {
+  EventQueue q;
+  std::vector<int> order;
+  EventHandle fired = q.Schedule(10, [&] { order.push_back(1); });
+  q.Schedule(20, [&] { order.push_back(2); }).Release();
+  q.Schedule(30, [&] { order.push_back(3); }).Release();
+  q.Pop().second();
+  fired.Cancel();
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.NextTime(), 20);
+  while (!q.empty()) {
+    q.Pop().second();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(CostModelTest, WireTimeMatchesTenMegabit) {
   CostModel m = CostModel::SunIpcEthernet();
   // 4 KB page + 58 bytes framing at 1.25 bytes/us ~ 3.32 ms.
