@@ -199,27 +199,37 @@ int main(int argc, char** argv) {
       gate_diff_makespan = run.report.makespan;
     }
   }
-  // Coalescing ablation companion (DESIGN.md §11): the diff gate run again with per-destination
-  // frame coalescing on. Fixed-size like the other gate inputs; its net.datagrams_sent is pinned
-  // by bench/baselines/coalesce_gate.json, and the asserts keep the headline claim honest: at
-  // least 30% fewer UDP datagrams at no virtual-time cost.
-  {
+  // Coalescing ablation companions (DESIGN.md §11): a diff run again with per-destination frame
+  // coalescing on, at 8 pages (the diff gate run's twin) and at 64, where each node's bulk
+  // refetch queues 4 replies of 16 pages at node 0. Fixed-size like the other gate inputs;
+  // bench/baselines/coalesce_gate.json pins their net.datagrams_sent (and the 64-page run's zero
+  // retransmissions), and the asserts keep the headline claim honest: at least 30% fewer UDP
+  // datagrams at no virtual-time cost.
+  const auto coalesced_twin = [&](const char* label, int run_pages, uint64_t plain_datagrams,
+                                  SimTime plain_makespan) {
     core::ClusterConfig cfg = bench::PaperConfig(8);
     cfg.dsm.pcp = dsm::Pcp::kDiff;
     cfg.coalesce.enabled = true;
-    const FsResult run = RunFalseSharing(cfg, pages, gate_epochs);
+    const FsResult run = RunFalseSharing(cfg, run_pages, gate_epochs);
     const Totals t = Sum(run.report);
-    std::printf("%-20s %-20s %12llu datagrams (plain diff: %llu), %8.2fs (plain: %.2fs)\n",
-                "false_sharing_diff8_co", "diff + coalesce",
-                static_cast<unsigned long long>(t.datagrams),
-                static_cast<unsigned long long>(gate_diff_datagrams), run.seconds,
-                ToSeconds(gate_diff_makespan));
-    bench::EmitMetrics(run.report, "false_sharing_diff8_co", &args, "false_sharing");
-    DFIL_CHECK(t.datagrams * 10 <= gate_diff_datagrams * 7)
-        << "coalescing sent " << t.datagrams << " datagrams vs " << gate_diff_datagrams
+    std::printf("%-20s %-20s %12llu datagrams (plain diff: %llu), %8.2fs (plain: %.2fs)\n", label,
+                "diff + coalesce", static_cast<unsigned long long>(t.datagrams),
+                static_cast<unsigned long long>(plain_datagrams), run.seconds,
+                ToSeconds(plain_makespan));
+    bench::EmitMetrics(run.report, label, &args, "false_sharing");
+    DFIL_CHECK(t.datagrams * 10 <= plain_datagrams * 7)
+        << label << ": coalescing sent " << t.datagrams << " datagrams vs " << plain_datagrams
         << " plain (< 30% reduction)";
-    DFIL_CHECK_LE(run.report.makespan, gate_diff_makespan)
-        << "coalescing regressed virtual time";
+    DFIL_CHECK_LE(run.report.makespan, plain_makespan)
+        << label << ": coalescing regressed virtual time";
+  };
+  coalesced_twin("false_sharing_diff8_co", pages, gate_diff_datagrams, gate_diff_makespan);
+  {
+    core::ClusterConfig cfg = bench::PaperConfig(8);
+    cfg.dsm.pcp = dsm::Pcp::kDiff;
+    const FsResult plain = RunFalseSharing(cfg, 64, gate_epochs);
+    coalesced_twin("false_sharing_diff64_co", 64, Sum(plain.report).datagrams,
+                   plain.report.makespan);
   }
   // The headline claim, asserted so a protocol regression fails the bench itself, not just the
   // downstream gate: diff moves >=30% fewer page-data bytes than write-invalidate here.

@@ -128,7 +128,8 @@ std::string FuzzResult::Summary() const {
   os << (ok() ? "ok  " : "FAIL") << " " << scenario << " seed=" << seed << " [" << config_desc
      << "]";
   if (!completed) {
-    os << ": did not complete";
+    // The reason's first line: a deadlock report goes on to list every node.
+    os << ": did not complete (" << failure.substr(0, failure.find('\n')) << ")";
   }
   if (!output_ok) {
     os << ": output diverges from sequential reference";
@@ -266,6 +267,7 @@ FuzzResult RunFuzzCase(const std::string& scenario, uint64_t seed, const FuzzOpt
   result.config_desc = desc.str();
 
   result.completed = faulted.report.completed;
+  result.failure = faulted.report.deadlock_report;
   // Bitwise equality: every app's DF variant performs the identical per-element arithmetic as the
   // sequential program, so any divergence is a coherence bug, not floating-point noise.
   result.output_ok = result.completed && faulted.output == reference.output;

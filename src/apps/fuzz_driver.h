@@ -46,6 +46,7 @@ struct FuzzResult {
   std::string config_desc;  // resolved app/pcp/nodes/... (human-readable, for failure reports)
 
   bool completed = false;
+  std::string failure;  // why the run did not complete (RunReport::deadlock_report)
   bool output_ok = false;
   std::vector<std::string> violations;  // oracle violations (empty on a clean run)
 

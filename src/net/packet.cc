@@ -1,5 +1,6 @@
 #include "src/net/packet.h"
 
+#include <sstream>
 #include <utility>
 
 #include "src/common/check.h"
@@ -365,11 +366,17 @@ SimTime PacketEndpoint::InitialTimeout(NodeId dst, size_t expected_reply_bytes) 
     }
   }
   if (expected_reply_bytes > 0) {
-    // A large reply can be queued behind every peer's large reply on the shared wire; an RTO
-    // learned from short exchanges would retransmit spuriously (and each retransmission rebuilds
-    // the whole reply). Floor at the worst-case fully-serialized transfer time.
-    const SimTime floor_t = machine_->costs().WireTime(expected_reply_bytes) *
-                            static_cast<SimTime>(machine_->num_nodes());
+    // A large reply queues at `dst` behind every large reply `dst` still owes this node, and in
+    // a collective refetch (DiffProtocol::MaybeBulkRefetch) every peer has as many queued there.
+    // An RTO learned from short exchanges would retransmit spuriously (and each retransmission
+    // rebuilds the whole reply). Floor at that backlog's fully-serialized transfer time.
+    SimTime owed = machine_->costs().WireTime(expected_reply_bytes);
+    for (const auto& [id, out] : outstanding_) {
+      if (out.dst == dst && out.expected_reply_bytes > 0) {
+        owed += machine_->costs().WireTime(out.expected_reply_bytes);
+      }
+    }
+    const SimTime floor_t = owed * static_cast<SimTime>(machine_->num_nodes());
     if (rto < floor_t) {
       rto = floor_t;
     }
@@ -419,9 +426,14 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
     return;  // reply arrived while the timer event was in flight
   }
   Outstanding& out = it->second;
-  DFIL_CHECK_LT(out.attempts, config_.retransmit_limit)
-      << "Packet: request " << req_id << " to node " << out.dst << " (service "
-      << static_cast<int>(out.service) << ") exceeded the retransmission limit";
+  if (out.attempts >= config_.retransmit_limit) {
+    std::ostringstream os;
+    os << "Packet: node " << self_ << ": request " << req_id << " to node " << out.dst
+       << " (service " << static_cast<int>(out.service) << " " << ServiceName(out.service)
+       << ") exceeded the retransmission limit";
+    machine_->Fail(os.str());
+    return;
+  }
   host_->Charge(out.charge_as, machine_->costs().timer_overhead);
   DFIL_LOG(kDebug, "packet") << "node " << self_ << " retransmit req " << req_id << " to "
                              << out.dst << " attempt " << out.attempts + 1;
@@ -437,8 +449,10 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
                                 std::to_string(out.dst));
   }
   Transmit(out.dst, Kind::kRequest, out.service, req_id, out.body, out.charge_as, out.trace);
-  // Exponential backoff, capped.
-  out.timeout = std::min<SimTime>(out.timeout * 2, config_.retransmit_timeout_max);
+  // Exponential backoff, capped, but never shrinking: a timer that started above the cap (a
+  // loss backstop, a bulk-reply floor) keeps its length.
+  out.timeout =
+      std::max(out.timeout, std::min<SimTime>(out.timeout * 2, config_.retransmit_timeout_max));
   ArmTimer(req_id);
 }
 
@@ -677,7 +691,14 @@ void PacketEndpoint::OnReplyTimeout(NodeId dst, uint64_t req_id) {
     return;
   }
   PendingReply& rep = it->second;
-  DFIL_CHECK_LT(rep.attempts, config_.retransmit_limit) << "buffered reply never acknowledged";
+  if (rep.attempts >= config_.retransmit_limit) {
+    std::ostringstream os;
+    os << "Packet: node " << self_ << ": reply to request " << req_id << " from node " << dst
+       << " (service " << static_cast<int>(rep.service) << " " << ServiceName(rep.service)
+       << ") was never acknowledged and exceeded the retransmission limit";
+    machine_->Fail(os.str());
+    return;
+  }
   rep.attempts++;
   stats_.reply_retransmissions++;
   host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);

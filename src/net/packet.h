@@ -92,12 +92,15 @@ inline constexpr SimTime kElidedAckTimeout = Milliseconds(1000.0);
 
 struct PacketConfig {
   SimTime retransmit_timeout = Milliseconds(100.0);  // >> quiet RTT and transient reply queueing
+  // Cap of the exponential backoff, and of the estimated RTO. Backoff never shrinks a timer: one
+  // that started above the cap (kElidedAckTimeout, a large-reply floor) keeps its length.
   SimTime retransmit_timeout_max = Milliseconds(400.0);
   // Lower clamp for the Jacobson/Karels estimated retransmission timeout (coalescing mode).
   // Defaults to the legacy fixed timeout: the estimator exists to stretch the RTO on slow or
   // congested paths, not to undercut a value the uncoalesced protocol never retransmits at —
   // a shared-medium barrier routinely queues an ack past any quiet-time RTT estimate.
   SimTime rto_min = Milliseconds(100.0);
+  // Attempts per request (or buffered reply) before the run ends softly: Machine::Fail.
   int retransmit_limit = 60;
   // TCP-like ablation (paper §3: "a different reliability mechanism—such as the one in TCP—might
   // perform better" on lossy networks): replies are buffered at the replier and retransmitted
@@ -176,8 +179,10 @@ class PacketEndpoint {
   // Sends a reliable request; `on_reply` runs on this node when the reply arrives. The request
   // body is buffered (it must be small; the paper's are <= 20 bytes) and retransmitted on timeout.
   // Returns the request id. `expected_reply_bytes`, when nonzero and coalescing is on, floors the
-  // initial timeout at the worst-case serialized wire time of the reply, so a bulk reply queued
-  // behind its peers on the shared wire is not spuriously retransmitted by a short estimated RTO.
+  // initial timeout at the serialized wire time of this reply plus every large reply `dst` still
+  // owes this node, times the node count: the backlog at `dst` when every peer has as many queued
+  // there. A bulk reply queued behind the others on the shared wire is then not spuriously
+  // retransmitted (and rebuilt) by a short estimated RTO.
   uint64_t SendRequest(NodeId dst, Service service, Payload body, ReplyFn on_reply,
                        TimeCategory charge_as = TimeCategory::kSyncOverhead,
                        size_t expected_reply_bytes = 0);
@@ -321,8 +326,8 @@ class PacketEndpoint {
   // Datagram-level stats: wire bytes (link framing + payload) and the per-datagram histograms.
   void RecordDatagram(size_t payload_bytes, size_t nframes);
   // Initial retransmission timeout for a request to `dst` (fixed when coalescing is off; the
-  // estimated RTO clamped to [rto_min, retransmit_timeout_max] and floored by the expected-reply
-  // wire time when on).
+  // estimated RTO clamped to [rto_min, retransmit_timeout_max] and floored by the wire time of
+  // the large replies owed by `dst` when on; see SendRequest).
   SimTime InitialTimeout(NodeId dst, size_t expected_reply_bytes) const;
   // Feeds one reply into the per-peer RTT estimator (Karn's rule: first-attempt samples only).
   void UpdateRtt(NodeId src, const Outstanding& out);

@@ -225,6 +225,10 @@ RunResult Machine::Run(SimTime max_virtual_time) {
     Refresh(host->id());
   }
   for (;;) {
+    if (!failure_.empty()) {
+      result.deadlock_report = failure_;
+      break;
+    }
     // The runnable node with the smallest clock (ties by id, for determinism) is the heap root.
     DFIL_DCHECK(HeapRootMatchesScan());
     SimTime event_time = events_.NextTime();

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -173,8 +174,17 @@ class Machine {
   }
 
   // Runs until every host is Done, or no progress is possible (deadlock), or `max_virtual_time`
-  // is exceeded (a runaway guard; kSimTimeNever disables it).
+  // is exceeded (a runaway guard; kSimTimeNever disables it), or a layer calls Fail.
   RunResult Run(SimTime max_virtual_time = kSimTimeNever);
+
+  // Ends the run softly: once the current event or Step() returns, Run stops with completed =
+  // false and `reason` in deadlock_report, as the virtual-time cap does. The first reason
+  // stands, and a failed machine stays failed.
+  void Fail(std::string reason) {
+    if (failure_.empty()) {
+      failure_ = std::move(reason);
+    }
+  }
 
  private:
   // A runnable host's place in the runnable heap. The clock is cached when the host is refreshed;
@@ -220,6 +230,7 @@ class Machine {
   MessageStats net_stats_;
   SimTime lookahead_ = Microseconds(200.0);
   uint64_t events_dispatched_ = 0;
+  std::string failure_;  // set by Fail
   std::array<InjectionNote, kInjectionLogCapacity> injection_log_{};
   uint64_t injections_seen_ = 0;
 };

@@ -497,5 +497,64 @@ TEST(CoalesceTest, RttEstimatorAbsorbsReplyJitter) {
   EXPECT_LE(rto.max(), 400000.0);
 }
 
+TEST(CoalesceTest, QueuedLargeRepliesDoNotTimeOut) {
+  // A bulk refetch asks one home for several large replies at once, and they leave the home one
+  // after another. Each request's first timer must cover the replies queued ahead of it, or the
+  // last ones retransmit on a loss-free wire and the home rebuilds them.
+  constexpr size_t kReplyBytes = 65804;  // a 16-page bulk reply
+  Rig rig;
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [](NodeId, WireReader) -> std::optional<Payload> { return Payload(kReplyBytes); },
+      /*idempotent=*/true);
+  constexpr int kRequests = 4;
+  int replies = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    rig.a->endpoint->SendRequest(
+        1, Service::kTestEcho, Int64Payload(i), [&](WireReader r) {
+          EXPECT_EQ(r.remaining(), kReplyBytes);
+          ++replies;
+        },
+        TimeCategory::kDataTransfer, kReplyBytes);
+  }
+  sim::RunResult r = rig.machine->Run();
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(replies, kRequests);
+  EXPECT_EQ(rig.a->endpoint->stats().retransmissions, 0u);
+  EXPECT_EQ(rig.b->endpoint->stats().replies_rebuilt, 0u);
+}
+
+TEST(CoalesceTest, BackoffNeverShrinksATimerAboveTheCap) {
+  // A reduce-up's first timer is the 1 s loss backstop, above the 400 ms backoff cap. Backoff
+  // must not cut it down to the cap, so no retransmission comes sooner than the first one did.
+  Rig rig;
+  std::vector<SimTime> arrivals;
+  rig.b->endpoint->RegisterService(
+      Service::kReduceUp,
+      [&](NodeId, WireReader) -> std::optional<Payload> {
+        arrivals.push_back(rig.b->Clock());
+        if (arrivals.size() <= 3) {
+          return std::nullopt;  // deferred: only a retransmission gets it served
+        }
+        return Payload{};
+      },
+      /*idempotent=*/true);
+  bool replied = false;
+  rig.a->endpoint->SendRequest(1, Service::kReduceUp, Int64Payload(0),
+                               [&](WireReader) { replied = true; });
+  sim::RunResult r = rig.machine->Run();
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(replied);
+  ASSERT_EQ(arrivals.size(), 4u);
+  const SimTime first_gap = arrivals[1] - arrivals[0];
+  EXPECT_GE(first_gap, kElidedAckTimeout);
+  for (size_t i = 2; i < arrivals.size(); ++i) {
+    EXPECT_GE(arrivals[i] - arrivals[i - 1], first_gap)
+        << "retransmission " << i << " came " << ToMilliseconds(arrivals[i] - arrivals[i - 1])
+        << " ms after the previous arrival, sooner than the first's "
+        << ToMilliseconds(first_gap) << " ms";
+  }
+}
+
 }  // namespace
 }  // namespace dfil::net

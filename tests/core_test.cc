@@ -441,6 +441,32 @@ TEST(ReduceTest, ReliableBroadcastSurvivesLoss) {
   ASSERT_TRUE(r.completed) << r.deadlock_report;
 }
 
+TEST(ReduceTest, RetransmissionLimitEndsTheRunWithAReport) {
+  // Every reduce-up node 1 sends is lost, so its request reaches the retransmission limit. The
+  // run must end with a report naming the request, not abort the process.
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.reliable_broadcast = true;
+  cfg.packet.retransmit_timeout = Milliseconds(10.0);
+  cfg.packet.retransmit_timeout_max = Milliseconds(40.0);
+  cfg.packet.retransmit_limit = 5;
+  sim::FaultRule lose_up;
+  lose_up.src = 1;
+  lose_up.type = static_cast<uint32_t>(net::Service::kReduceUp);
+  lose_up.drop = 1.0;
+  cfg.fault_plan.rules.push_back(lose_up);
+  Cluster cluster(cfg);
+  RunReport r = cluster.Run([](NodeEnv& env) { env.Barrier(); });
+  EXPECT_FALSE(r.completed);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_NE(r.deadlock_report.find("node 1: request 1 to node 0 (service 10 reduce_up) exceeded "
+                                   "the retransmission limit"),
+            std::string::npos)
+      << r.deadlock_report;
+  EXPECT_EQ(r.nodes[1].packet.retransmissions, 4u);
+  EXPECT_EQ(r.flight.node_events.size(), 2u);  // the end-of-run flight snapshot is still taken
+}
+
 // --- Determinism ---------------------------------------------------------------------------------
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalTraces) {

@@ -344,6 +344,9 @@ TEST(FlightRecorderTest, FailedFuzzReplayWritesARenderableDump) {
   const apps::FuzzResult r = apps::RunFuzzCase("clean", 1, opts);
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.completed);
+  EXPECT_NE(r.Summary().find(": did not complete (virtual time limit exceeded)"),
+            std::string::npos)
+      << r.Summary();
   ASSERT_FALSE(r.flight_path.empty());
   ASSERT_FALSE(r.flight.node_events.empty());
 

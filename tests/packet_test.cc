@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -338,7 +339,56 @@ TEST(PacketTest, RetransmissionUsesExponentialBackoff) {
       Service::kTestEcho, [](NodeId, WireReader) -> std::optional<Payload> { return Payload{}; },
       true);
   rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [](WireReader) {});
-  EXPECT_DEATH(rig.machine->Run(), "exceeded the retransmission limit");
+  // The limit ends the run softly and names the request.
+  const sim::RunResult r = rig.machine->Run();
+  EXPECT_FALSE(r.completed);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_NE(r.deadlock_report.find("node 0: request 1 to node 1 (service 100 test_echo) exceeded "
+                                   "the retransmission limit"),
+            std::string::npos)
+      << r.deadlock_report;
+  EXPECT_EQ(rig.a->endpoint->stats().retransmissions, 3u);
+  EXPECT_EQ(rig.a->endpoint->outstanding(), 1u);
+  // Timers of 100, 200 and 400 ms, then one held at the 400 ms cap: the 4th expiry ends the run
+  // (plus a few ms of send and timer overheads).
+  EXPECT_GE(r.makespan, Milliseconds(1100.0));
+  EXPECT_LT(r.makespan, Milliseconds(1110.0));
+}
+
+TEST(PacketTest, UnacknowledgedReplyEndsTheRunAtTheLimit) {
+  // The ack_replies twin: every ack is lost, so node 1 retransmits its buffered reply until the
+  // limit, and that too ends the run softly.
+  PacketConfig cfg;
+  cfg.ack_replies = true;
+  cfg.retransmit_limit = 4;
+  sim::FaultPlan plan;
+  sim::FaultRule drop_acks;
+  drop_acks.klass = sim::MsgClass::kAck;
+  drop_acks.drop = 1.0;
+  plan.rules.push_back(drop_acks);
+  sim::CostModel costs = sim::CostModel::SunIpcEthernet();
+  auto machine = std::make_unique<sim::Machine>(std::make_unique<sim::SharedEthernet>(costs),
+                                                costs, plan);
+  MiniHost a(0, machine.get(), cfg);
+  MiniHost b(1, machine.get(), cfg);
+  machine->AddHost(&a);
+  machine->AddHost(&b);
+  b.endpoint->RegisterService(
+      Service::kTestEcho, [](NodeId, WireReader) -> std::optional<Payload> { return Payload{}; },
+      true);
+  int replies = 0;
+  a.endpoint->SendRequest(1, Service::kTestEcho, {}, [&](WireReader) { ++replies; });
+  const sim::RunResult r = machine->Run();
+  EXPECT_FALSE(r.completed);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_NE(r.deadlock_report.find("node 1: reply to request 1 from node 0 (service 100 "
+                                   "test_echo) was never acknowledged and exceeded the "
+                                   "retransmission limit"),
+            std::string::npos)
+      << r.deadlock_report;
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(b.endpoint->stats().reply_retransmissions, 3u);
+  EXPECT_EQ(a.endpoint->stats().duplicate_replies, 3u);
 }
 
 }  // namespace

@@ -135,6 +135,53 @@ TEST(DiffProtocolTest, DuplicatedMergesApplyOnce) {
       << "every merge was duplicated; replays must hit the epoch filter";
 }
 
+// Diff with coalescing refetches each node's whole flush set from the home after a barrier: 8
+// nodes x 4 bulk requests of up to 16 pages, all answered by node 0 over one shared 10 Mb/s wire.
+// Each request's first timer must cover the replies queued ahead of it, so a loss-free run never
+// retransmits and the home never rebuilds a reply.
+TEST(DiffProtocolTest, CoalescedRefetchNeverRetransmitsOnALossFreeWire) {
+  ClusterConfig cfg = Config(8, Pcp::kDiff);  // shared Ethernet by default
+  cfg.coalesce.enabled = true;
+  CoherenceOracle oracle;
+  cfg.coherence_oracle = &oracle;
+  Cluster cluster(cfg);
+  constexpr int kPages = 32;
+  constexpr int kEpochs = 4;
+  const size_t per_page = cluster.layout().page_size() / sizeof(int64_t);
+  const size_t strip = per_page / static_cast<size_t>(cfg.nodes);
+  auto arr = GlobalArray1D<int64_t>::Alloc(cluster.layout(), kPages * per_page, "shared");
+  // The false-sharing pattern: every node read-modify-writes its own strip of every page each
+  // epoch, so every page has 8 concurrent writers.
+  const auto step = [](size_t i) { return static_cast<int64_t>(i) * 131 + 1; };
+  int bad = 0;
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    for (int e = 0; e < kEpochs; ++e) {
+      for (size_t p = 0; p < kPages; ++p) {
+        const size_t base = p * per_page + static_cast<size_t>(env.node()) * strip;
+        for (size_t j = base; j < base + strip; ++j) {
+          const int64_t old = arr.Read(env, j);
+          bad += old != e * step(j);
+          arr.Write(env, j, old + step(j));
+        }
+      }
+      env.Barrier();
+    }
+    for (size_t i = 0; i < kPages * per_page; ++i) {
+      bad += arr.Read(env, i) != kEpochs * step(i);
+    }
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+  EXPECT_EQ(bad, 0);
+  net::PacketStats packet;
+  for (const auto& nr : r.nodes) {
+    packet += nr.packet;
+  }
+  EXPECT_EQ(packet.retransmissions, 0u);
+  EXPECT_EQ(packet.replies_rebuilt, 0u);
+  EXPECT_GT(SumDsm(r).diff_bulk_refetches, 0u);
+}
+
 // Negative test: two nodes writing the SAME bytes between the same barriers is a data race under
 // the multiple-writer protocol. The run still completes (last merge wins at the home), but the
 // oracle must flag the overlapping same-epoch merges.
