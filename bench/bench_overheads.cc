@@ -8,10 +8,13 @@
 //     machine-dependent context switch and filament machinery — the modern-hardware analog.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/cluster.h"
+#include "src/net/wire.h"
 #include "src/threads/server_thread.h"
 
 namespace {
@@ -148,6 +151,40 @@ void BM_ThreadCreateRecycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThreadCreateRecycle);
+
+// What a page should look like against its twin at a flush.
+enum class DiffPattern { kUnchanged, kOneStrip, kAlternateWords };
+
+// The diff encoder on one 4 KB page (DiffProtocol::FlushTwins runs it once per twin). One
+// 512-byte strip is one node's share of a page in the 8-node false-sharing run (perfbench
+// fs8_diff_co); alternate words are its worst case, a run of 8 bytes every 16.
+void BM_DiffPageRuns(benchmark::State& state, DiffPattern pattern) {
+  constexpr size_t kPage = 4096;
+  std::vector<std::byte> twin(kPage);
+  for (size_t i = 0; i < kPage; ++i) {
+    twin[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  std::vector<std::byte> cur = twin;
+  for (size_t i = 0; i < kPage; ++i) {
+    const bool changed = pattern == DiffPattern::kOneStrip ? (i >= 1024 && i < 1536)
+                         : pattern == DiffPattern::kAlternateWords ? (i / 8) % 2 == 0
+                                                                     : false;
+    if (changed) {
+      cur[i] ^= std::byte{0x5a};
+    }
+  }
+  std::vector<net::DiffRun> runs;
+  for (auto _ : state) {
+    runs.clear();
+    net::AppendDiffPageRuns(twin.data(), cur.data(), kPage, runs);
+    benchmark::DoNotOptimize(runs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * kPage));
+}
+BENCHMARK_CAPTURE(BM_DiffPageRuns, unchanged, DiffPattern::kUnchanged);
+BENCHMARK_CAPTURE(BM_DiffPageRuns, one_strip, DiffPattern::kOneStrip);
+BENCHMARK_CAPTURE(BM_DiffPageRuns, alternate_words, DiffPattern::kAlternateWords);
 
 }  // namespace
 

@@ -88,6 +88,28 @@ class MetricsRegistry {
   std::vector<std::map<std::string, double>> epochs_;
 };
 
+// One named histogram of a registry, looked up on first use and cached after, for call sites
+// that record per message or per fault. A registry's map nodes never move, so the cached pointer
+// stays valid while the registry lives; a histogram nobody records stays absent from the registry
+// and from its export.
+class HistogramRef {
+ public:
+  explicit HistogramRef(const char* name) : name_(name) {}
+
+  Histogram& In(MetricsRegistry& registry) {
+    if (registry_ != &registry) {
+      registry_ = &registry;
+      hist_ = &registry.Hist(name_);
+    }
+    return *hist_;
+  }
+
+ private:
+  const char* name_;
+  MetricsRegistry* registry_ = nullptr;
+  Histogram* hist_ = nullptr;
+};
+
 }  // namespace dfil
 
 #endif  // DFIL_COMMON_METRICS_H_

@@ -208,6 +208,10 @@ std::vector<std::string> ClusterConfig::Validate() const {
     reject("page_shift must be in [6, 20] (got " + std::to_string(page_shift) +
            "); pages below 64 B thrash the directory, above 1 MB defeat fine-grain sharing");
   }
+  if ((dsm.pcp == dsm::Pcp::kDiff || dsm.adapt_protocols) && page_shift > 15) {
+    reject("page_shift must be <= 15 under the diff protocol (got " + std::to_string(page_shift) +
+           "): diff runs carry 16-bit page offsets and lengths");
+  }
 
   const sim::FaultPlan plan = EffectiveFaultPlan();
   if (!InUnitInterval(plan.loss_rate)) {

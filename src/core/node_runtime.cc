@@ -646,7 +646,7 @@ double NodeRuntime::Reduce(double value, ReduceOp op) {
   }
   TraceEnd();
   metrics_.Inc("sync.reductions");
-  metrics_.Hist("sync.barrier_wait_us").Record(ToMicroseconds(clock_ - entered));
+  barrier_wait_us_.In(metrics_).Record(ToMicroseconds(clock_ - entered));
   // Arrival-to-release interval for this epoch. Thread-level barrier blocks inside it are
   // recorded separately by the wake path; the wait partition only ever sees scheduler gaps, so
   // this record does not double-count it.

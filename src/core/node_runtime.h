@@ -273,6 +273,7 @@ class NodeRuntime final : public dsm::DsmHost {
   std::optional<RebalancePlan> last_plan_;  // newest plan seen (emitted here or off a done)
   uint64_t last_plan_applied_ = 0;          // highest plan epoch acted on (src/dst roles)
   uint64_t migrate_applied_epoch_ = 0;      // highest kFilamentMigrate epoch integrated
+  HistogramRef barrier_wait_us_{"sync.barrier_wait_us"};
 };
 
 inline void NodeEnv::ChargeWork(SimTime cost) { rt_->Charge(TimeCategory::kWork, cost); }

@@ -268,7 +268,7 @@ void DsmNode::FaultAndWait(PageId page, AccessMode mode) {
   }
   e.waiters.PushBack(t);
   host_->BlockCurrent(WaitKind::kPageFault, page);
-  metrics_->Hist("dsm.fault_wait_us").Record(ToMicroseconds(host_->Clock() - blocked_at));
+  fault_wait_us_.In(*metrics_).Record(ToMicroseconds(host_->Clock() - blocked_at));
 }
 
 void DsmNode::StartOwnerUpgrade(PageId page) {
@@ -463,7 +463,7 @@ net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool 
     const PageEntry& e = table_[p];
     const uint64_t copyset = include_copyset ? (from_grant ? e.grant_copyset : e.copyset) : 0;
     w.Put(PageBlockHeader{p, copyset});
-    w.PutBytes(replica_.get() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
+    w.PutBytes(PageBytes(p), ps);
   }
   stats_.page_data_bytes += group.size() * ps;
   return w.Take();
@@ -494,8 +494,7 @@ void DsmNode::OnPageReply(PageId page, AccessMode mode, net::WireReader r) {
   uint64_t copyset = 0;
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto block = r.Get<PageBlockHeader>();
-    r.GetBytes(replica_.get() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
-               ps);
+    r.GetBytes(PageBytes(block.page), ps);
     copyset |= block.copyset;
     host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
   }
@@ -704,8 +703,10 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
   // as read-only copies, everything else is reported back as a miss for the requester to re-fault
   // through the owner-forwarding directory. Never defers and never transfers ownership, so
   // in-flux entries, the Mirage window, and the grant record are untouched.
-  std::vector<PageId> hits;
-  std::vector<PageId> misses;
+  std::vector<PageId>& hits = bulk_hits_;
+  std::vector<PageId>& misses = bulk_misses_;
+  hits.clear();
+  misses.clear();
   const uint64_t end =
       std::min<uint64_t>(static_cast<uint64_t>(req.first) + req.count, table_.size());
   for (uint64_t p64 = req.first; p64 < end; ++p64) {
@@ -738,7 +739,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     // Only set when sync-batch is on, so off-mode bulk replies stay byte-identical.
     const uint64_t diff_tag = (sync_batch() && page_pcp(p) == Pcp::kDiff) ? 1 : 0;
     w.Put(PageBlockHeader{p, diff_tag});
-    w.PutBytes(replica_.get() + (static_cast<GlobalAddr>(p) << layout_->page_shift()), ps);
+    w.PutBytes(PageBytes(p), ps);
     DFIL_ORACLE(OnServeRead(self_, src, p));
   }
   stats_.page_data_bytes += hits.size() * ps;
@@ -761,8 +762,7 @@ void DsmNode::OnBulkReply(net::WireReader r) {
   const size_t ps = layout_->page_size();
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto block = r.Get<PageBlockHeader>();
-    r.GetBytes(replica_.get() + (static_cast<GlobalAddr>(block.page) << layout_->page_shift()),
-               ps);
+    r.GetBytes(PageBytes(block.page), ps);
     host_->Charge(TimeCategory::kDataTransfer, costs_->page_install);
     FinishBulkPage(block.page, /*installed=*/true, h.owner_hint,
                    /*diff_copy=*/(block.copyset & 1) != 0);

@@ -6,6 +6,7 @@
 // diff protocol is new; DESIGN.md §10 describes it.
 #include "src/dsm/page_protocol.h"
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <string>
@@ -116,29 +117,35 @@ bool DiffProtocol::MaybeBulkRefetch(PageId page) {
   if (!node_.sync_batch() || last_flush_sets_.empty()) {
     return false;
   }
-  for (auto it = last_flush_sets_.begin(); it != last_flush_sets_.end(); ++it) {
-    const std::set<PageId>& pages = it->second;
-    if (pages.count(page) == 0) {
+  const auto it = std::lower_bound(
+      last_flush_sets_.begin(), last_flush_sets_.end(), page,
+      [](const FlushSetPage& f, PageId p) { return f.page < p; });
+  if (it == last_flush_sets_.end() || it->page != page) {
+    return false;
+  }
+  // The whole set this node flushed to `home` last epoch is about to be re-read; fetch it back in
+  // maximal runs of consecutive pages, in page order. Two consecutive pages of one set sit next
+  // to each other in the list. StartBulkFetch skips pages that are present, fetching, grouped, or
+  // owned here, so overlap with other traffic is safe.
+  const NodeId home = it->home;
+  const auto in_set = [home](const FlushSetPage& f) { return f.home == home; };
+  size_t i = 0;
+  while (i < last_flush_sets_.size()) {
+    if (!in_set(last_flush_sets_[i])) {
+      ++i;
       continue;
     }
-    // The whole set this node flushed to `it->first` last epoch is about to be re-read; fetch it
-    // back in maximal contiguous runs (std::set iterates sorted). StartBulkFetch skips pages that
-    // are present, fetching, grouped, or owned here, so overlap with other traffic is safe.
-    std::vector<PageId> sorted(pages.begin(), pages.end());
-    size_t i = 0;
-    while (i < sorted.size()) {
-      size_t j = i + 1;
-      while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1) {
-        ++j;
-      }
-      node_.StartBulkFetch(sorted[i], static_cast<int>(j - i));
-      i = j;
+    size_t j = i + 1;
+    while (j < last_flush_sets_.size() && in_set(last_flush_sets_[j]) &&
+           last_flush_sets_[j].page == last_flush_sets_[j - 1].page + 1) {
+      ++j;
     }
-    last_flush_sets_.erase(it);  // one-shot: a second fault must not re-issue the sweep
-    node_.stats_.diff_bulk_refetches++;
-    return node_.table_[page].fetching;
+    node_.StartBulkFetch(last_flush_sets_[i].page, static_cast<int>(j - i));
+    i = j;
   }
-  return false;
+  std::erase_if(last_flush_sets_, in_set);  // one-shot: a second fault must not re-issue the sweep
+  node_.stats_.diff_bulk_refetches++;
+  return node_.table_[page].fetching;
 }
 
 std::optional<net::Payload> DiffProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
@@ -155,9 +162,19 @@ std::optional<net::Payload> DiffProtocol::OnRemoteRequest(NodeId src, PageId pag
 void DiffProtocol::TwinInPlace(PageId page) {
   PageEntry& e = entry(page);
   const size_t ps = node_.layout_->page_size();
-  const std::byte* cur =
-      node_.replica_.get() + (static_cast<GlobalAddr>(page) << node_.layout_->page_shift());
-  twins_[page].assign(cur, cur + ps);
+  const std::byte* cur = node_.PageBytes(page);
+  auto it = twins_.lower_bound(page);
+  if (it == twins_.end() || it->first != page) {
+    if (spare_twins_.empty()) {
+      it = twins_.emplace_hint(it, page, std::vector<std::byte>());
+    } else {
+      TwinMap::node_type twin = std::move(spare_twins_.back());
+      spare_twins_.pop_back();
+      twin.key() = page;
+      it = twins_.insert(it, std::move(twin));
+    }
+  }
+  it->second.assign(cur, cur + ps);
   e.state = PageState::kReadWrite;
   node_.stats_.diff_twins_created++;
   node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_twin_copy);
@@ -202,47 +219,51 @@ void DiffProtocol::FlushTwins() {
   }
   TraceSpan flush_span(node_.tracer_, "dsm", "diff_flush e", flush_epoch_);
   const size_t ps = node_.layout_->page_size();
-  // Encode every twin and batch the non-empty diffs by home node. std::map ordering makes both
-  // the target sequence and each message's page order deterministic.
-  struct PageDiff {
-    PageId page;
-    std::vector<net::DiffRun> runs;
-  };
-  std::map<NodeId, std::vector<PageDiff>> by_home;
+  // Encode every twin into one run list; each changed page records its slice of it.
+  flush_runs_.clear();
+  flush_pages_.clear();
   for (const auto& [p, twin] : twins_) {
-    const std::byte* cur =
-        node_.replica_.get() + (static_cast<GlobalAddr>(p) << node_.layout_->page_shift());
     node_.host_->Charge(TimeCategory::kDataTransfer, node_.costs_->diff_encode_page);
-    std::vector<net::DiffRun> runs = net::DiffPageRuns(twin.data(), cur, ps);
-    if (runs.empty()) {
+    const size_t first = flush_runs_.size();
+    net::AppendDiffPageRuns(twin.data(), node_.PageBytes(p), ps, flush_runs_);
+    if (flush_runs_.size() == first) {
       continue;  // the twin was never actually changed; nothing to merge
     }
     const NodeId home = node_.table_[p].probable_owner;
     DFIL_CHECK_NE(home, node_.self_) << "diff twin of a page we own (page " << p << ")";
-    by_home[home].push_back(PageDiff{p, std::move(runs)});
+    flush_pages_.push_back(FlushedPage{home, p, first, flush_runs_.size() - first});
   }
+  // One kDiffMerge per home, homes in ascending order and each message's pages in page order.
+  std::sort(flush_pages_.begin(), flush_pages_.end(),
+            [](const FlushedPage& a, const FlushedPage& b) {
+              return a.home != b.home ? a.home < b.home : a.page < b.page;
+            });
   struct Merge {
     NodeId home;
     net::Payload payload;
     uint64_t flow;
   };
   std::vector<Merge> merges;
-  for (auto& [home, pages] : by_home) {
+  for (size_t begin = 0; begin < flush_pages_.size();) {
+    const NodeId home = flush_pages_[begin].home;
+    size_t end = begin;
     size_t bytes = sizeof(net::DiffMergeHeader);
-    for (const PageDiff& d : pages) {
-      bytes += sizeof(net::DiffPageHeader);
-      for (const net::DiffRun& run : d.runs) {
-        bytes += sizeof(net::DiffRun) + run.len;
+    for (; end < flush_pages_.size() && flush_pages_[end].home == home; ++end) {
+      const FlushedPage& d = flush_pages_[end];
+      bytes += sizeof(net::DiffPageHeader) + d.count * sizeof(net::DiffRun);
+      for (size_t r = d.first; r < d.first + d.count; ++r) {
+        bytes += flush_runs_[r].len;
       }
     }
     net::WireWriter w;
     w.Reserve(bytes);
-    w.Put(net::DiffMergeHeader{flush_epoch_, static_cast<uint16_t>(pages.size())});
-    for (const PageDiff& d : pages) {
-      w.Put(net::DiffPageHeader{d.page, static_cast<uint16_t>(d.runs.size())});
-      const std::byte* cur =
-          node_.replica_.get() + (static_cast<GlobalAddr>(d.page) << node_.layout_->page_shift());
-      for (const net::DiffRun& run : d.runs) {
+    w.Put(net::DiffMergeHeader{flush_epoch_, static_cast<uint16_t>(end - begin)});
+    for (size_t k = begin; k < end; ++k) {
+      const FlushedPage& d = flush_pages_[k];
+      w.Put(net::DiffPageHeader{d.page, static_cast<uint16_t>(d.count)});
+      const std::byte* cur = node_.PageBytes(d.page);
+      for (size_t r = d.first; r < d.first + d.count; ++r) {
+        const net::DiffRun run = flush_runs_[r];
         w.Put(run);
         w.PutBytes(cur + run.offset, run.len);
         node_.stats_.diff_bytes_sent += run.len;
@@ -252,13 +273,14 @@ void DiffProtocol::FlushTwins() {
     }
     const uint64_t flow = node_.tracer_ != nullptr ? node_.tracer_->NewTraceId() : 0;
     merges.push_back(Merge{home, w.Take(), flow});
+    begin = end;
   }
   // Sync-batch mode: remember what was flushed where — the next epoch's first fault into a set
   // re-fetches the whole set with bulk requests instead of RTT-chained single-page faults.
   if (node_.sync_batch()) {
     last_flush_sets_.clear();
     for (const auto& [p, twin] : twins_) {
-      last_flush_sets_[node_.table_[p].probable_owner].insert(p);
+      last_flush_sets_.push_back(FlushSetPage{p, node_.table_[p].probable_owner});
     }
   }
   // The merge to the barrier parent goes out gated: its ack is elided (the done broadcast stands
@@ -305,15 +327,16 @@ void DiffProtocol::FlushTwins() {
         },
         TimeCategory::kDataTransfer);
   }
-  // The flushed copies die like any sync-point copy; the home's frame is now authoritative.
-  for (const auto& [p, twin] : twins_) {
-    PageEntry& e = node_.table_[p];
+  // The flushed copies die like any sync-point copy; the home's frame is now authoritative. Their
+  // twins go to the spare list.
+  while (!twins_.empty()) {
+    PageEntry& e = node_.table_[twins_.begin()->first];
     e.state = PageState::kInvalid;
     e.diff_copy = false;
     node_.stats_.implicit_invalidations++;
     node_.NotePageDiscarded(e);
+    spare_twins_.push_back(twins_.extract(twins_.begin()));
   }
-  twins_.clear();
 }
 
 std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader body,
@@ -337,23 +360,24 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
   }
   applied_epoch_[src] = h.epoch;
   bool applied_any = false;
+  std::vector<net::DiffRun> oracle_runs;  // a page's runs, kept only for the coherence oracle
   for (uint16_t i = 0; i < h.npages; ++i) {
     const auto ph = body.Get<net::DiffPageHeader>();
     // Ownership is pinned while diff copies exist (see OnRemoteRequest), so merges always find
     // their home; a page we no longer own can only appear in pathological injected schedules,
     // and its runs are consumed without touching the frame.
     const bool own = node_.table_[ph.page].owner;
-    std::byte* frame =
-        node_.replica_.get() + (static_cast<GlobalAddr>(ph.page) << node_.layout_->page_shift());
-    std::vector<net::DiffRun> runs;
-    runs.reserve(ph.nruns);
+    std::byte* frame = node_.PageBytes(ph.page);
+    oracle_runs.clear();
     for (uint16_t r = 0; r < ph.nruns; ++r) {
       const auto run = body.Get<net::DiffRun>();
       const std::span<const std::byte> bytes = body.GetSpan(run.len);
       if (own) {
         std::memcpy(frame + run.offset, bytes.data(), run.len);
       }
-      runs.push_back(run);
+      if (node_.oracle_ != nullptr) {
+        oracle_runs.push_back(run);
+      }
     }
     if (!own) {
       node_.stats_.diff_stale_merges_ignored++;
@@ -365,7 +389,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
       node_.NoteAdaptTraffic(ph.page);  // incoming merges keep the group hot (and pinned)
     }
     applied_any = true;
-    DFIL_ORACLE(OnDiffMergeApplied(node_.self_, src, ph.page, h.epoch, runs));
+    DFIL_ORACLE(OnDiffMergeApplied(node_.self_, src, ph.page, h.epoch, oracle_runs));
   }
   if (applied_any) {
     node_.stats_.diff_merges_applied++;

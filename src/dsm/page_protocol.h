@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/common/types.h"
@@ -185,17 +184,39 @@ class DiffProtocol final : public PageProtocol {
   // faulted page itself is now fetching.
   bool MaybeBulkRefetch(PageId page);
 
+  using TwinMap = std::map<PageId, std::vector<std::byte>>;
+  // One changed page of a flush: its home and its runs, flush_runs_[first, first + count).
+  struct FlushedPage {
+    NodeId home;
+    PageId page;
+    size_t first;
+    size_t count;
+  };
+  // A page flushed at the last sync point and the home it went to.
+  struct FlushSetPage {
+    PageId page;
+    NodeId home;
+  };
+
   // Twinned pages, ordered so flush batches and message contents are deterministic.
-  std::map<PageId, std::vector<std::byte>> twins_;
+  TwinMap twins_;
+  // Flushed twins kept for reuse: TwinInPlace re-keys one and copies the page into its buffer,
+  // so a twin costs no allocation once a node has flushed as many as it holds.
+  std::vector<TwinMap::node_type> spare_twins_;
+  // FlushTwins' working lists, reused across flushes: every page's runs in one list, and the
+  // changed pages sorted into per-home merges.
+  std::vector<net::DiffRun> flush_runs_;
+  std::vector<FlushedPage> flush_pages_;
   // This node's sync-point counter, stamped into outgoing merges. Barriers are collective, so
   // the counter advances in lockstep across nodes and names the epoch a merge belongs to.
   uint64_t flush_epoch_ = 0;
   // Home side: last epoch applied per sender; retransmissions and delayed duplicates of an
   // already-applied flush are skipped (the empty ack is still rebuilt).
   std::map<NodeId, uint64_t> applied_epoch_;
-  // Sync-batch mode: pages flushed at the last sync point, per home — the next epoch's expected
-  // re-fetch footprint. Consumed (erased) by the first fault into each set.
-  std::map<NodeId, std::set<PageId>> last_flush_sets_;
+  // Sync-batch mode: pages flushed at the last sync point, in page order, each with its home —
+  // the next epoch's expected re-fetch footprint. A home's pages form its flush set, which the
+  // first fault into it consumes (erases).
+  std::vector<FlushSetPage> last_flush_sets_;
   // The request id and epoch of the gated merge sent to the barrier parent (0 = none pending).
   uint64_t gated_merge_req_ = 0;
   uint64_t gated_merge_epoch_ = 0;

@@ -291,8 +291,8 @@ void PacketEndpoint::RecordDatagram(size_t payload_bytes, size_t nframes) {
   }
   stats_.wire_bytes += framed;
   if (metrics_ != nullptr) {
-    metrics_->Hist("net.frames_per_datagram").Record(static_cast<double>(nframes));
-    metrics_->Hist("net.bytes_per_datagram").Record(static_cast<double>(framed));
+    frames_per_datagram_.In(*metrics_).Record(static_cast<double>(nframes));
+    bytes_per_datagram_.In(*metrics_).Record(static_cast<double>(framed));
   }
 }
 
@@ -325,7 +325,7 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
   if (metrics_ != nullptr) {
     // Depth of the outstanding-request pipeline including this one: how many replies this node is
     // waiting on whenever it issues a request (a proxy for remote serve-queue pressure).
-    metrics_->Hist("net.serve_queue_depth").Record(static_cast<double>(outstanding_.size() + 1));
+    serve_queue_depth_.In(*metrics_).Record(static_cast<double>(outstanding_.size() + 1));
   }
   if (coalesce_.enabled && ShouldHold(dst, service)) {
     Enqueue(dst, Kind::kRequest, service, req_id, out.body, charge_as, out.trace,
@@ -407,7 +407,7 @@ void PacketEndpoint::UpdateRtt(NodeId src, const Outstanding& out) {
     if (rto > config_.retransmit_timeout_max) {
       rto = config_.retransmit_timeout_max;
     }
-    metrics_->Hist("net.rto_us").Record(ToMicroseconds(rto));
+    rto_us_.In(*metrics_).Record(ToMicroseconds(rto));
   }
 }
 

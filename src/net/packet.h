@@ -393,6 +393,10 @@ class PacketEndpoint {
   static constexpr size_t kServedIdsCap = 4096;
   std::set<std::pair<NodeId, uint64_t>> served_requests_;
   std::deque<std::pair<NodeId, uint64_t>> served_fifo_;
+  HistogramRef frames_per_datagram_{"net.frames_per_datagram"};
+  HistogramRef bytes_per_datagram_{"net.bytes_per_datagram"};
+  HistogramRef serve_queue_depth_{"net.serve_queue_depth"};
+  HistogramRef rto_us_{"net.rto_us"};
 };
 
 }  // namespace dfil::net

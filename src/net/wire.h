@@ -136,44 +136,15 @@ struct DiffRun {
   uint16_t len;
 };
 
-// Scans `cur` against `twin` and returns the runs of differing bytes. Gaps shorter than
-// `min_gap` equal bytes are absorbed into the surrounding run: each run costs a DiffRun header
-// on the wire, so shipping a few unchanged bytes beats splitting the run.
-inline std::vector<DiffRun> DiffPageRuns(const std::byte* twin, const std::byte* cur,
-                                         size_t page_size, size_t min_gap = 8) {
-  DFIL_CHECK_LE(page_size, size_t{65535}) << "diff runs use 16-bit offsets";
-  const auto word = [](const std::byte* p) {
-    uint64_t w;
-    std::memcpy(&w, p, sizeof(w));
-    return w;
-  };
-  std::vector<DiffRun> runs;
-  size_t i = 0;
-  while (i < page_size) {
-    // Most of a twinned page is unchanged, so step over equal bytes a word at a time.
-    if (i + sizeof(uint64_t) <= page_size && word(twin + i) == word(cur + i)) {
-      i += sizeof(uint64_t);
-      continue;
-    }
-    if (twin[i] == cur[i]) {
-      ++i;
-      continue;
-    }
-    const size_t start = i;
-    size_t last_diff = i;
-    ++i;
-    while (i < page_size && i - last_diff <= min_gap) {
-      if (twin[i] != cur[i]) {
-        last_diff = i;
-      }
-      ++i;
-    }
-    runs.push_back(DiffRun{static_cast<uint16_t>(start),
-                           static_cast<uint16_t>(last_diff - start + 1)});
-    i = last_diff + 1;
-  }
-  return runs;
-}
+// Gaps shorter than this many equal bytes are absorbed into the surrounding run: each run costs a
+// DiffRun header on the wire, so shipping a few unchanged bytes beats splitting the run.
+inline constexpr size_t kDiffMinGap = 8;
+
+// Scans `cur` against `twin` and appends the runs of differing bytes to `runs`. A run ends at
+// its last differing byte when the next one lies kDiffMinGap or more equal bytes further on (or
+// the page ends). Pages of up to 65535 bytes: a DiffRun's offset and length are 16 bits.
+void AppendDiffPageRuns(const std::byte* twin, const std::byte* cur, size_t page_size,
+                        std::vector<DiffRun>& runs);
 
 }  // namespace dfil::net
 

@@ -2,10 +2,14 @@
 // consistency protocols' invariants, exercised through full clusters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "src/apps/jacobi.h"
 #include "src/core/cluster.h"
 #include "src/core/global_array.h"
 #include "src/core/node_runtime.h"
+#include "src/dsm/coherence_oracle.h"
 #include "src/dsm/layout.h"
 
 namespace dfil::dsm {
@@ -347,6 +351,55 @@ TEST_P(PageSizeTest, ProtocolsWorkAtAnyPageSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PageSizeTest, ::testing::Values(9, 12, 14));
+
+// The diff protocol from the smallest page to the largest its 16-bit run offsets address, with
+// and without coalescing (which adds the bulk flush-set refetch). Three nodes interleave their
+// elements, so every page has three concurrent writers each epoch.
+class DiffPageSizeTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(DiffPageSizeTest, DiffMergesAtAnyPageSize) {
+  ClusterConfig cfg = Config(3, Pcp::kDiff);
+  cfg.page_shift = static_cast<size_t>(std::get<0>(GetParam()));
+  cfg.coalesce.enabled = std::get<1>(GetParam());
+  CoherenceOracle oracle;
+  cfg.coherence_oracle = &oracle;
+  Cluster cluster(cfg);
+  const size_t n = std::max<size_t>(1024, 4 * cluster.layout().page_size() / sizeof(int64_t));
+  auto arr = GlobalArray1D<int64_t>::Alloc(cluster.layout(), n, "arr");
+  constexpr int kEpochs = 3;
+  int bad = 0;
+  int64_t total = 0;
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    for (int e = 0; e < kEpochs; ++e) {
+      for (size_t i = static_cast<size_t>(env.node()); i < n; i += 3) {
+        arr.Write(env, i, arr.Read(env, i) + static_cast<int64_t>(i) + 1);
+      }
+      env.Barrier();
+      for (size_t i = 0; i < n; ++i) {
+        bad += arr.Read(env, i) != (e + 1) * (static_cast<int64_t>(i) + 1);
+      }
+      env.Barrier();
+    }
+    if (env.node() == 0) {
+      for (size_t i = 0; i < n; ++i) {
+        total += arr.Read(env, i);
+      }
+    }
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+  EXPECT_EQ(bad, 0);
+  const int64_t count = static_cast<int64_t>(n);
+  EXPECT_EQ(total, kEpochs * count * (count + 1) / 2);
+  uint64_t merged = 0;
+  for (const auto& nr : r.nodes) {
+    merged += nr.dsm.diff_pages_merged;
+  }
+  EXPECT_GT(merged, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DiffPageSizeTest,
+                         ::testing::Combine(::testing::Values(6, 9, 12, 15), ::testing::Bool()));
 
 // --- Bulk transfers / prefetching ---
 

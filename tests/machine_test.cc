@@ -303,7 +303,8 @@ TEST(WireTest, GetSpanReadsInPlace) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
-// The run rule stated one byte at a time, the reference DiffPageRuns must reproduce exactly.
+// The run rule stated one byte at a time, the reference AppendDiffPageRuns must reproduce
+// exactly.
 std::vector<net::DiffRun> ByteScanDiffRuns(const std::byte* twin, const std::byte* cur,
                                            size_t page_size, size_t min_gap) {
   std::vector<net::DiffRun> runs;
@@ -327,30 +328,82 @@ std::vector<net::DiffRun> ByteScanDiffRuns(const std::byte* twin, const std::byt
   return runs;
 }
 
+// Flips bytes [at, end) of `cur`, clamped to the page.
+void FlipRange(std::vector<std::byte>& cur, size_t at, size_t end) {
+  for (size_t k = at; k < std::min(end, cur.size()); ++k) {
+    cur[k] ^= std::byte{0x5a};
+  }
+}
+
 TEST(WireTest, DiffPageRunsMatchTheByteScan) {
+  constexpr size_t kGap = net::kDiffMinGap;
   Rng rng(7);
-  for (const size_t page : {size_t{4096}, size_t{512}, size_t{100}, size_t{13}, size_t{7}}) {
-    for (int trial = 0; trial < 200; ++trial) {
+  for (const size_t page : {size_t{4096}, size_t{512}, size_t{100}, size_t{65}, size_t{64},
+                            size_t{13}, size_t{7}}) {
+    for (int trial = 0; trial < 300; ++trial) {
       std::vector<std::byte> twin(page);
       for (std::byte& b : twin) {
         b = static_cast<std::byte>(rng.NextBounded(256));
       }
       std::vector<std::byte> cur = twin;
-      // Edits of 1-20 bytes at random offsets leave gaps both shorter and longer than min_gap.
-      const uint64_t edits = rng.NextBounded(12);
-      for (uint64_t e = 0; e < edits; ++e) {
-        const size_t at = rng.NextBounded(page);
-        const size_t end = std::min(page, at + 1 + rng.NextBounded(20));
-        for (size_t k = at; k < end; ++k) {
-          cur[k] ^= std::byte{0x5a};
-        }
+      switch (trial % 5) {
+        case 0:  // short edits at random offsets: gaps both shorter and longer than kGap
+          for (uint64_t e = rng.NextBounded(12); e > 0; --e) {
+            const size_t at = rng.NextBounded(page);
+            FlipRange(cur, at, at + 1 + rng.NextBounded(20));
+          }
+          break;
+        case 1:  // long edits, up to the whole page
+          for (uint64_t e = rng.NextBounded(3); e > 0; --e) {
+            const size_t at = rng.NextBounded(page);
+            FlipRange(cur, at, at + 1 + rng.NextBounded(page + 1));
+          }
+          if (trial % 10 == 1) {
+            FlipRange(cur, 0, page);
+          }
+          break;
+        case 2:  // runs that start or end on (or one byte off) a word or 64-byte boundary
+          for (uint64_t e = 1 + rng.NextBounded(6); e > 0; --e) {
+            const size_t unit = rng.NextBounded(2) == 0 ? 8 : 64;
+            const size_t at =
+                (rng.NextBounded(page / unit + 1) * unit + page - 1 + rng.NextBounded(3)) % page;
+            const size_t len = rng.NextBounded(2) == 0
+                                   ? unit * (1 + rng.NextBounded(3))
+                                   : unit * (1 + rng.NextBounded(3)) - at % unit;
+            FlipRange(cur, at, at + len);
+          }
+          break;
+        case 3:  // single differing bytes whose gaps sit at, just under and just over kGap
+          for (size_t at = rng.NextBounded(16); at < page;) {
+            FlipRange(cur, at, at + 1);
+            const size_t pick = rng.NextBounded(5);
+            const size_t gap = pick == 0   ? kGap
+                               : pick == 1 ? kGap + 1
+                               : pick == 2 ? kGap - 1
+                               : pick == 3 ? 0
+                                           : rng.NextBounded(2 * kGap + 3);
+            at += 1 + gap;
+          }
+          break;
+        default:  // nothing changed but the trailing partial word (or the last byte)
+          FlipRange(cur, page - 1 - rng.NextBounded(page % 8 == 0 ? 1 : page % 8), page);
+          break;
       }
-      const std::vector<net::DiffRun> got = net::DiffPageRuns(twin.data(), cur.data(), page);
-      const std::vector<net::DiffRun> want = ByteScanDiffRuns(twin.data(), cur.data(), page, 8);
-      ASSERT_EQ(got.size(), want.size()) << "page " << page << " trial " << trial;
-      for (size_t r = 0; r < got.size(); ++r) {
-        EXPECT_EQ(got[r].offset, want[r].offset) << "page " << page << " trial " << trial;
-        EXPECT_EQ(got[r].len, want[r].len) << "page " << page << " trial " << trial;
+      if (trial % 7 == 3) {
+        FlipRange(cur, page - 1, page);  // a difference in the page's last byte
+      }
+      // The scan appends: an earlier page's run stays first.
+      std::vector<net::DiffRun> got = {net::DiffRun{1, 2}};
+      net::AppendDiffPageRuns(twin.data(), cur.data(), page, got);
+      const std::vector<net::DiffRun> want = ByteScanDiffRuns(twin.data(), cur.data(), page, kGap);
+      ASSERT_EQ(got.size(), want.size() + 1) << "page " << page << " trial " << trial;
+      EXPECT_EQ(got[0].offset, 1u);
+      EXPECT_EQ(got[0].len, 2u);
+      for (size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ(got[r + 1].offset, want[r].offset)
+            << "page " << page << " trial " << trial << " run " << r;
+        ASSERT_EQ(got[r + 1].len, want[r].len)
+            << "page " << page << " trial " << trial << " run " << r;
       }
     }
   }

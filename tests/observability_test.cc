@@ -99,6 +99,21 @@ TEST(MetricsRegistryTest, CountersAndJsonRoundTrip) {
   EXPECT_EQ(hist->GetNumber("p50"), 123.0);
 }
 
+TEST(MetricsRegistryTest, HistogramRefAddsItsHistogramOnFirstUseOnly) {
+  HistogramRef ref("net.frames_per_datagram");
+  MetricsRegistry a;
+  EXPECT_TRUE(a.histograms().empty());
+  ref.In(a).Record(2.0);
+  ref.In(a).Record(4.0);
+  EXPECT_EQ(a.histograms().size(), 1u);
+  EXPECT_EQ(a.Hist("net.frames_per_datagram").count(), 2u);
+  // A second registry gets its own histogram; the first keeps what it had.
+  MetricsRegistry b;
+  ref.In(b).Record(8.0);
+  EXPECT_EQ(b.Hist("net.frames_per_datagram").count(), 1u);
+  EXPECT_EQ(a.Hist("net.frames_per_datagram").count(), 2u);
+}
+
 // --- JSON parser ---
 
 TEST(JsonTest, ParsesEveryValueKind) {

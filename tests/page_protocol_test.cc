@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -179,7 +180,55 @@ TEST(DiffProtocolTest, CoalescedRefetchNeverRetransmitsOnALossFreeWire) {
   }
   EXPECT_EQ(packet.retransmissions, 0u);
   EXPECT_EQ(packet.replies_rebuilt, 0u);
-  EXPECT_GT(SumDsm(r).diff_bulk_refetches, 0u);
+  const DsmStats dsm = SumDsm(r);
+  EXPECT_GT(dsm.diff_bulk_refetches, 0u);
+  // The diff wire output, pinned: each epoch reuses the same 224 twins, so a twin recycled with
+  // stale bytes, a changed run rule, a reordered merge or a flush set refetched twice moves these.
+  EXPECT_EQ(dsm.diff_bytes_sent, 454260u);
+  EXPECT_EQ(dsm.diff_pages_flushed, 896u);
+  EXPECT_EQ(dsm.diff_merges_sent, 28u);
+  EXPECT_EQ(dsm.diff_bulk_refetches, 28u);
+  EXPECT_EQ(packet.datagrams_sent, 636u);
+  EXPECT_EQ(packet.wire_bytes, 5130268u);
+  EXPECT_EQ(r.makespan, 4206071600);
+}
+
+// Pages whose homes interleave (page p's home is node p % 3): every node flushes to both other
+// homes each epoch, and each home must get exactly one merge per writer and epoch. A second merge
+// of the same epoch would be dropped as a duplicate, and its runs lost.
+TEST(DiffProtocolTest, InterleavedHomesGetOneMergePerWriterAndEpoch) {
+  ClusterConfig cfg = Config(3, Pcp::kDiff);
+  CoherenceOracle oracle;
+  cfg.coherence_oracle = &oracle;
+  Cluster cluster(cfg);
+  constexpr size_t kPages = 9;
+  constexpr int kEpochs = 2;
+  const size_t ps = cluster.layout().page_size();
+  const size_t per_page = ps / sizeof(int64_t);
+  auto arr = GlobalArray1D<int64_t>::Alloc(cluster.layout(), kPages * per_page, "arr");
+  for (size_t p = 0; p < kPages; ++p) {
+    cluster.layout().SetInitialOwner(arr.addr(p * per_page), ps, static_cast<NodeId>(p % 3));
+  }
+  int bad = 0;
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    for (int e = 0; e < kEpochs; ++e) {
+      for (size_t i = static_cast<size_t>(env.node()); i < kPages * per_page; i += 3) {
+        arr.Write(env, i, arr.Read(env, i) + 1);
+      }
+      env.Barrier();
+      for (size_t i = 0; i < kPages * per_page; ++i) {
+        bad += arr.Read(env, i) != e + 1;
+      }
+      env.Barrier();
+    }
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+  EXPECT_EQ(bad, 0);
+  const DsmStats s = SumDsm(r);
+  EXPECT_EQ(s.diff_merges_sent, 3u * 2u * kEpochs);
+  EXPECT_EQ(s.diff_merges_applied, s.diff_merges_sent);
+  EXPECT_EQ(s.diff_stale_merges_ignored, 0u);
 }
 
 // Negative test: two nodes writing the SAME bytes between the same barriers is a data race under
@@ -226,6 +275,31 @@ TEST(DiffOracleTest, DisjointSameEpochWritersAreClean) {
   });
   ASSERT_TRUE(r.completed) << r.deadlock_report;
   EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+}
+
+// A DiffRun's offset and length are 16 bits, so the diff protocol, configured or adaptive, takes
+// pages of at most 32 KB; Validate says so instead of the first flush aborting the run.
+TEST(DiffValidateTest, RejectsPagesBeyondSixteenBitRunOffsets) {
+  const auto mentions_offsets = [](const ClusterConfig& cfg) {
+    for (const std::string& e : cfg.Validate()) {
+      if (e.find("16-bit") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  ClusterConfig diff = Config(2, Pcp::kDiff);
+  ClusterConfig adaptive = Config(2, Pcp::kImplicitInvalidate);
+  adaptive.dsm.adapt_protocols = true;
+  for (ClusterConfig* cfg : {&diff, &adaptive}) {
+    cfg->page_shift = 16;
+    EXPECT_TRUE(mentions_offsets(*cfg)) << "adapt_protocols " << cfg->dsm.adapt_protocols;
+    cfg->page_shift = 15;
+    EXPECT_TRUE(cfg->Validate().empty()) << cfg->Validate().front();
+  }
+  ClusterConfig plain = Config(2, Pcp::kImplicitInvalidate);
+  plain.page_shift = 16;
+  EXPECT_TRUE(plain.Validate().empty()) << "single-writer protocols ship whole pages";
 }
 
 // --- Per-page-group adapter ------------------------------------------------------------------
