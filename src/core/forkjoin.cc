@@ -55,11 +55,7 @@ void FjEngine::RegisterServices() {
         DFIL_CHECK(!cell->done) << "join cell completed twice";
         cell->result = res.result;
         cell->done = true;
-        if (cell->waiter != nullptr) {
-          threads::ServerThread* t = cell->waiter;
-          cell->waiter = nullptr;
-          rt_->WakeAtTail(t);  // FIFO: the front slot is reserved for page-arrival wakes
-        }
+        rt_->WakeWaiter(cell->waiter);  // FIFO: the front slot is reserved for page-arrival wakes
         return net::Payload{};
       },
       /*idempotent=*/false);
@@ -89,42 +85,10 @@ void FjEngine::RegisterServices() {
       /*idempotent=*/false);
 
   // Termination of the fork/join phase (root join completed on node 0).
-  auto handle_terminate = [this] {
+  rt_->RegisterBroadcastHandler(net::Service::kTerminate, [this](net::WireReader) {
     terminated_ = true;
     WakeAllIdle();
-  };
-  pk.RegisterRawHandler(net::Service::kTerminate,
-                        [handle_terminate](NodeId, net::WireReader) { handle_terminate(); });
-  pk.RegisterService(
-      net::Service::kTerminate,
-      [handle_terminate](NodeId, net::WireReader) -> std::optional<net::Payload> {
-        handle_terminate();
-        return net::Payload{};
-      },
-      /*idempotent=*/true);
-}
-
-void FjEngine::ComputeTreeChildren() {
-  tree_children_.clear();
-  const int p = rt_->config().nodes;
-  const NodeId r = rt_->id();
-  // Binomial tree rooted at 0 (paper Figure 2): node r's children are r + low/2, r + low/4, ...
-  // where `low` is r's lowest set bit (or the power of two covering p for the root). Listed
-  // largest-subtree first, so the first fork travels farthest and working nodes double each step.
-  int64_t low;
-  if (r == 0) {
-    low = 1;
-    while (low < p) {
-      low <<= 1;
-    }
-  } else {
-    low = r & -r;
-  }
-  for (int64_t b = low >> 1; b >= 1; b >>= 1) {
-    if (r + b < p) {
-      tree_children_.push_back(static_cast<NodeId>(r + b));
-    }
-  }
+  });
 }
 
 FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
@@ -139,7 +103,10 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
   steal_allowed_at_ = rt_->Clock() + kStealGrace;
   steal_backoff_ = kStealRetry;
   last_steal_demand_ = rt_->Clock() - Seconds(1.0);
-  ComputeTreeChildren();
+  // Largest subtree first (paper Figure 2), so the first fork travels farthest and the number of
+  // working nodes doubles each step.
+  const std::vector<NodeId> children = BinomialChildren(rt_->id(), rt_->config().nodes);
+  tree_children_.assign(children.rbegin(), children.rend());
 
   FjResult result{};
   if (rt_->id() == 0) {
@@ -148,14 +115,7 @@ FjResult FjEngine::Run(FjFn root, const FjArgs& args) {
     result = root(rt_->env(), args);
     // Root join complete: every descendant filament has finished, everywhere.
     terminated_ = true;
-    if (rt_->config().reliable_broadcast) {
-      for (NodeId n = 1; n < rt_->config().nodes; ++n) {
-        rt_->packet().SendRequest(n, net::Service::kTerminate, {}, nullptr,
-                                  TimeCategory::kSyncOverhead);
-      }
-    } else if (rt_->config().nodes > 1) {
-      rt_->packet().BroadcastRaw(net::Service::kTerminate, {}, TimeCategory::kSyncOverhead);
-    }
+    rt_->BroadcastToPeers(net::Service::kTerminate, {});
     WakeAllIdle();
   } else {
     // Non-root mains serve the queue as ordinary workers until termination.
@@ -306,11 +266,7 @@ void FjEngine::Deliver(const Task& task, const FjResult& result) {
     DFIL_CHECK(!cell->done);
     cell->result = result;
     cell->done = true;
-    if (cell->waiter != nullptr) {
-      threads::ServerThread* t = cell->waiter;
-      cell->waiter = nullptr;
-      rt_->WakeAtTail(t);
-    }
+    rt_->WakeWaiter(cell->waiter);
     return;
   }
   net::WireWriter w;

@@ -78,7 +78,6 @@ class FjEngine {
   // Join() of a fork that was not pruned: run the child here if it is still queued, else block.
   FjResult JoinSlow(FjHandle& handle);
   void RegisterServices();
-  void ComputeTreeChildren();
   void WorkerLoop(bool is_main);
   void Execute(const Task& task);
   void Deliver(const Task& task, const FjResult& result);

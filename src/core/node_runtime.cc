@@ -1,5 +1,7 @@
 #include "src/core/node_runtime.h"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <utility>
 
@@ -12,44 +14,18 @@
 
 namespace dfil::core {
 
-// Oracle sweep at a globally quiescent point: the combining node of a tournament/central barrier
-// holds every contribution, so every node has drained its outstanding fetches (WaitForFetchDrain)
-// and run AtSyncPoint before sending up — the cluster-wide page state is stable until the
-// dissemination goes out. The dissemination barrier has no such single point, so it never sweeps.
-#define DFIL_ORACLE_SWEEP()                        \
-  do {                                             \
-    if (config_.coherence_oracle != nullptr) {     \
-      config_.coherence_oracle->AtQuiescentPoint(); \
-    }                                              \
-  } while (false)
-
-namespace {
-
-// This node's parent in the reduction tree, or kNoNode at the root. With coalescing on, the diff
-// protocol gates its merge to the parent (ack elided, retransmission canceled by the done
-// broadcast) and the transport packs it with the reduce-up of the same sync point. The
-// dissemination barrier has no parent/done structure, so nothing is gated there.
-NodeId BarrierParent(NodeId id, ClusterConfig::BarrierKind barrier) {
-  if (id == 0 || barrier == ClusterConfig::BarrierKind::kDissemination) {
-    return kNoNode;
-  }
-  return barrier == ClusterConfig::BarrierKind::kCentral ? 0 : id - (id & -id);
-}
-
-}  // namespace
-
 NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
                          const dsm::GlobalLayout* layout)
     : id_(id), config_(config), machine_(machine), threads_(config.backend), env_(this) {
   tracer_.BindNode(id_, [this] { return CurrentTid(); }, [this] { return clock_; });
+  BuildReduceSchedule();
   packet_ = std::make_unique<net::PacketEndpoint>(machine_, this, config_.packet);
   packet_->set_tracer(&tracer_);
   packet_->set_metrics(&metrics_);
   packet_->set_coalesce(config_.coalesce);
   packet_->set_ledger(&ledger_);
   dsm_ = std::make_unique<dsm::DsmNode>(this, layout, packet_.get(), &machine_->costs(),
-                                        config_.dsm, BarrierParent(id_, config_.barrier),
-                                        &tracer_, &metrics_);
+                                        config_.dsm, barrier_parent_, &tracer_, &metrics_);
   env_.dsm_ = dsm_.get();
   env_.note_writes_ = config_.balancer.enabled;
   if (config_.coherence_oracle != nullptr) {
@@ -71,16 +47,8 @@ NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* m
         const auto tag = r.Get<uint32_t>();
         Channel& ch = channels_[{src, tag}];
         ch.messages.emplace_back(r.Rest().begin(), r.Rest().end());  // outlives the datagram
-        if (ch.waiter != nullptr) {
-          threads::ServerThread* t = ch.waiter;
-          ch.waiter = nullptr;
-          WakeAtTail(t);
-        }
-        if (any_channel_waiter_ != nullptr) {
-          threads::ServerThread* t = any_channel_waiter_;
-          any_channel_waiter_ = nullptr;
-          WakeAtTail(t);
-        }
+        WakeWaiter(ch.waiter);
+        WakeWaiter(any_channel_waiter_);
       },
       TimeCategory::kDataTransfer);
 }
@@ -180,26 +148,13 @@ void NodeRuntime::BeforeFaultBlock(PageId page) {
   fj_->OnWorkerBlocked();
 }
 
-void NodeRuntime::FetchesDrained() {
-  if (drain_waiter_ != nullptr) {
-    threads::ServerThread* t = drain_waiter_;
-    drain_waiter_ = nullptr;
-    WakeAtTail(t);
-  }
-}
+void NodeRuntime::FetchesDrained() { WakeWaiter(drain_waiter_); }
 
-// Page-arrival wake: placement follows the configured policy (paper: front = fork/join
-// anti-thrashing, tail = iterative frontloading). All other wake paths use WakeAtTail — FIFO —
-// or the ready queue degenerates into a LIFO that can starve resumed workers indefinitely.
-void NodeRuntime::Wake(threads::ServerThread* t) {
-  if (config_.wake_at_front) {
-    WakeAtFront(t);
-  } else {
-    WakeAtTail(t);
+void NodeRuntime::WakeAt(threads::ServerThread* t, bool front) {
+  DFIL_CHECK(t->state() == threads::ThreadState::kBlocked);
+  if (auto it = std::find(blocked_.begin(), blocked_.end(), t); it != blocked_.end()) {
+    blocked_.erase(it);
   }
-}
-
-void NodeRuntime::AccountWake(threads::ServerThread* t) {
   if (pending_gap_ > 0) {
     ledger_.AddGap(t->block_kind(), pending_gap_);
     pending_gap_ = 0;
@@ -209,32 +164,12 @@ void NodeRuntime::AccountWake(threads::ServerThread* t) {
                        t->profile_pool());
   }
   t->set_blocked_since(-1);
-}
-
-void NodeRuntime::WakeAtFront(threads::ServerThread* t) {
-  DFIL_CHECK(t->state() == threads::ThreadState::kBlocked);
-  for (size_t i = 0; i < blocked_.size(); ++i) {
-    if (blocked_[i] == t) {
-      blocked_.erase(blocked_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  AccountWake(t);
   t->set_state(threads::ThreadState::kReady);
-  ready_.PushFront(t);
-}
-
-void NodeRuntime::WakeAtTail(threads::ServerThread* t) {
-  DFIL_CHECK(t->state() == threads::ThreadState::kBlocked);
-  for (size_t i = 0; i < blocked_.size(); ++i) {
-    if (blocked_[i] == t) {
-      blocked_.erase(blocked_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
+  if (front) {
+    ready_.PushFront(t);
+  } else {
+    ready_.PushBack(t);
   }
-  AccountWake(t);
-  t->set_state(threads::ThreadState::kReady);
-  ready_.PushBack(t);
 }
 
 threads::ServerThread* NodeRuntime::SpawnThread(std::function<void()> body) {
@@ -287,6 +222,63 @@ std::string NodeRuntime::DescribeBlocked() const {
 
 // --- Reductions ---------------------------------------------------------------------------------
 
+std::vector<NodeId> BinomialChildren(NodeId node, int nodes) {
+  std::vector<NodeId> children;
+  const int64_t low = node == 0 ? nodes : (node & -node);
+  for (int64_t b = 1; b < low && node + b < nodes; b <<= 1) {
+    children.push_back(static_cast<NodeId>(node + b));
+  }
+  return children;
+}
+
+void NodeRuntime::BuildReduceSchedule() {
+  const int p = config_.nodes;
+  const NodeId r = id_;
+  // Wire round k of a tree step: the peer is 2^k away.
+  const auto round_of = [](int64_t distance) {
+    return std::countr_zero(static_cast<uint64_t>(distance));
+  };
+  switch (config_.barrier) {
+    case ClusterConfig::BarrierKind::kTournamentBroadcast:
+      // The paper's barrier (§4.5, [HFM88]): a tournament up the binomial tree, where node r
+      // combines r + 2^k in round k and then reports to r - lowbit(r), and a single broadcast of
+      // the result down. O(p) messages, O(log p) latency.
+      for (const NodeId child : BinomialChildren(r, p)) {
+        reduce_steps_.push_back({child, round_of(child - r), /*send=*/false});
+      }
+      if (r != 0) {
+        barrier_parent_ = r - (r & -r);
+        reduce_steps_.push_back({barrier_parent_, round_of(r - barrier_parent_), /*send=*/true});
+      }
+      break;
+    case ClusterConfig::BarrierKind::kCentral:
+      // Everyone reports to node 0, which combines and broadcasts: the paper's baseline to beat,
+      // where the master's CPU serializes 2(p-1) message handlings.
+      if (r != 0) {
+        barrier_parent_ = 0;
+        reduce_steps_.push_back({0, 0, /*send=*/true});
+        break;
+      }
+      for (NodeId n = 1; n < p; ++n) {
+        reduce_steps_.push_back({n, 0, /*send=*/false});
+      }
+      break;
+    case ClusterConfig::BarrierKind::kDissemination:
+      // [HFM88]: in round k node r sends to (r + 2^k) mod p and combines (r - 2^k) mod p. Every
+      // node holds the full combination after ceil(log2 p) rounds, with no broadcast, at the price
+      // of O(p log p) messages.
+      for (int k = 0; (1 << k) < p; ++k) {
+        reduce_steps_.push_back({static_cast<NodeId>((r + (1 << k)) % p), k, /*send=*/true});
+        reduce_steps_.push_back({static_cast<NodeId>((r - (1 << k) + p) % p), k, /*send=*/false});
+      }
+      break;
+  }
+}
+
+bool NodeRuntime::ElideUpAcks() const {
+  return config_.coalesce.enabled && config_.barrier != ClusterConfig::BarrierKind::kDissemination;
+}
+
 void NodeRuntime::RegisterReduceServices() {
   packet_->RegisterService(
       net::Service::kReduceUp,
@@ -294,106 +286,87 @@ void NodeRuntime::RegisterReduceServices() {
         const auto epoch = body.Get<uint64_t>();
         const auto round = body.Get<int32_t>();
         const auto value = body.Get<double>();
-        std::vector<LoadSample> samples;
-        if (config_.balancer.enabled) {
-          // Balancer wire format (config-uniform across the cluster, so the balancer-off format
-          // stays byte-identical): the merge-epoch word is always present (0 = none), followed by
-          // the sender's subtree of load samples.
-          const auto merge_epoch = body.Get<uint64_t>();
-          const auto nsamples = body.Get<uint32_t>();
-          samples.reserve(nsamples);
-          for (uint32_t i = 0; i < nsamples; ++i) {
-            LoadSample s;
-            s.node = body.Get<int32_t>();
-            s.arrival = body.Get<SimTime>();
-            s.run = body.Get<SimTime>();
-            s.wait = body.Get<SimTime>();
-            s.serve = body.Get<SimTime>();
-            samples.push_back(s);
-          }
-          if (merge_epoch > dsm_->DiffAppliedEpoch(src)) {
-            return std::nullopt;  // defer until the piggybacked gated merge applied (see below)
-          }
-          for (const LoadSample& s : samples) {
-            balance_samples_[epoch][s.node] = s;  // idempotent under retransmitted ups
-          }
-        } else if (body.remaining() >= sizeof(uint64_t)) {
-          // Piggybacked gated-merge epoch: the sender's diff flush travels unacked in the same
-          // datagram (or an earlier one). Defer the contribution until that merge has been
-          // applied here, so the champion's quiescent sweep still sees every merge even when
-          // injected reordering or duplication splits the pair.
-          const auto merge_epoch = body.Get<uint64_t>();
-          if (merge_epoch > dsm_->DiffAppliedEpoch(src)) {
-            return std::nullopt;
-          }
+        if (DeferUp(src, epoch, body)) {
+          return std::nullopt;
         }
-        const bool elide = config_.coalesce.enabled &&
-                           config_.barrier != ClusterConfig::BarrierKind::kDissemination;
-        if (elide && last_done_epoch_ >= epoch) {
+        if (ElideUpAcks() && last_done_epoch_ >= epoch) {
           // A retransmission of a contribution this barrier already consumed (its elided ack was
           // lost on the sender): answer with the done value directly, standing in for the
           // broadcast the sender evidently also missed.
-          net::WireWriter w;
-          w.Put(epoch);
-          w.Put(last_done_value_);
-          if (config_.balancer.enabled) {
-            AppendPlan(w, epoch);
-          }
-          return w.Take();
+          return DonePayload(epoch, last_done_value_);
         }
         reduce_inbox_[{epoch, round, src}] = value;
-        if (reduce_waiter_ != nullptr) {
-          threads::ServerThread* t = reduce_waiter_;
-          reduce_waiter_ = nullptr;
-          WakeAtTail(t);
-        }
-        if (elide) {
+        WakeWaiter(reduce_waiter_);
+        if (ElideUpAcks()) {
           // The done broadcast is the real ack of a reduce-up; skip the empty reply datagram.
           packet_->ElideCurrentReply();
         }
         return net::Payload{};
       },
       /*idempotent=*/true);
+  RegisterBroadcastHandler(net::Service::kReduceDone,
+                           [this](net::WireReader body) { AcceptDone(body); });
+}
 
-  auto handle_done = [this](net::WireReader body) {
-    const auto epoch = body.Get<uint64_t>();
-    const auto value = body.Get<double>();
-    if (config_.balancer.enabled) {
-      ParsePlan(body);
-    }
-    reduce_done_[epoch] = value;
-    // Only a NEW done may consume the unacked sync-point requests. Under loss a done arrives
-    // again — a duplicated raw broadcast, or the reliable done request retransmitted because our
-    // reply to it was lost re-runs this handler — and by then this node may already be a barrier
-    // ahead, with the next epoch's reduce-up and gated merge in flight. A stale done proves
-    // nothing about those; canceling them here would stop the very retransmissions that recover
-    // their loss (the parent defers our up until the merge lands, so the run would wedge at the
-    // retransmission limit).
-    if (epoch > last_done_epoch_) {
-      last_done_epoch_ = epoch;
-      last_done_value_ = value;
-      if (pending_up_req_ != 0) {
-        // The done proves our contribution was combined; stop retransmitting the (unacked) up.
-        packet_->CancelRequest(pending_up_req_);
-        pending_up_req_ = 0;
+void NodeRuntime::BroadcastToPeers(net::Service service, const net::Payload& body) {
+  if (config_.reliable_broadcast) {
+    for (NodeId n = 0; n < config_.nodes; ++n) {
+      if (n != id_) {
+        packet_->SendRequest(n, service, body, nullptr, TimeCategory::kSyncOverhead);
       }
-      dsm_->OnBarrierDone();
     }
-    if (reduce_waiter_ != nullptr) {
-      threads::ServerThread* t = reduce_waiter_;
-      reduce_waiter_ = nullptr;
-      WakeAtTail(t);
-    }
-  };
-  packet_->RegisterRawHandler(net::Service::kReduceDone,
-                              [handle_done](NodeId, net::WireReader body) { handle_done(body); });
+  } else if (config_.nodes > 1) {
+    packet_->BroadcastRaw(service, body, TimeCategory::kSyncOverhead);
+  }
+}
+
+void NodeRuntime::RegisterBroadcastHandler(net::Service service,
+                                           std::function<void(net::WireReader)> fn) {
+  packet_->RegisterRawHandler(service, [fn](NodeId, net::WireReader body) { fn(body); });
   packet_->RegisterService(
-      net::Service::kReduceDone,
-      [handle_done](NodeId, net::WireReader body) -> std::optional<net::Payload> {
-        handle_done(body);
+      service,
+      [fn](NodeId, net::WireReader body) -> std::optional<net::Payload> {
+        fn(body);
         return net::Payload{};
       },
       /*idempotent=*/true);
+}
+
+net::Payload NodeRuntime::DonePayload(uint64_t epoch, double value) const {
+  net::WireWriter w;
+  w.Put(epoch);
+  w.Put(value);
+  if (config_.balancer.enabled) {
+    AppendPlan(w, epoch);
+  }
+  return w.Take();
+}
+
+void NodeRuntime::AcceptDone(net::WireReader body) {
+  const auto epoch = body.Get<uint64_t>();
+  const auto value = body.Get<double>();
+  if (config_.balancer.enabled) {
+    ParsePlan(body);
+  }
+  reduce_done_[epoch] = value;
+  // Only a NEW done may consume the unacked sync-point requests. Under loss a done arrives
+  // again — a duplicated raw broadcast, or the reliable done request retransmitted because our
+  // reply to it was lost re-runs this handler — and by then this node may already be a barrier
+  // ahead, with the next epoch's reduce-up and gated merge in flight. A stale done proves
+  // nothing about those; canceling them here would stop the very retransmissions that recover
+  // their loss (the parent defers our up until the merge lands, so the run would wedge at the
+  // retransmission limit).
+  if (epoch > last_done_epoch_) {
+    last_done_epoch_ = epoch;
+    last_done_value_ = value;
+    if (pending_up_req_ != 0) {
+      // The done proves our contribution was combined; stop retransmitting the (unacked) up.
+      packet_->CancelRequest(pending_up_req_);
+      pending_up_req_ = 0;
+    }
+    dsm_->OnBarrierDone();
+  }
+  WakeWaiter(reduce_waiter_);
 }
 
 double NodeRuntime::Combine(double a, double b, ReduceOp op) {
@@ -456,156 +429,72 @@ void NodeRuntime::SendReduceValue(NodeId dst, uint64_t epoch, int round, double 
   w.Put(epoch);
   w.Put(static_cast<int32_t>(round));
   w.Put(value);
-  if (config_.balancer.enabled) {
-    // Balancer wire format: merge-epoch word always present (0 = none; an applied-epoch counter
-    // can never be outrun by 0, so 0 never defers), then this sender's accumulated samples — its
-    // own plus every subtree sample received in earlier tournament rounds, sorted by node id.
-    uint64_t merge_epoch = 0;
-    if (config_.coalesce.enabled) {
-      merge_epoch = dsm_->PendingGatedMergeEpoch();
-    }
-    w.Put(merge_epoch);
-    const auto& samples = balance_samples_[epoch];
-    w.Put(static_cast<uint32_t>(samples.size()));
-    for (const auto& [node, s] : samples) {
-      w.Put(s.node);
-      w.Put(s.arrival);
-      w.Put(s.run);
-      w.Put(s.wait);
-      w.Put(s.serve);
-    }
-  } else if (config_.coalesce.enabled) {
-    // Piggyback the epoch of the still-unacked gated diff merge (it rides to the same parent,
-    // held in the same datagram): the receiver defers this contribution until the merge applies.
-    if (const uint64_t merge_epoch = dsm_->PendingGatedMergeEpoch(); merge_epoch != 0) {
-      w.Put(merge_epoch);
-    }
-  }
-  const bool elide = config_.coalesce.enabled &&
-                     config_.barrier != ClusterConfig::BarrierKind::kDissemination;
+  AppendUpTrailer(w, epoch);
   const uint64_t req = packet_->SendRequest(
       dst, net::Service::kReduceUp, w.Take(),
       [this](net::WireReader r) {
         pending_up_req_ = 0;
-        if (r.remaining() == 0) {
-          return;  // plain ack (elision off, or the parent had not seen done yet)
-        }
-        // Done-carrying reply: the parent answered a retransmitted up with the barrier result.
-        const auto epoch = r.Get<uint64_t>();
-        const auto value = r.Get<double>();
-        if (config_.balancer.enabled) {
-          ParsePlan(r);
-        }
-        reduce_done_[epoch] = value;
-        last_done_epoch_ = epoch;
-        last_done_value_ = value;
-        dsm_->OnBarrierDone();
-        if (reduce_waiter_ != nullptr) {
-          threads::ServerThread* t = reduce_waiter_;
-          reduce_waiter_ = nullptr;
-          WakeAtTail(t);
+        if (r.remaining() > 0) {
+          // Done-carrying reply: the parent answered a retransmitted up with the barrier result
+          // (an empty reply is a plain ack). Its epoch is always newer than last_done_epoch_: a
+          // done for that epoch would have canceled this request. So AcceptDone's stale-done
+          // guard changes nothing here.
+          AcceptDone(r);
         }
       },
       TimeCategory::kSyncOverhead);
-  if (elide) {
+  if (ElideUpAcks()) {
     pending_up_req_ = req;  // canceled when the done broadcast arrives
   }
 }
 
-// The paper's barrier (§4.5, [HFM88]): tournament ascent, single broadcast descent. O(p)
-// messages, O(log p) latency.
-double NodeRuntime::ReduceTournament(uint64_t epoch, double value, ReduceOp op) {
-  const int p = config_.nodes;
-  const NodeId r = id_;
-  double accum = value;
-  for (int k = 0; (1 << k) < p; ++k) {
-    const int bit = 1 << k;
-    if ((r & bit) != 0) {
-      // Tournament loser: report our partial value to the winner and await dissemination.
-      SendReduceValue(r - bit, epoch, k, accum);
-      return WaitReduceDone(epoch);
+void NodeRuntime::AppendUpTrailer(net::WireWriter& w, uint64_t epoch) {
+  // The still-unacked gated diff merge rides to the same parent in the same datagram; the
+  // receiver defers this contribution until that merge applies. An applied-epoch counter can
+  // never be outrun by 0, so 0 never defers.
+  const uint64_t merge_epoch = config_.coalesce.enabled ? dsm_->PendingGatedMergeEpoch() : 0;
+  if (!config_.balancer.enabled) {
+    if (merge_epoch != 0) {
+      w.Put(merge_epoch);
     }
-    if (r + bit < p) {
-      accum = Combine(accum, WaitReduceUp(epoch, k, r + bit), op);
-    }
+    return;
   }
-  DFIL_CHECK_EQ(r, 0);
-  DFIL_ORACLE_SWEEP();
-  MaybeEmitPlan(epoch);
-  net::WireWriter w;
-  w.Put(epoch);
-  w.Put(accum);
-  if (config_.balancer.enabled) {
-    AppendPlan(w, epoch);
+  // The balancer's form (config-uniform across the cluster, so the balancer-off form stays
+  // byte-identical): the word always, then this sender's samples, its own plus every subtree
+  // sample received in earlier tournament rounds, sorted by node id.
+  w.Put(merge_epoch);
+  const auto& samples = balance_samples_[epoch];
+  w.Put(static_cast<uint32_t>(samples.size()));
+  for (const auto& [node, s] : samples) {
+    w.Put(s.node);
+    w.Put(s.arrival);
+    w.Put(s.run);
+    w.Put(s.wait);
+    w.Put(s.serve);
   }
-  if (config_.reliable_broadcast) {
-    net::Payload body = w.Take();
-    for (NodeId n = 1; n < p; ++n) {
-      packet_->SendRequest(n, net::Service::kReduceDone, body, nullptr,
-                           TimeCategory::kSyncOverhead);
-    }
-  } else {
-    packet_->BroadcastRaw(net::Service::kReduceDone, w.Take(), TimeCategory::kSyncOverhead);
-  }
-  last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result directly
-  last_done_value_ = accum;
-  return accum;
 }
 
-// Dissemination barrier [HFM88]: ceil(log2 p) rounds; in round k node r sends to (r + 2^k) mod p
-// and receives from (r - 2^k) mod p. Every node holds the full combination after the last round —
-// no dissemination broadcast — at the price of O(p log p) messages.
-double NodeRuntime::ReduceDissemination(uint64_t epoch, double value, ReduceOp op) {
-  const int p = config_.nodes;
-  // With p a power of two, round k leaves node r holding the exact combination of the window
-  // (r - 2^k, r]; otherwise windows overlap and non-idempotent operators (sum) double-count.
-  DFIL_CHECK((p & (p - 1)) == 0 || op == ReduceOp::kBarrier || op == ReduceOp::kMax ||
-             op == ReduceOp::kMin || op == ReduceOp::kLogicalAnd || op == ReduceOp::kLogicalOr)
-      << "dissemination sum-reduction requires a power-of-two node count";
-  const NodeId r = id_;
-  double accum = value;
-  for (int k = 0; (1 << k) < p; ++k) {
-    const int dist = 1 << k;
-    const NodeId to = static_cast<NodeId>((r + dist) % p);
-    const NodeId from = static_cast<NodeId>((r - dist + p) % p);
-    SendReduceValue(to, epoch, k, accum);
-    accum = Combine(accum, WaitReduceUp(epoch, k, from), op);
+bool NodeRuntime::DeferUp(NodeId src, uint64_t epoch, net::WireReader& body) {
+  // Deferring keeps the champion's quiescent sweep seeing every merge even when injected
+  // reordering or duplication splits a merge from its up.
+  if (!config_.balancer.enabled) {
+    return body.remaining() >= sizeof(uint64_t) &&
+           body.Get<uint64_t>() > dsm_->DiffAppliedEpoch(src);
   }
-  return accum;
-}
-
-// Central barrier: everyone reports to node 0, which combines and broadcasts. The paper's
-// baseline to beat — the master's CPU serializes 2(p-1) message handlings.
-double NodeRuntime::ReduceCentral(uint64_t epoch, double value, ReduceOp op) {
-  const int p = config_.nodes;
-  if (id_ != 0) {
-    SendReduceValue(0, epoch, 0, value);
-    return WaitReduceDone(epoch);
+  if (body.Get<uint64_t>() > dsm_->DiffAppliedEpoch(src)) {
+    return true;
   }
-  double accum = value;
-  for (NodeId n = 1; n < p; ++n) {
-    accum = Combine(accum, WaitReduceUp(epoch, 0, n), op);
+  const auto nsamples = body.Get<uint32_t>();
+  for (uint32_t i = 0; i < nsamples; ++i) {
+    LoadSample s;
+    s.node = body.Get<int32_t>();
+    s.arrival = body.Get<SimTime>();
+    s.run = body.Get<SimTime>();
+    s.wait = body.Get<SimTime>();
+    s.serve = body.Get<SimTime>();
+    balance_samples_[epoch][s.node] = s;  // idempotent under retransmitted ups
   }
-  DFIL_ORACLE_SWEEP();
-  MaybeEmitPlan(epoch);
-  net::WireWriter w;
-  w.Put(epoch);
-  w.Put(accum);
-  if (config_.balancer.enabled) {
-    AppendPlan(w, epoch);
-  }
-  if (config_.reliable_broadcast) {
-    net::Payload body = w.Take();
-    for (NodeId n = 1; n < p; ++n) {
-      packet_->SendRequest(n, net::Service::kReduceDone, body, nullptr,
-                           TimeCategory::kSyncOverhead);
-    }
-  } else {
-    packet_->BroadcastRaw(net::Service::kReduceDone, w.Take(), TimeCategory::kSyncOverhead);
-  }
-  last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result directly
-  last_done_value_ = accum;
-  return accum;
+  return false;
 }
 
 double NodeRuntime::Reduce(double value, ReduceOp op) {
@@ -632,16 +521,34 @@ double NodeRuntime::Reduce(double value, ReduceOp op) {
   }
   double result = value;
   if (config_.nodes > 1) {
-    switch (config_.barrier) {
-      case ClusterConfig::BarrierKind::kTournamentBroadcast:
-        result = ReduceTournament(epoch, value, op);
-        break;
-      case ClusterConfig::BarrierKind::kDissemination:
-        result = ReduceDissemination(epoch, value, op);
-        break;
-      case ClusterConfig::BarrierKind::kCentral:
-        result = ReduceCentral(epoch, value, op);
-        break;
+    const int p = config_.nodes;
+    // With p a power of two, dissemination round k leaves node r holding the exact combination of
+    // the window (r - 2^k, r]; otherwise windows overlap and non-idempotent operators (sum)
+    // double-count.
+    DFIL_CHECK(config_.barrier != ClusterConfig::BarrierKind::kDissemination ||
+               (p & (p - 1)) == 0 || op == ReduceOp::kBarrier || op == ReduceOp::kMax ||
+               op == ReduceOp::kMin || op == ReduceOp::kLogicalAnd || op == ReduceOp::kLogicalOr)
+        << "dissemination sum-reduction requires a power-of-two node count";
+    for (const ReduceStep& step : reduce_steps_) {
+      if (step.send) {
+        SendReduceValue(step.peer, epoch, step.round, result);
+      } else {
+        result = Combine(result, WaitReduceUp(epoch, step.round, step.peer), op);
+      }
+    }
+    if (barrier_parent_ != kNoNode) {
+      result = WaitReduceDone(epoch);
+    } else if (config_.barrier != ClusterConfig::BarrierKind::kDissemination) {
+      // The root holds every contribution, so every node has drained its outstanding fetches and
+      // run AtSyncPoint before sending up: the cluster-wide page state is stable until the done
+      // goes out, a quiescent point for the oracle's sweep. Dissemination has no such point.
+      if (config_.coherence_oracle != nullptr) {
+        config_.coherence_oracle->AtQuiescentPoint();
+      }
+      MaybeEmitPlan(epoch);
+      BroadcastToPeers(net::Service::kReduceDone, DonePayload(epoch, result));
+      last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result
+      last_done_value_ = result;
     }
   }
   TraceEnd();

@@ -85,11 +85,20 @@ class NodeRuntime final : public dsm::DsmHost {
   // Marks the current server thread blocked on (kind, detail) and suspends it; the caller has
   // already recorded it on some wait queue. Returns when the thread is woken.
   void BlockCurrent(WaitKind kind, uint64_t detail = 0) override;
-  // Makes `t` runnable. Placement defaults to the configured wake policy (front = fork/join
-  // anti-thrashing; tail = iterative frontloading).
-  void Wake(threads::ServerThread* t) override;
-  void WakeAtFront(threads::ServerThread* t);
-  void WakeAtTail(threads::ServerThread* t);
+  // Makes `t` runnable, placed by the configured wake policy (paper: front = fork/join
+  // anti-thrashing; tail = iterative frontloading). Page arrivals wake this way.
+  void Wake(threads::ServerThread* t) override { WakeAt(t, config_.wake_at_front); }
+  // Every other wake is FIFO, or the ready queue degenerates into a LIFO that can starve resumed
+  // workers indefinitely.
+  void WakeAtTail(threads::ServerThread* t) { WakeAt(t, /*front=*/false); }
+  // Wakes the thread parked in `slot`, if any, at the tail, and empties the slot.
+  void WakeWaiter(threads::ServerThread*& slot) {
+    if (slot != nullptr) {
+      threads::ServerThread* t = slot;
+      slot = nullptr;
+      WakeAtTail(t);
+    }
+  }
   // Creates a server thread running `body` and enqueues it (charges creation cost).
   threads::ServerThread* SpawnThread(std::function<void()> body);
   threads::ServerThread* CurrentThread() override { return threads_.current(); }
@@ -105,6 +114,14 @@ class NodeRuntime final : public dsm::DsmHost {
 
   // --- Reductions (tournament with broadcast dissemination, paper §4.5 / [HFM88]) ---
   double Reduce(double value, ReduceOp op);
+
+  // --- Broadcasts from one node to all others (the done of a barrier, fork/join termination) ---
+  // Sends `body` to every other node: one raw broadcast, or under reliable_broadcast one reliable
+  // request to each other node in id order. Sends nothing on a one-node cluster.
+  void BroadcastToPeers(net::Service service, const net::Payload& body);
+  // Registers `fn` for `service` both as the raw handler and as the idempotent service, so it
+  // runs whichever way BroadcastToPeers sent the message.
+  void RegisterBroadcastHandler(net::Service service, std::function<void(net::WireReader)> fn);
 
   // --- Explicit message channels (raw UDP semantics, for the CG programs) ---
   void ChannelSend(NodeId dst, uint32_t tag, std::span<const std::byte> bytes);
@@ -165,22 +182,35 @@ class NodeRuntime final : public dsm::DsmHost {
   // Charge() helper: returns to the machine so a due event can dispatch; resumes afterwards.
   void YieldForEvent();
 
-  // Wake-time accounting shared by WakeAtFront/WakeAtTail: books the pending scheduler gap under
-  // the woken thread's wait kind and the thread's blocked interval.
-  void AccountWake(threads::ServerThread* t);
+  // Makes blocked `t` ready at the front or the tail of the ready queue, booking the pending
+  // scheduler gap under its wait kind and its blocked interval.
+  void WakeAt(threads::ServerThread* t, bool front);
 
   // Blocks the current thread until there are no outstanding page fetches (paper §3: nodes delay
   // at synchronization points until all outstanding page requests are satisfied).
   void WaitForFetchDrain();
 
   // Reduction plumbing.
+  // Fills reduce_steps_ and barrier_parent_ from the configured barrier kind.
+  void BuildReduceSchedule();
   void RegisterReduceServices();
+  // True when a reduce-up's ack is elided (coalescing under a barrier with a done broadcast): the
+  // done is the ack, and a retransmitted up is answered with the done directly.
+  bool ElideUpAcks() const;
   void SendReduceValue(NodeId dst, uint64_t epoch, int round, double value);
+  // The trailer of a reduce-up after (epoch, round, value): the epoch of the gated diff merge it
+  // piggybacks on, then under the balancer the sender's load samples. Without the balancer the
+  // epoch word is present only when nonzero; with it the word is always there (0 = none).
+  void AppendUpTrailer(net::WireWriter& w, uint64_t epoch);
+  // Reads AppendUpTrailer's trailer from `src`'s up for `epoch`. True when the contribution must
+  // wait for its gated merge to apply here; otherwise keeps the carried load samples.
+  bool DeferUp(NodeId src, uint64_t epoch, net::WireReader& body);
+  // The done message: (epoch, value) plus, under the balancer, the plan trailer.
+  net::Payload DonePayload(uint64_t epoch, double value) const;
+  // Takes in a done, from the broadcast or from the reply to a retransmitted up.
+  void AcceptDone(net::WireReader body);
   double WaitReduceUp(uint64_t epoch, int round, NodeId from);
   double WaitReduceDone(uint64_t epoch);
-  double ReduceTournament(uint64_t epoch, double value, ReduceOp op);
-  double ReduceDissemination(uint64_t epoch, double value, ReduceOp op);
-  double ReduceCentral(uint64_t epoch, double value, ReduceOp op);
   static double Combine(double a, double b, ReduceOp op);
 
   // Load-balancer plumbing (config_.balancer; every hook is inert while disabled, keeping the
@@ -274,7 +304,26 @@ class NodeRuntime final : public dsm::DsmHost {
   uint64_t last_plan_applied_ = 0;          // highest plan epoch acted on (src/dst roles)
   uint64_t migrate_applied_epoch_ = 0;      // highest kFilamentMigrate epoch integrated
   HistogramRef barrier_wait_us_{"sync.barrier_wait_us"};
+
+  // This node's reduction schedule (BuildReduceSchedule), walked in order by Reduce: send the
+  // running value to `peer`, or combine the value `peer` sends, in wire round `round`.
+  struct ReduceStep {
+    NodeId peer;
+    int round;
+    bool send;
+  };
+  std::vector<ReduceStep> reduce_steps_;
+  // This node's parent in the reduction tree: it awaits the done after its last step. kNoNode at
+  // the root and under the dissemination barrier, which has no tree. The DSM gates its diff merge
+  // to this node.
+  NodeId barrier_parent_ = kNoNode;
 };
+
+// Node `node`'s children in the binomial tree over `nodes` nodes rooted at 0 (paper Figure 2):
+// node + 1, node + 2, node + 4, ..., nearest first, each below node's lowest set bit (below
+// `nodes` at the root) and below `nodes`. The tournament barrier combines them in this order; the
+// fork/join engine ships work to them farthest first.
+std::vector<NodeId> BinomialChildren(NodeId node, int nodes);
 
 inline void NodeEnv::ChargeWork(SimTime cost) { rt_->Charge(TimeCategory::kWork, cost); }
 inline FjHandle NodeEnv::Fork(FjFn fn, const FjArgs& args) { return rt_->fj().Fork(fn, args); }

@@ -209,11 +209,7 @@ void PoolEngine::WaitForMigrations() {
 
 void PoolEngine::AcceptMigration(std::vector<Filament> filaments) {
   arrived_migrations_.push_back(std::move(filaments));
-  if (migrate_waiter_ != nullptr) {
-    threads::ServerThread* t = migrate_waiter_;
-    migrate_waiter_ = nullptr;
-    rt_->WakeAtTail(t);
-  }
+  rt_->WakeWaiter(migrate_waiter_);
 }
 
 PoolEngine::MigrationBatch PoolEngine::ExtractMigration(double fraction) {

@@ -137,7 +137,7 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   // MTU flush: packing this frame would overflow the datagram, so flush what is queued first.
   // A single frame bigger than the MTU still goes out (as a singleton legacy datagram).
   if (q.bytes > 0 && sizeof(Header) + q.bytes + frame_bytes > kMaxDatagramBytes) {
-    FlushQueue(dst);
+    FlushQueue(dst, q);
   }
   const bool was_empty = (q.bytes == 0);
   // The first frame into an empty queue pays the full send overhead; later frames only the
@@ -207,30 +207,23 @@ void PacketEndpoint::ScheduleFlushEvent() {
 }
 
 void PacketEndpoint::FlushBatches() {
-  std::vector<NodeId> dsts;
+  // A flush never adds or removes a queue, so the map is walked as it is.
   for (auto& [dst, q] : queues_) {
     if (!q.batch.empty()) {
-      dsts.push_back(dst);
+      FlushQueue(dst, q);
     }
-  }
-  for (NodeId dst : dsts) {
-    FlushQueue(dst);
   }
 }
 
 void PacketEndpoint::Flush(NodeId dst) {
-  if (queues_.count(dst) != 0) {
-    FlushQueue(dst);
+  if (auto it = queues_.find(dst); it != queues_.end()) {
+    FlushQueue(dst, it->second);
   }
 }
 
-void PacketEndpoint::FlushQueue(NodeId dst) {
-  auto it = queues_.find(dst);
-  if (it == queues_.end()) {
-    return;
-  }
-  DstQueue& q = it->second;
-  if (q.held.empty() && q.batch.empty()) {
+void PacketEndpoint::FlushQueue(NodeId dst, DstQueue& q) {
+  const size_t nframes = q.held.size() + q.batch.size();
+  if (nframes == 0) {
     return;
   }
   if (q.hold_armed) {
@@ -239,48 +232,42 @@ void PacketEndpoint::FlushQueue(NodeId dst) {
   }
   // Held frames serialize first: they were enqueued earlier in program order (e.g. a gated diff
   // merge dispatches before the reduce-up it piggybacks on).
-  std::vector<QueuedFrame> frames = std::move(q.held);
-  frames.insert(frames.end(), std::make_move_iterator(q.batch.begin()),
-                std::make_move_iterator(q.batch.end()));
+  QueuedFrame& first = q.held.empty() ? q.batch.front() : q.held.front();
+  if (nframes == 1) {
+    // A singleton flush sends the frame's bytes as they are: the legacy wire format,
+    // byte-identical to an uncoalesced send.
+    machine_->Send(
+        LegacyDatagram(dst, first.kind, first.service, first.trace, std::move(first.bytes)),
+        host_->Clock());
+  } else {
+    WireWriter w;
+    w.Reserve(sizeof(Header) + q.bytes);  // q.bytes counts each frame with its length prefix
+    w.Put(Header{Kind::kPacked, 0, static_cast<uint64_t>(nframes), 0});
+    for (const std::vector<QueuedFrame>* frames : {&q.held, &q.batch}) {
+      for (const QueuedFrame& f : *frames) {
+        w.Put(static_cast<uint32_t>(f.bytes.size()));
+        w.PutBytes(f.bytes.data(), f.bytes.size());
+      }
+    }
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->Instant("net",
+                       "coalesce " + std::to_string(nframes) + "f -> n" + std::to_string(dst));
+    }
+    DFIL_DCHECK(w.size() == sizeof(Header) + q.bytes);
+    RecordDatagram(w.size(), nframes);
+    sim::Datagram d;
+    d.src = self_;
+    d.dst = dst;
+    d.type = 0;
+    d.klass = sim::MsgClass::kPacked;
+    d.trace = first.trace;
+    d.payload = w.Take();
+    machine_->Send(std::move(d), host_->Clock());
+  }
+  // Emptied in place: the vectors keep their capacity for the next flush.
   q.held.clear();
   q.batch.clear();
   q.bytes = 0;
-  SendFrames(dst, frames);
-}
-
-void PacketEndpoint::SendFrames(NodeId dst, std::vector<QueuedFrame>& frames) {
-  if (frames.size() == 1) {
-    // A singleton flush sends the frame's bytes as they are: the legacy wire format,
-    // byte-identical to an uncoalesced send.
-    QueuedFrame& f = frames[0];
-    machine_->Send(LegacyDatagram(dst, f.kind, f.service, f.trace, std::move(f.bytes)),
-                   host_->Clock());
-    return;
-  }
-  size_t bytes = sizeof(Header);
-  for (const QueuedFrame& f : frames) {
-    bytes += kFrameLenBytes + f.bytes.size();
-  }
-  WireWriter w;
-  w.Reserve(bytes);
-  w.Put(Header{Kind::kPacked, 0, static_cast<uint64_t>(frames.size()), 0});
-  for (const QueuedFrame& f : frames) {
-    w.Put(static_cast<uint32_t>(f.bytes.size()));
-    w.PutBytes(f.bytes.data(), f.bytes.size());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("net", "coalesce " + std::to_string(frames.size()) + "f -> n" +
-                                std::to_string(dst));
-  }
-  RecordDatagram(w.size(), frames.size());
-  sim::Datagram d;
-  d.src = self_;
-  d.dst = dst;
-  d.type = 0;
-  d.klass = sim::MsgClass::kPacked;
-  d.trace = frames[0].trace;
-  d.payload = w.Take();
-  machine_->Send(std::move(d), host_->Clock());
 }
 
 void PacketEndpoint::RecordDatagram(size_t payload_bytes, size_t nframes) {

@@ -321,8 +321,8 @@ class PacketEndpoint {
   // guarantees it fires before this node executes past the current instant.
   void ScheduleFlushEvent();
   void FlushBatches();
-  void FlushQueue(NodeId dst);
-  void SendFrames(NodeId dst, std::vector<QueuedFrame>& frames);
+  // Sends every frame queued to `dst` (held ones first) as one datagram, and empties the queue.
+  void FlushQueue(NodeId dst, DstQueue& q);
   // Datagram-level stats: wire bytes (link framing + payload) and the per-datagram histograms.
   void RecordDatagram(size_t payload_bytes, size_t nframes);
   // Initial retransmission timeout for a request to `dst` (fixed when coalescing is off; the

@@ -192,10 +192,10 @@ FjResult SpreadTask(NodeEnv& env, const FjArgs& a) {
   return FjResult{0.0, rl.i + rr.i + 1};
 }
 
-TEST(ForkJoinTreeTest, BinomialChildrenMatchFigure2) {
-  // For 16 nodes, Figure 2: node 0's children are 8,4,2,1; node 8's are 12,10,9; node 4's: 6,5.
+// Each node's remaining fork/join tree children after one fork/join phase of a single leaf task.
+std::map<int, std::vector<NodeId>> TreeChildren(int nodes) {
   ClusterConfig cfg;
-  cfg.nodes = 16;
+  cfg.nodes = nodes;
   Cluster cluster(cfg);
   std::map<int, std::vector<NodeId>> children;
   RunReport r = cluster.Run([&](NodeEnv& env) {
@@ -204,15 +204,26 @@ TEST(ForkJoinTreeTest, BinomialChildrenMatchFigure2) {
     env.RunForkJoin(&LeafTask, args);  // activates the engine; tree computed at entry
     children[env.node()] = env.runtime().fj().tree_children();
   });
-  ASSERT_TRUE(r.completed) << r.deadlock_report;
-  // tree_children() reports the *remaining* (unused) children; with a single leaf task none are
-  // consumed except possibly node 0's first. Recompute expectations accordingly: node 0 shipped
-  // nothing (no forks), so the full lists remain.
+  EXPECT_TRUE(r.completed) << r.deadlock_report;
+  return children;
+}
+
+TEST(ForkJoinTreeTest, BinomialChildrenMatchFigure2) {
+  // For 16 nodes, Figure 2: node 0's children are 8,4,2,1; node 8's are 12,10,9; node 4's: 6,5.
+  // tree_children() reports the *remaining* (unused) children; a single leaf task forks nothing,
+  // so the full lists remain.
+  std::map<int, std::vector<NodeId>> children = TreeChildren(16);
   EXPECT_EQ(children[0], (std::vector<NodeId>{8, 4, 2, 1}));
   EXPECT_EQ(children[8], (std::vector<NodeId>{12, 10, 9}));
   EXPECT_EQ(children[4], (std::vector<NodeId>{6, 5}));
   EXPECT_EQ(children[5], (std::vector<NodeId>{}));
   EXPECT_EQ(children[15], (std::vector<NodeId>{}));
+  // At 13 nodes the tree is Figure 2's without nodes 13-15: node 12 keeps no child.
+  children = TreeChildren(13);
+  EXPECT_EQ(children[0], (std::vector<NodeId>{8, 4, 2, 1}));
+  EXPECT_EQ(children[8], (std::vector<NodeId>{12, 10, 9}));
+  EXPECT_EQ(children[4], (std::vector<NodeId>{6, 5}));
+  EXPECT_EQ(children[12], (std::vector<NodeId>{}));
 }
 
 TEST(ForkJoinTreeTest, WorkDoublesAcrossTheCluster) {
@@ -410,6 +421,21 @@ TEST(ReduceTest, MessageCountIsLinear) {
     ASSERT_TRUE(r.completed);
     // (p-1) reports + (p-1) acks + 1 broadcast.
     EXPECT_EQ(r.net.messages_sent, static_cast<uint64_t>(2 * (nodes - 1) + 1));
+  }
+  // A reliable done is one request and one reply per other node, under either combining barrier.
+  for (const auto barrier :
+       {ClusterConfig::BarrierKind::kTournamentBroadcast, ClusterConfig::BarrierKind::kCentral}) {
+    for (int nodes : {2, 4, 5, 8, 13, 16}) {
+      ClusterConfig cfg;
+      cfg.nodes = nodes;
+      cfg.barrier = barrier;
+      cfg.reliable_broadcast = true;
+      Cluster cluster(cfg);
+      RunReport r = cluster.Run([&](NodeEnv& env) { env.Barrier(); });
+      ASSERT_TRUE(r.completed);
+      // (p-1) reports + (p-1) acks + (p-1) dones + (p-1) done acks.
+      EXPECT_EQ(r.net.messages_sent, static_cast<uint64_t>(4 * (nodes - 1))) << "p=" << nodes;
+    }
   }
 }
 

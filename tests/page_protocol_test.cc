@@ -139,58 +139,78 @@ TEST(DiffProtocolTest, DuplicatedMergesApplyOnce) {
 // Diff with coalescing refetches each node's whole flush set from the home after a barrier: 8
 // nodes x 4 bulk requests of up to 16 pages, all answered by node 0 over one shared 10 Mb/s wire.
 // Each request's first timer must cover the replies queued ahead of it, so a loss-free run never
-// retransmits and the home never rebuilds a reply.
+// retransmits and the home never rebuilds a reply. Runs under the tournament barrier, where only
+// node 0's tree children gate their merge to it, and under the central one, where every node's
+// barrier parent is node 0 and so every merge is gated.
 TEST(DiffProtocolTest, CoalescedRefetchNeverRetransmitsOnALossFreeWire) {
-  ClusterConfig cfg = Config(8, Pcp::kDiff);  // shared Ethernet by default
-  cfg.coalesce.enabled = true;
-  CoherenceOracle oracle;
-  cfg.coherence_oracle = &oracle;
-  Cluster cluster(cfg);
-  constexpr int kPages = 32;
-  constexpr int kEpochs = 4;
-  const size_t per_page = cluster.layout().page_size() / sizeof(int64_t);
-  const size_t strip = per_page / static_cast<size_t>(cfg.nodes);
-  auto arr = GlobalArray1D<int64_t>::Alloc(cluster.layout(), kPages * per_page, "shared");
-  // The false-sharing pattern: every node read-modify-writes its own strip of every page each
-  // epoch, so every page has 8 concurrent writers.
-  const auto step = [](size_t i) { return static_cast<int64_t>(i) * 131 + 1; };
-  int bad = 0;
-  core::RunReport r = cluster.Run([&](NodeEnv& env) {
-    for (int e = 0; e < kEpochs; ++e) {
-      for (size_t p = 0; p < kPages; ++p) {
-        const size_t base = p * per_page + static_cast<size_t>(env.node()) * strip;
-        for (size_t j = base; j < base + strip; ++j) {
-          const int64_t old = arr.Read(env, j);
-          bad += old != e * step(j);
-          arr.Write(env, j, old + step(j));
+  using BarrierKind = ClusterConfig::BarrierKind;
+  struct Expected {
+    BarrierKind barrier;
+    uint64_t datagrams;
+    uint64_t wire_bytes;
+    uint64_t replies_elided;
+    uint64_t requests_canceled;
+    SimTime makespan;
+  };
+  for (const Expected& want : {Expected{BarrierKind::kTournamentBroadcast, 636, 5130268, 40, 40,
+                                        4206071600},
+                               Expected{BarrierKind::kCentral, 620, 5129084, 56, 56, 4193298000}}) {
+    SCOPED_TRACE(want.barrier == BarrierKind::kCentral ? "central" : "tournament");
+    ClusterConfig cfg = Config(8, Pcp::kDiff);  // shared Ethernet by default
+    cfg.coalesce.enabled = true;
+    cfg.barrier = want.barrier;
+    CoherenceOracle oracle;
+    cfg.coherence_oracle = &oracle;
+    Cluster cluster(cfg);
+    constexpr int kPages = 32;
+    constexpr int kEpochs = 4;
+    const size_t per_page = cluster.layout().page_size() / sizeof(int64_t);
+    const size_t strip = per_page / static_cast<size_t>(cfg.nodes);
+    auto arr = GlobalArray1D<int64_t>::Alloc(cluster.layout(), kPages * per_page, "shared");
+    // The false-sharing pattern: every node read-modify-writes its own strip of every page each
+    // epoch, so every page has 8 concurrent writers.
+    const auto step = [](size_t i) { return static_cast<int64_t>(i) * 131 + 1; };
+    int bad = 0;
+    core::RunReport r = cluster.Run([&](NodeEnv& env) {
+      for (int e = 0; e < kEpochs; ++e) {
+        for (size_t p = 0; p < kPages; ++p) {
+          const size_t base = p * per_page + static_cast<size_t>(env.node()) * strip;
+          for (size_t j = base; j < base + strip; ++j) {
+            const int64_t old = arr.Read(env, j);
+            bad += old != e * step(j);
+            arr.Write(env, j, old + step(j));
+          }
         }
+        env.Barrier();
       }
-      env.Barrier();
+      for (size_t i = 0; i < kPages * per_page; ++i) {
+        bad += arr.Read(env, i) != kEpochs * step(i);
+      }
+    });
+    ASSERT_TRUE(r.completed) << r.deadlock_report;
+    EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+    EXPECT_EQ(bad, 0);
+    net::PacketStats packet;
+    for (const auto& nr : r.nodes) {
+      packet += nr.packet;
     }
-    for (size_t i = 0; i < kPages * per_page; ++i) {
-      bad += arr.Read(env, i) != kEpochs * step(i);
-    }
-  });
-  ASSERT_TRUE(r.completed) << r.deadlock_report;
-  EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
-  EXPECT_EQ(bad, 0);
-  net::PacketStats packet;
-  for (const auto& nr : r.nodes) {
-    packet += nr.packet;
+    EXPECT_EQ(packet.retransmissions, 0u);
+    EXPECT_EQ(packet.replies_rebuilt, 0u);
+    const DsmStats dsm = SumDsm(r);
+    EXPECT_GT(dsm.diff_bulk_refetches, 0u);
+    // The diff wire output, pinned: each epoch reuses the same 224 twins, so a twin recycled with
+    // stale bytes, a changed run rule, a reordered merge or a flush set refetched twice moves
+    // these. The barrier changes only who gates a merge and how the sync traffic packs.
+    EXPECT_EQ(dsm.diff_bytes_sent, 454260u);
+    EXPECT_EQ(dsm.diff_pages_flushed, 896u);
+    EXPECT_EQ(dsm.diff_merges_sent, 28u);
+    EXPECT_EQ(dsm.diff_bulk_refetches, 28u);
+    EXPECT_EQ(packet.datagrams_sent, want.datagrams);
+    EXPECT_EQ(packet.wire_bytes, want.wire_bytes);
+    EXPECT_EQ(packet.replies_elided, want.replies_elided);
+    EXPECT_EQ(packet.requests_canceled, want.requests_canceled);
+    EXPECT_EQ(r.makespan, want.makespan);
   }
-  EXPECT_EQ(packet.retransmissions, 0u);
-  EXPECT_EQ(packet.replies_rebuilt, 0u);
-  const DsmStats dsm = SumDsm(r);
-  EXPECT_GT(dsm.diff_bulk_refetches, 0u);
-  // The diff wire output, pinned: each epoch reuses the same 224 twins, so a twin recycled with
-  // stale bytes, a changed run rule, a reordered merge or a flush set refetched twice moves these.
-  EXPECT_EQ(dsm.diff_bytes_sent, 454260u);
-  EXPECT_EQ(dsm.diff_pages_flushed, 896u);
-  EXPECT_EQ(dsm.diff_merges_sent, 28u);
-  EXPECT_EQ(dsm.diff_bulk_refetches, 28u);
-  EXPECT_EQ(packet.datagrams_sent, 636u);
-  EXPECT_EQ(packet.wire_bytes, 5130268u);
-  EXPECT_EQ(r.makespan, 4206071600);
 }
 
 // Pages whose homes interleave (page p's home is node p % 3): every node flushes to both other

@@ -3,7 +3,9 @@
 // at 8 and 13 nodes. The simulator's scheduler must pick the same node at every step however it
 // indexes the runnable hosts, and a pruned fork must cost what it did as an out-of-line call, so a
 // tie-order slip or a moved charge anywhere shows up here as a changed makespan, event count,
-// datagram count, fault or fork count, or trace hash.
+// datagram count, fault or fork count, or trace hash. The 13-node cases also run under the central
+// and dissemination barriers, with coalescing, and with the done and termination broadcasts sent
+// as reliable requests, so every path of the reduction schedule and the broadcast is pinned.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,6 +16,8 @@
 
 namespace dfil::apps {
 namespace {
+
+using BarrierKind = core::ClusterConfig::BarrierKind;
 
 uint64_t Fnv1a(const std::string& bytes) {
   uint64_t h = 14695981039346656037ull;
@@ -36,7 +40,22 @@ struct Pin {
   uint64_t datagrams;
   uint64_t faults;
   uint64_t trace_hash;
+  BarrierKind barrier = BarrierKind::kTournamentBroadcast;
+  bool coalesce = false;
 };
+
+// "" for the paper's tournament barrier, else the barrier kind as a test-name suffix.
+std::string BarrierSuffix(BarrierKind barrier) {
+  switch (barrier) {
+    case BarrierKind::kTournamentBroadcast:
+      return "";
+    case BarrierKind::kCentral:
+      return "_central";
+    case BarrierKind::kDissemination:
+      return "_dissemination";
+  }
+  return "_unknown";
+}
 
 class SchedulePin : public ::testing::TestWithParam<Pin> {};
 
@@ -50,6 +69,8 @@ TEST_P(SchedulePin, JacobiSwitchedScheduleIsUnchanged) {
   cfg.nodes = pin.nodes;
   cfg.network = core::NetworkKind::kSwitched;
   cfg.dsm.pcp = dsm::Pcp::kImplicitInvalidate;
+  cfg.barrier = pin.barrier;
+  cfg.coalesce.enabled = pin.coalesce;
   cfg.trace_enabled = true;
   const AppRun df = RunJacobiDf(p, cfg);
   ASSERT_TRUE(df.report.completed) << df.report.deadlock_report;
@@ -70,15 +91,31 @@ TEST_P(SchedulePin, JacobiSwitchedScheduleIsUnchanged) {
   EXPECT_EQ(TraceHash(df.report), pin.trace_hash);
 }
 
-void PrintTo(const Pin& pin, std::ostream* os) { *os << "p=" << pin.nodes; }
+std::string PinName(const Pin& pin) {
+  return std::string("p")
+      .append(std::to_string(pin.nodes))
+      .append(BarrierSuffix(pin.barrier))
+      .append(pin.coalesce ? "_coalesced" : "");
+}
+
+void PrintTo(const Pin& pin, std::ostream* os) {
+  *os << "p=" << pin.nodes << BarrierSuffix(pin.barrier) << (pin.coalesce ? "_coalesced" : "");
+}
 
 // Recorded with a scheduler that scanned every host on every step and every Charge, the plain
-// definition of the step order and the causal horizon. Any faster scheduler must match them.
+// definition of the step order and the causal horizon. Any faster scheduler must match them. The
+// central, dissemination and coalesced cases were recorded before the three barriers shared one
+// reduction schedule.
 INSTANTIATE_TEST_SUITE_P(
     Nodes, SchedulePin,
-    ::testing::Values(Pin{64, 131784202, 1512, 1264, 378, 17992316678045315465ull},
-                      Pin{13, 305308798, 312, 266, 88, 7536173988298807045ull}),
-    [](const auto& info) { return std::string("p").append(std::to_string(info.param.nodes)); });
+    ::testing::Values(
+        Pin{64, 131784202, 1512, 1264, 378, 17992316678045315465ull},
+        Pin{13, 305308798, 312, 266, 88, 7536173988298807045ull},
+        Pin{13, 304733162, 312, 266, 88, 7879669914165408269ull, BarrierKind::kCentral},
+        Pin{13, 313420718, 584, 582, 88, 1132592771355265799ull, BarrierKind::kDissemination},
+        Pin{13, 304457308, 454, 208, 88, 11280630722848976799ull, BarrierKind::kCentral,
+            /*coalesce=*/true}),
+    [](const auto& info) { return PinName(info.param); });
 
 struct FjPin {
   int nodes;
@@ -91,6 +128,8 @@ struct FjPin {
   uint64_t filaments_run;
   uint64_t steals_succeeded;
   uint64_t trace_hash;
+  BarrierKind barrier = BarrierKind::kTournamentBroadcast;
+  bool reliable_broadcast = false;
 };
 
 class SchedulePinForkJoin : public ::testing::TestWithParam<FjPin> {};
@@ -102,6 +141,8 @@ TEST_P(SchedulePinForkJoin, QuadratureEthernetScheduleIsUnchanged) {
   core::ClusterConfig cfg;
   cfg.nodes = pin.nodes;
   cfg.network = core::NetworkKind::kSharedEthernet;
+  cfg.barrier = pin.barrier;
+  cfg.reliable_broadcast = pin.reliable_broadcast;
   cfg.trace_enabled = true;
   const AppRun df = RunQuadratureDf(p, cfg);
   ASSERT_TRUE(df.report.completed) << df.report.deadlock_report;
@@ -126,16 +167,30 @@ TEST_P(SchedulePinForkJoin, QuadratureEthernetScheduleIsUnchanged) {
   EXPECT_EQ(TraceHash(df.report), pin.trace_hash);
 }
 
-void PrintTo(const FjPin& pin, std::ostream* os) { *os << "p=" << pin.nodes; }
+std::string FjPinName(const FjPin& pin) {
+  return std::string("p")
+      .append(std::to_string(pin.nodes))
+      .append(BarrierSuffix(pin.barrier))
+      .append(pin.reliable_broadcast ? "_reliable" : "");
+}
+
+void PrintTo(const FjPin& pin, std::ostream* os) {
+  *os << "p=" << pin.nodes << BarrierSuffix(pin.barrier)
+      << (pin.reliable_broadcast ? "_reliable" : "");
+}
 
 // Recorded with the pruned fork and its join as out-of-line calls into FjEngine, and with the
-// event queue pruning cancelled entries whenever NextTime() or empty() was read.
+// event queue pruning cancelled entries whenever NextTime() or empty() was read. The central
+// reliable case, whose done and kTerminate go out as one reliable request per node, was recorded
+// before the broadcasts shared one send path.
 INSTANTIATE_TEST_SUITE_P(
     Nodes, SchedulePinForkJoin,
     ::testing::Values(
         FjPin{8, 1162213851, 482, 461, 107868, 88079, 7, 88086, 37, 5468970854877725391ull},
-        FjPin{13, 712829612, 1117, 1072, 82654, 113288, 12, 113300, 89, 5238769971391085009ull}),
-    [](const auto& info) { return std::string("p").append(std::to_string(info.param.nodes)); });
+        FjPin{13, 712829612, 1117, 1072, 82654, 113288, 12, 113300, 89, 5238769971391085009ull},
+        FjPin{13, 745278612, 1205, 1180, 82654, 113288, 12, 113300, 89, 6435737383739716026ull,
+              BarrierKind::kCentral, /*reliable_broadcast=*/true}),
+    [](const auto& info) { return FjPinName(info.param); });
 
 }  // namespace
 }  // namespace dfil::apps
