@@ -78,10 +78,9 @@ void RunScenario(const char* name, std::set<int> drop, std::set<int> delay) {
   machine->AddHost(&b);
   b.endpoint->RegisterService(
       net::Service::kTestEcho,
-      [](NodeId, net::WireReader r) -> std::optional<net::Payload> {
-        net::WireWriter w;
-        w.Put(r.Get<int64_t>() * 2);
-        return w.Take();
+      [](NodeId, net::WireReader r, net::ReplyWriter& reply) {
+        reply.Body(sizeof(int64_t)).Put(r.Get<int64_t>() * 2);
+        return true;
       },
       /*idempotent=*/true);
 

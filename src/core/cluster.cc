@@ -124,6 +124,7 @@ RunReport Cluster::Run(const NodeMain& node_main) {
 #else
   report.provenance["git"] = "unknown";
 #endif
+  report.nodes.reserve(nodes_.size());
   for (auto& node : nodes_) {
     NodeReport nr;
     nr.node = node->id();
@@ -136,7 +137,7 @@ RunReport Cluster::Run(const NodeMain& node_main) {
     nr.metrics = node->metrics();
     nr.sent_by_service = node->packet().sent_by_service();
     nr.page_heat = node->dsm().fault_heat();
-    report.nodes.push_back(nr);
+    report.nodes.push_back(std::move(nr));
   }
   return report;
 }

@@ -33,7 +33,7 @@ void FjEngine::RegisterServices() {
   // queues, so this service is non-idempotent (duplicates would run the filament twice).
   pk.RegisterService(
       net::Service::kForkShip,
-      [this](NodeId src, net::WireReader body) -> std::optional<net::Payload> {
+      [this](NodeId src, net::WireReader body, net::ReplyWriter&) {
         (void)src;
         const auto ship = body.Get<ShipBody>();
         queue_.push_back(Task{reinterpret_cast<FjFn>(ship.fn), ship.args, ship.origin,
@@ -41,14 +41,14 @@ void FjEngine::RegisterServices() {
         got_first_work_ = true;
         steal_backoff_ = kStealRetry;  // fresh work: poll eagerly again
         EnsureWorkerForQueue();
-        return net::Payload{};
+        return true;  // an empty ack
       },
       /*idempotent=*/false);
 
   // A join result coming home. Also non-idempotent: it completes a cell exactly once.
   pk.RegisterService(
       net::Service::kJoinResult,
-      [this](NodeId src, net::WireReader body) -> std::optional<net::Payload> {
+      [this](NodeId src, net::WireReader body, net::ReplyWriter&) {
         (void)src;
         const auto res = body.Get<ResultBody>();
         auto* cell = reinterpret_cast<JoinCell*>(res.cell_addr);
@@ -56,7 +56,7 @@ void FjEngine::RegisterServices() {
         cell->result = res.result;
         cell->done = true;
         rt_->WakeWaiter(cell->waiter);  // FIFO: the front slot is reserved for page-arrival wakes
-        return net::Payload{};
+        return true;  // an empty ack
       },
       /*idempotent=*/false);
 
@@ -64,12 +64,12 @@ void FjEngine::RegisterServices() {
   // and ignored while this node is inside a critical section.
   pk.RegisterService(
       net::Service::kStealWork,
-      [this](NodeId src, net::WireReader body) -> std::optional<net::Payload> {
+      [this](NodeId src, net::WireReader body, net::ReplyWriter& reply) {
         (void)src;
         (void)body;
         rt_->fil_stats().steals_attempted_on_us++;
         last_steal_demand_ = rt_->Clock();
-        net::WireWriter w;
+        net::WireWriter& w = reply.Body(sizeof(uint8_t) + sizeof(ShipBody));
         if (phase_active_ && !terminated_ &&
             queue_.size() >= static_cast<size_t>(kStealMinSurplus)) {
           Task task = queue_.front();  // oldest = coarsest work
@@ -80,7 +80,7 @@ void FjEngine::RegisterServices() {
         } else {
           w.Put(uint8_t{0});
         }
-        return w.Take();
+        return true;
       },
       /*idempotent=*/false);
 

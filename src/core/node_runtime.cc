@@ -282,18 +282,19 @@ bool NodeRuntime::ElideUpAcks() const {
 void NodeRuntime::RegisterReduceServices() {
   packet_->RegisterService(
       net::Service::kReduceUp,
-      [this](NodeId src, net::WireReader body) -> std::optional<net::Payload> {
+      [this](NodeId src, net::WireReader body, net::ReplyWriter& reply) {
         const auto epoch = body.Get<uint64_t>();
         const auto round = body.Get<int32_t>();
         const auto value = body.Get<double>();
         if (DeferUp(src, epoch, body)) {
-          return std::nullopt;
+          return false;
         }
         if (ElideUpAcks() && last_done_epoch_ >= epoch) {
           // A retransmission of a contribution this barrier already consumed (its elided ack was
           // lost on the sender): answer with the done value directly, standing in for the
           // broadcast the sender evidently also missed.
-          return DonePayload(epoch, last_done_value_);
+          WriteDone(reply.Body(), epoch, last_done_value_);
+          return true;
         }
         reduce_inbox_[{epoch, round, src}] = value;
         WakeWaiter(reduce_waiter_);
@@ -301,7 +302,7 @@ void NodeRuntime::RegisterReduceServices() {
           // The done broadcast is the real ack of a reduce-up; skip the empty reply datagram.
           packet_->ElideCurrentReply();
         }
-        return net::Payload{};
+        return true;  // an empty ack
       },
       /*idempotent=*/true);
   RegisterBroadcastHandler(net::Service::kReduceDone,
@@ -325,21 +326,19 @@ void NodeRuntime::RegisterBroadcastHandler(net::Service service,
   packet_->RegisterRawHandler(service, [fn](NodeId, net::WireReader body) { fn(body); });
   packet_->RegisterService(
       service,
-      [fn](NodeId, net::WireReader body) -> std::optional<net::Payload> {
+      [fn](NodeId, net::WireReader body, net::ReplyWriter&) {
         fn(body);
-        return net::Payload{};
+        return true;  // an empty ack
       },
       /*idempotent=*/true);
 }
 
-net::Payload NodeRuntime::DonePayload(uint64_t epoch, double value) const {
-  net::WireWriter w;
+void NodeRuntime::WriteDone(net::WireWriter& w, uint64_t epoch, double value) const {
   w.Put(epoch);
   w.Put(value);
   if (config_.balancer.enabled) {
     AppendPlan(w, epoch);
   }
-  return w.Take();
 }
 
 void NodeRuntime::AcceptDone(net::WireReader body) {
@@ -546,7 +545,9 @@ double NodeRuntime::Reduce(double value, ReduceOp op) {
         config_.coherence_oracle->AtQuiescentPoint();
       }
       MaybeEmitPlan(epoch);
-      BroadcastToPeers(net::Service::kReduceDone, DonePayload(epoch, result));
+      net::WireWriter done;
+      WriteDone(done, epoch, result);
+      BroadcastToPeers(net::Service::kReduceDone, done.Take());
       last_done_epoch_ = epoch;  // children's retransmitted ups are answered with the result
       last_done_value_ = result;
     }
@@ -704,10 +705,10 @@ void NodeRuntime::ApplyPendingPlan() {
 void NodeRuntime::RegisterMigrateService() {
   packet_->RegisterService(
       net::Service::kFilamentMigrate,
-      [this](NodeId src, net::WireReader body) -> std::optional<net::Payload> {
+      [this](NodeId src, net::WireReader body, net::ReplyWriter&) {
         const auto plan_epoch = body.Get<uint64_t>();
         if (plan_epoch <= migrate_applied_epoch_) {
-          return net::Payload{};  // duplicate of an already-integrated batch
+          return true;  // duplicate of an already-integrated batch
         }
         migrate_applied_epoch_ = plan_epoch;
         const auto nfil = body.Get<uint32_t>();
@@ -737,7 +738,7 @@ void NodeRuntime::RegisterMigrateService() {
           dsm_->RequestRehome(pages, src);
         }
         pools_->AcceptMigration(std::move(filaments));
-        return net::Payload{};
+        return true;  // an empty ack
       },
       /*idempotent=*/true);
 }

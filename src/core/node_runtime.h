@@ -205,8 +205,8 @@ class NodeRuntime final : public dsm::DsmHost {
   // Reads AppendUpTrailer's trailer from `src`'s up for `epoch`. True when the contribution must
   // wait for its gated merge to apply here; otherwise keeps the carried load samples.
   bool DeferUp(NodeId src, uint64_t epoch, net::WireReader& body);
-  // The done message: (epoch, value) plus, under the balancer, the plan trailer.
-  net::Payload DonePayload(uint64_t epoch, double value) const;
+  // Appends the done message: (epoch, value) plus, under the balancer, the plan trailer.
+  void WriteDone(net::WireWriter& w, uint64_t epoch, double value) const;
   // Takes in a done, from the broadcast or from the reply to a retransmitted up.
   void AcceptDone(net::WireReader body);
   double WaitReduceUp(uint64_t epoch, int round, NodeId from);

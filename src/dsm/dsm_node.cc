@@ -1,5 +1,7 @@
 #include "src/dsm/dsm_node.h"
 
+#include <sys/mman.h>
+
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -61,7 +63,7 @@ struct BulkReplyHeader {
 
 // Rebalance page re-homing: a batch of per-page ownership requests, each carrying the
 // requester's fault_seq so the grant machinery answers lost-reply retransmissions; the reply
-// embeds one standard single-page transfer reply (BuildDataReply bytes) per served page and
+// embeds one standard single-page transfer reply (WriteDataReply bytes) per served page and
 // lists the rest as misses. Like bulk transfers it is rebuilt idempotently from current state
 // and never defers — an unservable page is a miss, not a stall.
 struct RehomeRequestHeader {
@@ -101,11 +103,13 @@ DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint*
       barrier_parent_(barrier_parent),
       tracer_(tracer),
       metrics_(metrics),
-      replica_(static_cast<std::byte*>(std::calloc(layout->region_bytes(), 1))),
+      replica_(static_cast<std::byte*>(mmap(nullptr, layout->region_bytes(),
+                                            PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                                            -1, 0))),
       table_(layout->num_pages()),
       fault_heat_(layout->num_pages()) {
-  DFIL_CHECK(replica_ != nullptr) << "cannot allocate a " << layout->region_bytes()
-                                  << "-byte replica";
+  DFIL_CHECK(replica_ != MAP_FAILED) << "cannot map a " << layout->region_bytes()
+                                     << "-byte replica";
   DFIL_CHECK(layout->sealed());
   DFIL_CHECK_LT(self_, 64) << "copysets are 64-bit masks";
   for (PageId p = 0; p < table_.size(); ++p) {
@@ -115,30 +119,38 @@ DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint*
       e.state = PageState::kReadWrite;
       e.owner = true;
     }
-    // Grouped pages must share an initial owner, since they always move together.
-    DFIL_CHECK_EQ(layout->InitialOwner(layout->GroupPagesOf(p).front()), e.probable_owner);
   }
 
   packet_->RegisterService(
       net::Service::kPageRequest,
-      [this](NodeId src, net::WireReader body) { return ServePageRequest(src, body); },
+      [this](NodeId src, net::WireReader body, net::ReplyWriter& reply) {
+        return ServePageRequest(src, body, reply);
+      },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
   packet_->RegisterService(
       net::Service::kInvalidate,
-      [this](NodeId src, net::WireReader body) { return ServeInvalidate(src, body); },
+      [this](NodeId src, net::WireReader body, net::ReplyWriter& reply) {
+        return ServeInvalidate(src, body, reply);
+      },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
   packet_->RegisterService(
       net::Service::kBulkPageRequest,
-      [this](NodeId src, net::WireReader body) { return ServeBulkRequest(src, body); },
+      [this](NodeId src, net::WireReader body, net::ReplyWriter& reply) {
+        return ServeBulkRequest(src, body, reply);
+      },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
   packet_->RegisterService(
       net::Service::kRehomePages,
-      [this](NodeId src, net::WireReader body) { return ServeRehomeRequest(src, body); },
+      [this](NodeId src, net::WireReader body, net::ReplyWriter& reply) {
+        return ServeRehomeRequest(src, body, reply);
+      },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
+  // A merge's reply is an empty ack; the sender's barrier drain waits on it.
   packet_->RegisterService(
       net::Service::kDiffMerge,
-      [this](NodeId src, net::WireReader body) {
-        return diff_->ServeMerge(src, body, /*gated=*/false);
+      [this](NodeId src, net::WireReader body, net::ReplyWriter&) {
+        diff_->ServeMerge(src, body, /*gated=*/false);
+        return true;
       },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
   // Gated variant (coalescing sync-batch mode): same apply path, but the ack is elided — the
@@ -146,8 +158,9 @@ DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint*
   // (which returns before parsing any page) able to tell the two apart.
   packet_->RegisterService(
       net::Service::kDiffMergeGated,
-      [this](NodeId src, net::WireReader body) {
-        return diff_->ServeMerge(src, body, /*gated=*/true);
+      [this](NodeId src, net::WireReader body, net::ReplyWriter&) {
+        diff_->ServeMerge(src, body, /*gated=*/true);
+        return true;
       },
       /*idempotent=*/true, TimeCategory::kDataTransfer);
 
@@ -170,7 +183,7 @@ DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint*
   }
 }
 
-DsmNode::~DsmNode() = default;
+DsmNode::~DsmNode() { munmap(replica_, layout_->region_bytes()); }
 
 Pcp DsmNode::page_pcp(PageId page) const {
   if (!config_.adapt_protocols) {
@@ -202,7 +215,7 @@ std::byte* DsmNode::AccessSlow(GlobalAddr addr, size_t len, AccessMode mode) {
       for (PageId p = first; p <= last; ++p) {
         NotePageUsed(table_[p]);
       }
-      return replica_.get() + addr;
+      return replica_ + addr;
     }
     FaultAndWait(missing, mode);
   }
@@ -322,7 +335,7 @@ void DsmNode::SendPageRequest(PageId page, AccessMode mode, NodeId target) {
       TimeCategory::kDataTransfer);
 }
 
-std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReader body) {
+bool DsmNode::ServePageRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply) {
   const auto req = body.Get<RequestBody>();
   PageEntry& e = table_[req.page];
   // The serve span plus a flow step tie this handler into the faulting node's arc (the packet
@@ -347,9 +360,9 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
     stats_.page_requests_served++;
     stats_.grant_reserves++;
     DFIL_ORACLE(OnServeGrantReserve(self_, src, req.page));
-    return BuildDataReply(req.page, /*transfer_ownership=*/true,
-                          /*include_copyset=*/proto(req.page).TracksCopyset(),
-                          /*from_grant=*/true);
+    WriteDataReply(reply.Body(DataReplyBytes(req.page)), req.page, /*transfer_ownership=*/true,
+                   /*include_copyset=*/proto(req.page).TracksCopyset(), /*from_grant=*/true);
+    return true;
   }
 
   if (e.fetching) {
@@ -361,7 +374,7 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
     if (NodeTracer* tr = tracer(); tr != nullptr) {
       tr->Instant("dsm", "defer_fetch " + FlowName(req.page));
     }
-    return std::nullopt;
+    return false;
   }
 
   if (e.owner) {
@@ -376,7 +389,7 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
       if (NodeTracer* tr = tracer(); tr != nullptr) {
         tr->Instant("dsm", "stale_dup " + FlowName(req.page));
       }
-      return std::nullopt;
+      return false;
     }
     if (e.pending_use) {
       // The page just arrived for our own blocked faulters and none has run yet. Serving now —
@@ -388,7 +401,7 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
       if (NodeTracer* tr = tracer(); tr != nullptr) {
         tr->Instant("dsm", "defer_use " + FlowName(req.page));
       }
-      return std::nullopt;
+      return false;
     }
     if (proto(req.page).TransfersOwnership(req.mode) && config_.mirage_window > 0 &&
         host_->Clock() < e.hold_until) {
@@ -397,22 +410,23 @@ std::optional<net::Payload> DsmNode::ServePageRequest(NodeId src, net::WireReade
       if (NodeTracer* tr = tracer(); tr != nullptr) {
         tr->Instant("dsm", "defer_mirage " + FlowName(req.page));
       }
-      return std::nullopt;
+      return false;
     }
     host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
     stats_.page_requests_served++;
-    return proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq);
+    proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq,
+                                    reply.Body(DataReplyBytes(req.page)));
+    return true;
   }
 
   // Not the owner: redirect the requester along the probable-owner chain.
   host_->Charge(TimeCategory::kDataTransfer, costs_->page_redirect);
   stats_.page_forwards++;
-  net::WireWriter w;
-  w.Put(ReplyHeader{kReplyRedirect, e.probable_owner, 0, 0});
-  return w.Take();
+  reply.Body(sizeof(ReplyHeader)).Put(ReplyHeader{kReplyRedirect, e.probable_owner, 0, 0});
+  return true;
 }
 
-net::Payload DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags) {
+void DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags, net::WireWriter& w) {
   // Read copy. A copyset-tracking owner (write-invalidate) downgrades and tracks the copy;
   // otherwise the copy is untracked — it dies at the reader's next sync point
   // (implicit-invalidate) or is merged back by diffs (diff).
@@ -423,19 +437,19 @@ net::Payload DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags
     }
   }
   DFIL_ORACLE(OnServeRead(self_, src, page));
-  return BuildDataReply(page, /*transfer_ownership=*/false, /*include_copyset=*/false,
-                        /*from_grant=*/false, extra_flags);
+  WriteDataReply(w, page, /*transfer_ownership=*/false, /*include_copyset=*/false,
+                 /*from_grant=*/false, extra_flags);
 }
 
-net::Payload DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq) {
+void DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq, net::WireWriter& w) {
   // Ownership transfer (migratory always; write faults otherwise).
   DFIL_LOG(kDebug, "dsm") << "node " << self_ << " transfers page " << page << " -> " << src
                           << " @" << ToMilliseconds(host_->Clock()) << "ms";
   if (config_.adapt_protocols) {
     NoteAdaptTraffic(page);  // write transfers served are the owner's half of the ping-pong count
   }
-  net::Payload reply = BuildDataReply(page, /*transfer_ownership=*/true,
-                                      /*include_copyset=*/proto(page).TracksCopyset());
+  WriteDataReply(w, page, /*transfer_ownership=*/true,
+                 /*include_copyset=*/proto(page).TracksCopyset());
   DFIL_ORACLE(OnServeTransfer(self_, src, page));
   for (PageId p : layout_->GroupPagesOf(page)) {
     PageEntry& ge = table_[p];
@@ -447,17 +461,19 @@ net::Payload DsmNode::ServeTransfer(NodeId src, PageId page, uint32_t fault_seq)
     ge.copyset = 0;
     ge.probable_owner = src;
   }
-  return reply;
 }
 
-net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool include_copyset,
-                                     bool from_grant, uint8_t extra_flags) {
-  const std::vector<PageId> group = layout_->GroupPagesOf(page);
+size_t DsmNode::DataReplyBytes(PageId page) const {
+  return sizeof(ReplyHeader) +
+         layout_->GroupPagesOf(page).size() * (sizeof(PageBlockHeader) + layout_->page_size());
+}
+
+void DsmNode::WriteDataReply(net::WireWriter& w, PageId page, bool transfer_ownership,
+                             bool include_copyset, bool from_grant, uint8_t extra_flags) {
+  const auto group = layout_->GroupPagesOf(page);
   const uint8_t flags =
       static_cast<uint8_t>((transfer_ownership ? kReplyFlagOwnership : 0) | extra_flags);
   const size_t ps = layout_->page_size();
-  net::WireWriter w;
-  w.Reserve(sizeof(ReplyHeader) + group.size() * (sizeof(PageBlockHeader) + ps));
   w.Put(ReplyHeader{kReplyOk, self_, flags, static_cast<uint16_t>(group.size())});
   for (PageId p : group) {
     const PageEntry& e = table_[p];
@@ -466,7 +482,6 @@ net::Payload DsmNode::BuildDataReply(PageId page, bool transfer_ownership, bool 
     w.PutBytes(PageBytes(p), ps);
   }
   stats_.page_data_bytes += group.size() * ps;
-  return w.Take();
 }
 
 void DsmNode::OnPageReply(PageId page, AccessMode mode, net::WireReader r) {
@@ -693,7 +708,7 @@ void DsmNode::SendBulkRequest(PageId first, uint16_t count, NodeId target) {
       TimeCategory::kDataTransfer, expected_reply);
 }
 
-std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReader body) {
+bool DsmNode::ServeBulkRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply) {
   const auto req = body.Get<BulkRequestBody>();
   TraceSpan serve_span(tracer_, "dsm", "bulk_serve p", req.first);
   if (NodeTracer* tr = tracer(); tr != nullptr) {
@@ -723,9 +738,9 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
     stats_.bulk_pages_served += hits.size();
   }
   const size_t ps = layout_->page_size();
-  net::WireWriter w;
-  w.Reserve(sizeof(BulkReplyHeader) + hits.size() * (sizeof(PageBlockHeader) + ps) +
-            misses.size() * sizeof(PageId));
+  net::WireWriter& w = reply.Body(sizeof(BulkReplyHeader) +
+                                  hits.size() * (sizeof(PageBlockHeader) + ps) +
+                                  misses.size() * sizeof(PageId));
   w.Put(BulkReplyHeader{self_, req.first, static_cast<uint16_t>(hits.size()),
                         static_cast<uint16_t>(misses.size())});
   for (PageId p : hits) {
@@ -746,7 +761,7 @@ std::optional<net::Payload> DsmNode::ServeBulkRequest(NodeId src, net::WireReade
   for (PageId p : misses) {
     w.Put(p);
   }
-  return w.Take();
+  return true;
 }
 
 void DsmNode::OnBulkReply(net::WireReader r) {
@@ -882,15 +897,21 @@ void DsmNode::SendRehomeRequest(const std::vector<std::pair<PageId, uint32_t>>& 
       TimeCategory::kDataTransfer, expected_reply);
 }
 
-std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireReader body) {
+bool DsmNode::ServeRehomeRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply) {
   const auto h = body.Get<RehomeRequestHeader>();
   TraceSpan serve_span(tracer_, "dsm", "rehome_serve x", h.count);
-  struct Served {
-    PageId page;
-    net::Payload payload;
-  };
-  std::vector<Served> served;
+  net::WireWriter& w = reply.Body();
+  const size_t header_at = w.size();
+  w.Put(RehomeReplyHeader{});  // the counts are known once every page is decided
+  uint16_t nserved = 0;
   std::vector<PageId> misses;
+  // A served page: its id and length, then its single-page transfer reply, written in place.
+  const auto open_served = [&](PageId page) {
+    ++nserved;
+    w.Put(page);
+    w.Put(static_cast<uint32_t>(DataReplyBytes(page)));
+    return w.size();
+  };
   for (uint16_t i = 0; i < h.count; ++i) {
     const auto preq = body.Get<RehomePageReq>();
     if (static_cast<size_t>(preq.page) >= table_.size()) {
@@ -904,10 +925,10 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
       // re-serve the identical transfer from the stale frame, as ServePageRequest does.
       stats_.grant_reserves++;
       DFIL_ORACLE(OnServeGrantReserve(self_, src, preq.page));
-      served.push_back({preq.page,
-                        BuildDataReply(preq.page, /*transfer_ownership=*/true,
-                                       /*include_copyset=*/proto(preq.page).TracksCopyset(),
-                                       /*from_grant=*/true)});
+      const size_t at = open_served(preq.page);
+      WriteDataReply(w, preq.page, /*transfer_ownership=*/true,
+                     /*include_copyset=*/proto(preq.page).TracksCopyset(), /*from_grant=*/true);
+      DFIL_DCHECK(w.size() - at == DataReplyBytes(preq.page));
       continue;
     }
     // Unservable pages are misses, never deferrals: the batch reply must not stall on one page
@@ -921,33 +942,21 @@ std::optional<net::Payload> DsmNode::ServeRehomeRequest(NodeId src, net::WireRea
       misses.push_back(preq.page);
       continue;
     }
-    std::optional<net::Payload> reply =
-        proto(preq.page).OnRemoteRequest(src, preq.page, AccessMode::kWrite, preq.fault_seq);
-    if (!reply.has_value()) {
-      stats_.rehome_misses_served++;
-      misses.push_back(preq.page);
-      continue;
-    }
-    served.push_back({preq.page, std::move(*reply)});
+    const size_t at = open_served(preq.page);
+    proto(preq.page).OnRemoteRequest(src, preq.page, AccessMode::kWrite, preq.fault_seq, w);
+    DFIL_DCHECK(w.size() - at == DataReplyBytes(preq.page));
   }
-  if (!served.empty()) {
+  if (nserved > 0) {
     host_->Charge(TimeCategory::kDataTransfer,
                   costs_->page_service +
-                      costs_->bulk_service_extra_page * static_cast<SimTime>(served.size() - 1));
-    stats_.rehome_pages_served += served.size();
+                      costs_->bulk_service_extra_page * static_cast<SimTime>(nserved - 1));
+    stats_.rehome_pages_served += nserved;
   }
-  net::WireWriter w;
-  w.Put(RehomeReplyHeader{static_cast<uint16_t>(served.size()),
-                          static_cast<uint16_t>(misses.size())});
-  for (Served& s : served) {
-    w.Put(s.page);
-    w.Put(static_cast<uint32_t>(s.payload.size()));
-    w.PutBytes(s.payload.data(), s.payload.size());
-  }
+  w.PutAt(header_at, RehomeReplyHeader{nserved, static_cast<uint16_t>(misses.size())});
   for (PageId p : misses) {
     w.Put(p);
   }
-  return w.Take();
+  return true;
 }
 
 void DsmNode::OnRehomeReply(net::WireReader r) {
@@ -996,7 +1005,7 @@ bool DsmNode::ConsumePrefetchWasted(PageId page) {
   return wasted;
 }
 
-std::optional<net::Payload> DsmNode::ServeInvalidate(NodeId src, net::WireReader body) {
+bool DsmNode::ServeInvalidate(NodeId src, net::WireReader body, net::ReplyWriter& /*ack*/) {
   (void)src;
   const auto page = body.Get<PageId>();
   TraceSpan inval_span(tracer_, "dsm", "inval p", page);
@@ -1026,7 +1035,7 @@ std::optional<net::Payload> DsmNode::ServeInvalidate(NodeId src, net::WireReader
       DFIL_ORACLE(OnInvalidated(self_, p));
     }
   }
-  return net::Payload{};  // empty ack
+  return true;  // an empty ack
 }
 
 void DsmNode::AtSyncPoint() {

@@ -36,7 +36,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <vector>
@@ -182,7 +181,7 @@ class DsmNode {
     if (page == layout_->PageOf(addr + len - 1)) {
       const PageEntry& e = table_[page];
       if (PagePresent(e, mode) && !e.pending_use && !e.prefetched_unused) {
-        return replica_.get() + addr;
+        return replica_ + addr;
       }
     }
     return AccessSlow(addr, len, mode);
@@ -251,7 +250,7 @@ class DsmNode {
   const DsmStats& stats() const { return stats_; }
   DsmStats& mutable_stats() { return stats_; }
   const GlobalLayout& layout() const { return *layout_; }
-  std::byte* raw_replica(GlobalAddr addr) { return replica_.get() + addr; }
+  std::byte* raw_replica(GlobalAddr addr) { return replica_ + addr; }
   Pcp pcp() const { return config_.pcp; }
   // The protocol currently governing `page`: the configured PCP, or the adapter's per-group
   // choice (implicit-invalidate or diff) when adaptation is enabled.
@@ -277,20 +276,20 @@ class DsmNode {
   // completes the pending write fetch of `page`.
   void StartInvalidations(PageId page, uint64_t targets);
 
-  // Handles an incoming page request; returns the reply payload or nullopt to defer.
-  std::optional<net::Payload> ServePageRequest(NodeId src, net::WireReader body);
-  std::optional<net::Payload> ServeInvalidate(NodeId src, net::WireReader body);
+  // Handles an incoming page request: writes the reply, or returns false to defer.
+  bool ServePageRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply);
+  bool ServeInvalidate(NodeId src, net::WireReader body, net::ReplyWriter& reply);
   void OnPageReply(PageId page, AccessMode mode, net::WireReader reply);
 
   // --- PageProtocol plumbing (policy helpers the strategies share; page_protocol.h) ---
 
   // Write-invalidate upgrade-in-place: invalidate the copyset, no page request.
   void StartOwnerUpgrade(PageId page);
-  // Owner-side reply builders used by OnRemoteRequest. ServeReadCopy ships an (optionally
-  // copyset-tracked) read copy with `extra_flags` folded into the reply header; ServeTransfer
-  // demotes this owner and records the grant.
-  net::Payload ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags);
-  net::Payload ServeTransfer(NodeId src, PageId page, uint32_t fault_seq);
+  // Owner-side reply writers used by OnRemoteRequest; each appends a data reply to `w`.
+  // ServeReadCopy ships an (optionally copyset-tracked) read copy with `extra_flags` folded into
+  // the reply header; ServeTransfer demotes this owner and records the grant.
+  void ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags, net::WireWriter& w);
+  void ServeTransfer(NodeId src, PageId page, uint32_t fault_seq, net::WireWriter& w);
   PageProtocol& proto(PageId page) { return *protocols_[static_cast<size_t>(page_pcp(page))]; }
 
   // --- Per-page-group adapter ---
@@ -316,7 +315,7 @@ class DsmNode {
 
   // Serves a bulk request from current state: ships the pages this node owns as read-only copies
   // and reports the rest as misses (idempotent; never defers, never transfers ownership).
-  std::optional<net::Payload> ServeBulkRequest(NodeId src, net::WireReader body);
+  bool ServeBulkRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply);
   void OnBulkReply(net::WireReader reply);
 
   // --- Rebalance page re-homing ---
@@ -326,7 +325,7 @@ class DsmNode {
   // Serves a re-home batch from current state: each page this node owns (and may release) ships
   // as an embedded ownership-transfer reply; everything else is a miss. Never defers — the whole
   // batch answers at once, and a per-page grant record keeps re-serves loss-safe.
-  std::optional<net::Payload> ServeRehomeRequest(NodeId src, net::WireReader body);
+  bool ServeRehomeRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply);
   void OnRehomeReply(net::WireReader reply);
 
   // Completes one page of a bulk fetch (no group logic: bulk runs cover ungrouped pages only).
@@ -349,10 +348,12 @@ class DsmNode {
   // tags the installed group as multiple-writer copies (from the reply's diff flag).
   void FinishFetch(PageId page, PageState new_state, bool ownership, bool diff_copy = false);
 
-  // Builds a data reply for the whole group of `page`, optionally transferring ownership.
-  // `from_grant` re-serves a lost transfer from the grant record instead of the live copyset.
-  net::Payload BuildDataReply(PageId page, bool transfer_ownership, bool include_copyset,
-                              bool from_grant = false, uint8_t extra_flags = 0);
+  // Appends a data reply for the whole group of `page` to `w`, optionally transferring
+  // ownership. `from_grant` re-serves a lost transfer from the grant record instead of the live
+  // copyset. The reply takes DataReplyBytes(page) bytes.
+  void WriteDataReply(net::WireWriter& w, PageId page, bool transfer_ownership,
+                      bool include_copyset, bool from_grant = false, uint8_t extra_flags = 0);
+  size_t DataReplyBytes(PageId page) const;
 
   bool PagePresent(const PageEntry& e, AccessMode mode) const {
     if (mode == AccessMode::kRead) {
@@ -379,14 +380,14 @@ class DsmNode {
     return tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
   }
 
-  // The node's copy of the shared region, zeroed on demand: at region sizes calloc takes fresh
-  // zero pages from the OS, so only the pages this node touches become resident.
-  struct FreeDeleter {
-    void operator()(std::byte* p) const { std::free(p); }
-  };
-  std::unique_ptr<std::byte[], FreeDeleter> replica_;
+  // The node's copy of the shared region: an anonymous mapping of layout_->region_bytes(), so
+  // it is always zeroed on demand and only the pages this node touches become resident. (calloc
+  // gave that only while glibc mapped large blocks: once a cluster freed its mapped replicas,
+  // glibc raised its mmap threshold, and a later cluster's replicas came zero-filled off the
+  // heap.) The destructor unmaps it.
+  std::byte* replica_;
   std::byte* PageBytes(PageId page) {
-    return replica_.get() + (static_cast<GlobalAddr>(page) << layout_->page_shift());
+    return replica_ + (static_cast<GlobalAddr>(page) << layout_->page_shift());
   }
   std::vector<PageEntry> table_;
   std::vector<uint32_t> fault_heat_;

@@ -81,21 +81,13 @@ void GlobalLayout::Seal(int num_nodes) {
       initial_owner_[p] = owner;
     }
   }
+  for (const auto& [first, last] : groups_) {
+    for (PageId p = first + 1; p <= last && p < num_pages(); ++p) {
+      DFIL_CHECK_EQ(initial_owner_[p], initial_owner_[first])
+          << "grouped pages " << first << "-" << last << " must share an initial owner";
+    }
+  }
   sealed_ = true;
-}
-
-std::vector<PageId> GlobalLayout::GroupPagesOf(PageId page) const {
-  const uint16_t g = GroupOf(page);
-  if (g == kNoGroup) {
-    return {page};
-  }
-  const auto [first, last] = groups_[g - 1];
-  std::vector<PageId> pages;
-  pages.reserve(last - first + 1);
-  for (PageId p = first; p <= last; ++p) {
-    pages.push_back(p);
-  }
-  return pages;
 }
 
 }  // namespace dfil::dsm

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -56,7 +57,8 @@ class GlobalLayout {
   // Sets the initial owner of every page overlapping [addr, addr+bytes). Default owner is node 0.
   void SetInitialOwner(GlobalAddr addr, size_t bytes, NodeId owner);
 
-  // Finalizes the layout: freezes the region size (rounded to pages) for `num_nodes` nodes.
+  // Finalizes the layout: freezes the region size (rounded to pages) for `num_nodes` nodes, and
+  // checks that the pages of each group share an initial owner (they always move together).
   void Seal(int num_nodes);
   bool sealed() const { return sealed_; }
 
@@ -67,8 +69,16 @@ class GlobalLayout {
   uint16_t GroupOf(PageId page) const {
     return page < group_of_.size() ? group_of_[page] : kNoGroup;
   }
-  // All pages of `page`'s group, in ascending order ({page} itself when ungrouped).
-  std::vector<PageId> GroupPagesOf(PageId page) const;
+  // All pages of `page`'s group, in ascending order ({page} itself when ungrouped): the range
+  // [first, last], which allocates nothing.
+  std::ranges::iota_view<PageId, PageId> GroupPagesOf(PageId page) const {
+    const uint16_t g = GroupOf(page);
+    if (g == kNoGroup) {
+      return std::views::iota(page, page + 1);
+    }
+    const auto [first, last] = groups_[g - 1];
+    return std::views::iota(first, last + 1);
+  }
 
   struct Allocation {
     std::string name;

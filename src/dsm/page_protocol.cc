@@ -46,12 +46,13 @@ FaultResult PageProtocol::StartDemandFetch(PageId page, AccessMode mode) {
   return FaultResult::kStarted;
 }
 
-std::optional<net::Payload> PageProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
-                                                          uint32_t fault_seq) {
+void PageProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode, uint32_t fault_seq,
+                                   net::WireWriter& reply) {
   if (!TransfersOwnership(mode)) {
-    return node_.ServeReadCopy(src, page, /*extra_flags=*/0);
+    node_.ServeReadCopy(src, page, /*extra_flags=*/0, reply);
+  } else {
+    node_.ServeTransfer(src, page, fault_seq, reply);
   }
-  return node_.ServeTransfer(src, page, fault_seq);
 }
 
 // --- Write-invalidate --------------------------------------------------------------------------
@@ -148,15 +149,15 @@ bool DiffProtocol::MaybeBulkRefetch(PageId page) {
   return node_.table_[page].fetching;
 }
 
-std::optional<net::Payload> DiffProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
-                                                          uint32_t fault_seq) {
+void DiffProtocol::OnRemoteRequest(NodeId src, PageId page, AccessMode mode, uint32_t fault_seq,
+                                   net::WireWriter& reply) {
   (void)fault_seq;  // ownership never transfers, so the grant machinery is never engaged
   if (node_.config_.adapt_protocols && mode == AccessMode::kWrite) {
     // Served write copies keep the group hot — and thereby pinned to this owner: a group with
     // live diff writers can never go calm and flip back to implicit-invalidate mid-use.
     node_.NoteAdaptTraffic(page);
   }
-  return node_.ServeReadCopy(src, page, kReplyFlagDiff);
+  node_.ServeReadCopy(src, page, kReplyFlagDiff, reply);
 }
 
 void DiffProtocol::TwinInPlace(PageId page) {
@@ -339,8 +340,7 @@ void DiffProtocol::FlushTwins() {
   }
 }
 
-std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader body,
-                                                     bool gated) {
+void DiffProtocol::ServeMerge(NodeId src, net::WireReader body, bool gated) {
   const auto h = body.Get<net::DiffMergeHeader>();
   TraceSpan apply_span(node_.tracer_, "dsm", "diff_apply e", h.epoch);
   if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
@@ -356,7 +356,7 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
     // A retransmission (or delayed duplicate) of a flush we already merged; re-ack without
     // re-applying, so a lost ack can never double-apply runs.
     node_.stats_.diff_stale_merges_ignored++;
-    return net::Payload{};
+    return;
   }
   applied_epoch_[src] = h.epoch;
   bool applied_any = false;
@@ -394,7 +394,6 @@ std::optional<net::Payload> DiffProtocol::ServeMerge(NodeId src, net::WireReader
   if (applied_any) {
     node_.stats_.diff_merges_applied++;
   }
-  return net::Payload{};  // empty ack; the sender's barrier drain waits on it
 }
 
 void DiffProtocol::OnBarrierDone() {

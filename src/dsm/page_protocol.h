@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "src/common/types.h"
@@ -72,9 +71,10 @@ class PageProtocol {
 
   // Owner-side serve decision. The generic guards (grant re-serve, in-flux defer, stale-dup,
   // use-once hold, Mirage window, the page_service charge) have already run in
-  // DsmNode::ServePageRequest; this builds the reply and applies the protocol's state transition.
-  virtual std::optional<net::Payload> OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
-                                                      uint32_t fault_seq);
+  // DsmNode::ServePageRequest; this appends the data reply to `reply` and applies the protocol's
+  // state transition.
+  virtual void OnRemoteRequest(NodeId src, PageId page, AccessMode mode, uint32_t fault_seq,
+                               net::WireWriter& reply);
 
   // Requester side: an ownership-granting reply for a write fault just installed. Returns true
   // when the protocol started extra work (write-invalidate's invalidation round) and will call
@@ -145,8 +145,8 @@ class DiffProtocol final : public PageProtocol {
   bool TransfersOwnership(AccessMode) const override { return false; }
   FaultResult OnReadFault(PageId page) override;
   FaultResult OnWriteFault(PageId page) override;
-  std::optional<net::Payload> OnRemoteRequest(NodeId src, PageId page, AccessMode mode,
-                                              uint32_t fault_seq) override;
+  void OnRemoteRequest(NodeId src, PageId page, AccessMode mode, uint32_t fault_seq,
+                       net::WireWriter& reply) override;
   void OnSyncPoint() override;
 
   // Twins every page of `page`'s group from the just-installed bytes and promotes the group to a
@@ -155,7 +155,8 @@ class DiffProtocol final : public PageProtocol {
 
   // Home side: applies one kDiffMerge message (idempotently, keyed by (sender, epoch)). `gated`
   // (the kDiffMergeGated service) elides the ack: the barrier done broadcast stands in for it.
-  std::optional<net::Payload> ServeMerge(NodeId src, net::WireReader body, bool gated = false);
+  // Its reply is an empty ack.
+  void ServeMerge(NodeId src, net::WireReader body, bool gated = false);
 
   bool HasTwin(PageId page) const { return twins_.count(page) != 0; }
 

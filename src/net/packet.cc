@@ -88,6 +88,15 @@ Payload PacketEndpoint::Frame(Kind kind, Service service, uint64_t req_id, uint6
   return w.Take();
 }
 
+Payload PacketEndpoint::TakeReplyFrame(ReplyWriter& reply, Service service, uint64_t req_id,
+                                       uint64_t trace) {
+  if (!reply.opened_) {
+    reply.Body();
+  }
+  reply.writer_.PutAt(0, Header{Kind::kReply, static_cast<uint16_t>(service), req_id, trace});
+  return reply.writer_.Take();
+}
+
 sim::Datagram PacketEndpoint::LegacyDatagram(NodeId dst, Kind kind, Service service,
                                              uint64_t trace, Payload frame) {
   RecordDatagram(frame.size(), 1);
@@ -101,9 +110,8 @@ sim::Datagram PacketEndpoint::LegacyDatagram(NodeId dst, Kind kind, Service serv
   return d;
 }
 
-void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t req_id,
-                              std::span<const std::byte> body, TimeCategory charge_as,
-                              uint64_t trace) {
+void PacketEndpoint::SendFrame(NodeId dst, Kind kind, Service service, Payload frame,
+                               TimeCategory charge_as, uint64_t trace) {
   // Kind and sim::MsgClass share the wire numbering so fault rules can filter on the class.
   static_assert(static_cast<uint8_t>(Kind::kRequest) ==
                 static_cast<uint8_t>(sim::MsgClass::kRequest));
@@ -114,14 +122,18 @@ void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t r
                 static_cast<uint8_t>(sim::MsgClass::kPacked));
   if (coalesce_.enabled) {
     // Critical frame: queued, then flushed by the same-clock flush event (or MTU pressure).
-    Enqueue(dst, kind, service, req_id, body, charge_as, trace, /*held=*/false, 0);
+    Enqueue(dst, kind, service, std::move(frame), charge_as, trace, /*held=*/false, 0);
     return;
   }
   host_->Charge(charge_as, machine_->costs().msg_send_overhead);
   sent_by_service_[static_cast<uint16_t>(service)]++;
-  machine_->Send(
-      LegacyDatagram(dst, kind, service, trace, Frame(kind, service, req_id, trace, body)),
-      host_->Clock());
+  machine_->Send(LegacyDatagram(dst, kind, service, trace, std::move(frame)), host_->Clock());
+}
+
+void PacketEndpoint::Transmit(NodeId dst, Kind kind, Service service, uint64_t req_id,
+                              std::span<const std::byte> body, TimeCategory charge_as,
+                              uint64_t trace) {
+  SendFrame(dst, kind, service, Frame(kind, service, req_id, trace, body), charge_as, trace);
 }
 
 namespace {
@@ -129,11 +141,11 @@ namespace {
 constexpr size_t kFrameLenBytes = sizeof(uint32_t);
 }  // namespace
 
-void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t req_id,
-                             std::span<const std::byte> body, TimeCategory charge_as,
-                             uint64_t trace, bool held, SimTime hold_for) {
+void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, Payload frame,
+                             TimeCategory charge_as, uint64_t trace, bool held,
+                             SimTime hold_for) {
   DstQueue& q = queues_[dst];
-  const size_t frame_bytes = kFrameLenBytes + sizeof(Header) + body.size();
+  const size_t frame_bytes = kFrameLenBytes + frame.size();
   // MTU flush: packing this frame would overflow the datagram, so flush what is queued first.
   // A single frame bigger than the MTU still goes out (as a singleton legacy datagram).
   if (q.bytes > 0 && sizeof(Header) + q.bytes + frame_bytes > kMaxDatagramBytes) {
@@ -149,9 +161,9 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
   }
   sent_by_service_[static_cast<uint16_t>(service)]++;
   q.bytes += frame_bytes;
-  QueuedFrame frame{kind, service, trace, Frame(kind, service, req_id, trace, body)};
+  QueuedFrame queued{kind, service, trace, std::move(frame)};
   if (held) {
-    q.held.push_back(std::move(frame));
+    q.held.push_back(std::move(queued));
     if (!q.hold_armed) {
       q.hold_armed = true;
       q.hold_timer = machine_->ScheduleTimer(self_, host_->Clock() + hold_for, [this, dst] {
@@ -160,7 +172,7 @@ void PacketEndpoint::Enqueue(NodeId dst, Kind kind, Service service, uint64_t re
       });
     }
   } else {
-    q.batch.push_back(std::move(frame));
+    q.batch.push_back(std::move(queued));
     ScheduleFlushEvent();
   }
 }
@@ -234,7 +246,7 @@ void PacketEndpoint::FlushQueue(NodeId dst, DstQueue& q) {
   // merge dispatches before the reduce-up it piggybacks on).
   QueuedFrame& first = q.held.empty() ? q.batch.front() : q.held.front();
   if (nframes == 1) {
-    // A singleton flush sends the frame's bytes as they are: the legacy wire format,
+    // A singleton flush sends the frame's buffer as it is: the legacy wire format,
     // byte-identical to an uncoalesced send.
     machine_->Send(
         LegacyDatagram(dst, first.kind, first.service, first.trace, std::move(first.bytes)),
@@ -315,7 +327,8 @@ uint64_t PacketEndpoint::SendRequest(NodeId dst, Service service, Payload body, 
     serve_queue_depth_.In(*metrics_).Record(static_cast<double>(outstanding_.size() + 1));
   }
   if (coalesce_.enabled && ShouldHold(dst, service)) {
-    Enqueue(dst, Kind::kRequest, service, req_id, out.body, charge_as, out.trace,
+    Enqueue(dst, Kind::kRequest, service,
+            Frame(Kind::kRequest, service, req_id, out.trace, out.body), charge_as, out.trace,
             /*held=*/true, kRequestHold);
   } else {
     Transmit(dst, Kind::kRequest, service, req_id, out.body, charge_as, out.trace);
@@ -565,8 +578,10 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     if (cached != response_cache_.end()) {
       stats_.duplicate_requests++;
       stats_.replies_sent++;
-      Transmit(src, Kind::kReply, service, req_id, cached->second.body,
-               TimeCategory::kSyncOverhead, CurTrace());
+      // The cached frame goes out as first sent. Its header's trace id is the current one: a
+      // retransmitted request carries its first send's id, and the handler runs under it.
+      SendFrame(src, Kind::kReply, service, cached->second.frame, TimeCategory::kSyncOverhead,
+                CurTrace());
       return;
     }
   }
@@ -578,8 +593,8 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   }
 
   elide_current_reply_ = false;
-  std::optional<Payload> reply = entry.fn(src, body);
-  if (!reply.has_value()) {
+  ReplyWriter reply;
+  if (!entry.fn(src, body, reply)) {
     elide_current_reply_ = false;
     stats_.deferred_requests++;
     return;
@@ -608,9 +623,11 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     stats_.replies_elided++;
     return;
   }
+  const uint64_t trace = CurTrace();
+  Payload frame = TakeReplyFrame(reply, service, req_id, trace);
   if (!entry.idempotent) {
     const SimTime expires = host_->Clock() + config_.retransmit_timeout * kResponseCacheTimeouts;
-    response_cache_[{src, req_id}] = CachedReply{*reply, expires};
+    response_cache_[{src, req_id}] = CachedReply{frame, expires};
     cache_fifo_.push_back({src, req_id});
     // Evict in FIFO order: anything expired, plus the oldest entries beyond the size cap. A
     // requester that still needed an evicted reply will re-run into the duplicate path and, for
@@ -624,10 +641,9 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
   }
   stats_.replies_sent++;
   if (config_.ack_replies) {
-    SendReplyBuffered(src, service, req_id, std::move(*reply));
+    SendReplyBuffered(src, service, req_id, std::move(frame), trace);
   } else {
-    Transmit(src, Kind::kReply, service, req_id, *reply, TimeCategory::kSyncOverhead, CurTrace());
-    ReturnSpare(std::move(*reply));  // framed: the frame holds its own copy
+    SendFrame(src, Kind::kReply, service, std::move(frame), TimeCategory::kSyncOverhead, trace);
   }
 }
 
@@ -638,8 +654,10 @@ void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, WireReader body) {
     // piggyback on any outgoing frame to the same peer; pure-ack datagrams nearly vanish.
     stats_.acks_sent++;
     if (coalesce_.enabled) {
-      Enqueue(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
-              CurTrace(), /*held=*/true, kAckHold);
+      const uint64_t trace = CurTrace();
+      Enqueue(src, Kind::kAck, static_cast<Service>(0),
+              Frame(Kind::kAck, static_cast<Service>(0), req_id, trace, {}),
+              TimeCategory::kSyncOverhead, trace, /*held=*/true, kAckHold);
     } else {
       Transmit(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
                CurTrace());
@@ -660,13 +678,13 @@ void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, WireReader body) {
 }
 
 void PacketEndpoint::SendReplyBuffered(NodeId dst, Service service, uint64_t req_id,
-                                       Payload body) {
-  Transmit(dst, Kind::kReply, service, req_id, body, TimeCategory::kSyncOverhead, CurTrace());
+                                       Payload frame, uint64_t trace) {
+  SendFrame(dst, Kind::kReply, service, frame, TimeCategory::kSyncOverhead, trace);
   PendingReply rep;
   rep.dst = dst;
   rep.service = service;
-  rep.body = std::move(body);
-  rep.trace = CurTrace();
+  rep.frame = std::move(frame);
+  rep.trace = trace;
   rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
                                       [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
   pending_replies_[{dst, req_id}] = std::move(rep);
@@ -689,8 +707,8 @@ void PacketEndpoint::OnReplyTimeout(NodeId dst, uint64_t req_id) {
   rep.attempts++;
   stats_.reply_retransmissions++;
   host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
-  Transmit(rep.dst, Kind::kReply, rep.service, req_id, rep.body, TimeCategory::kSyncOverhead,
-           rep.trace);
+  SendFrame(rep.dst, Kind::kReply, rep.service, rep.frame, TimeCategory::kSyncOverhead,
+            rep.trace);
   rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
                                       [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
 }

@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -150,14 +149,44 @@ class PacketHost : public sim::NodeHost {
   virtual bool InCriticalSection() const = 0;
 };
 
+// Every frame on the wire is a header of this many bytes followed by its body.
+inline constexpr size_t kFrameHeaderBytes = 24;
+
+// The reply a service writes (PacketEndpoint::ServiceFn). Its buffer opens with room for the frame
+// header, which the endpoint fills in once the service returns; the endpoint then sends or queues
+// that same buffer, so a reply's bytes are written once, into the frame they go out in.
+class ReplyWriter {
+ public:
+  ReplyWriter(const ReplyWriter&) = delete;
+  ReplyWriter& operator=(const ReplyWriter&) = delete;
+
+  // The body's writer, its buffer sized for the header room plus `bytes` of body (the body may
+  // grow past that). Call it once, before writing; a reply never opened has an empty body.
+  WireWriter& Body(size_t bytes = 0) {
+    DFIL_DCHECK(!opened_) << "a reply's body is opened once";
+    opened_ = true;
+    writer_.Reserve(kFrameHeaderBytes + bytes);
+    writer_.PutZeros(kFrameHeaderBytes);
+    return writer_;
+  }
+
+ private:
+  friend class PacketEndpoint;
+  ReplyWriter() = default;
+
+  WireWriter writer_;
+  bool opened_ = false;
+};
+
 // One node's endpoint of the Packet protocol.
 class PacketEndpoint {
  public:
-  // A service consumes a request body and returns the reply body, or nullopt to defer the request
-  // entirely (it will be served on a later retransmission). Services, reply handlers and raw
-  // handlers all read their body in place: the reader points into the received datagram, whose
-  // buffer is recycled once the handler returns, so a handler copies whatever it keeps.
-  using ServiceFn = std::function<std::optional<Payload>(NodeId src, WireReader body)>;
+  // A service reads a request body, writes the reply into `reply` and returns true, or returns
+  // false to defer the request entirely (it will be served on a later retransmission; whatever it
+  // wrote is dropped). Services, reply handlers and raw handlers all read their body in place:
+  // the reader points into the received datagram, whose buffer is recycled once the handler
+  // returns, so a handler copies whatever it keeps.
+  using ServiceFn = std::function<bool(NodeId src, WireReader body, ReplyWriter& reply)>;
   using ReplyFn = std::function<void(WireReader reply)>;
   using RawFn = std::function<void(NodeId src, WireReader body)>;
 
@@ -191,8 +220,8 @@ class PacketEndpoint {
   // a duplicate. Used when a broader signal (the barrier done broadcast) supersedes the reply.
   void CancelRequest(uint64_t req_id);
 
-  // Callable from inside a ServiceFn of an *idempotent* service: the reply the service is about
-  // to return is not transmitted (a later frame — e.g. the done broadcast — stands in for it).
+  // Callable from inside a ServiceFn of an *idempotent* service: the reply the service writes
+  // is not transmitted (a later frame — e.g. the done broadcast — stands in for it).
   // The service still counts as served, so a retransmission rebuilds normally.
   void ElideCurrentReply();
 
@@ -246,6 +275,7 @@ class PacketEndpoint {
     uint64_t req_id;
     uint64_t trace;  // causal trace id; 0 = no context
   };
+  static_assert(sizeof(Header) == kFrameHeaderBytes);
 
   struct Outstanding {
     NodeId dst;
@@ -296,24 +326,30 @@ class PacketEndpoint {
   };
 
   struct CachedReply {
-    Payload body;
+    Payload frame;  // as first sent
     SimTime expires;
   };
 
-  // Header + body in one buffer sized to fit: a frame's bytes are written once, here.
+  // Header + body in one buffer sized to fit, for a frame whose body the endpoint keeps (a
+  // request's, for retransmission) or was handed as a view (raw sends, acks).
   static Payload Frame(Kind kind, Service service, uint64_t req_id, uint64_t trace,
                        std::span<const std::byte> body);
+  // A service's reply as a frame: the header is written into the room `reply` opened with.
+  static Payload TakeReplyFrame(ReplyWriter& reply, Service service, uint64_t req_id,
+                                uint64_t trace);
   // A legacy (one-frame) datagram carrying `frame` as it is; records its datagram-level stats.
   sim::Datagram LegacyDatagram(NodeId dst, Kind kind, Service service, uint64_t trace,
                                Payload frame);
+  // Sends `frame` to `dst`: queued as a critical frame when coalescing, else as its own datagram.
+  void SendFrame(NodeId dst, Kind kind, Service service, Payload frame, TimeCategory charge_as,
+                 uint64_t trace);
   void Transmit(NodeId dst, Kind kind, Service service, uint64_t req_id,
                 std::span<const std::byte> body, TimeCategory charge_as, uint64_t trace);
-  // Coalescing send path: queues the frame to `dst` (charging send overhead for the first frame,
+  // Coalescing send path: queues `frame` to `dst` (charging send overhead for the first frame,
   // the marginal pack cost for the rest). Critical frames arm the same-clock flush event; held
   // frames wait for a carrier or their per-destination hold timer.
-  void Enqueue(NodeId dst, Kind kind, Service service, uint64_t req_id,
-               std::span<const std::byte> body, TimeCategory charge_as, uint64_t trace, bool held,
-               SimTime hold_for);
+  void Enqueue(NodeId dst, Kind kind, Service service, Payload frame, TimeCategory charge_as,
+               uint64_t trace, bool held, SimTime hold_for);
   // True when a page/bulk request to `dst` should be held for mutual-peer piggybacking, or the
   // service is a gated diff merge (always held; it rides the reduce-up frame).
   bool ShouldHold(NodeId dst, Service service) const;
@@ -339,8 +375,9 @@ class PacketEndpoint {
   void OnTimeout(uint64_t req_id);
   void HandleRequest(NodeId src, uint64_t req_id, Service service, WireReader body);
   void HandleReply(NodeId src, uint64_t req_id, WireReader body);
-  // ack_replies mode: buffer an outgoing reply and retransmit it until acknowledged.
-  void SendReplyBuffered(NodeId dst, Service service, uint64_t req_id, Payload body);
+  // ack_replies mode: buffer an outgoing reply frame and retransmit it until acknowledged.
+  void SendReplyBuffered(NodeId dst, Service service, uint64_t req_id, Payload frame,
+                         uint64_t trace);
   void OnReplyTimeout(NodeId dst, uint64_t req_id);
 
   sim::Machine* machine_;
@@ -375,7 +412,7 @@ class PacketEndpoint {
   struct PendingReply {
     NodeId dst;
     Service service;
-    Payload body;
+    Payload frame;
     sim::EventHandle timer;
     int attempts = 1;
     uint64_t trace = 0;

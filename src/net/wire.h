@@ -65,7 +65,19 @@ class WireWriter {
     buf_.insert(buf_.end(), bytes, bytes + len);
   }
 
+  // Appends `len` zero bytes: room for a field that PutAt fills in later.
+  void PutZeros(size_t len) { buf_.resize(buf_.size() + len); }
+
+  // Overwrites the bytes at `offset`, which must already be written.
+  template <typename T>
+  void PutAt(size_t offset, const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    DFIL_CHECK_LE(offset + sizeof(T), buf_.size());
+    std::memcpy(buf_.data() + offset, &value, sizeof(T));
+  }
+
   size_t size() const { return buf_.size(); }
+  const std::byte* data() const { return buf_.data(); }
   Payload Take() { return std::move(buf_); }
 
  private:

@@ -24,14 +24,24 @@ SimTime Machine::CausalHorizon(NodeId self) const {
   return min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
 }
 
-void Machine::Deliver(NodeId dst, Datagram d, SimTime at) {
+void Machine::Deliver(Datagram d, SimTime at) {
+  const NodeId dst = d.dst;
   DFIL_CHECK_GE(dst, 0);
   DFIL_CHECK_LT(static_cast<size_t>(dst), hosts_.size());
-  events_.Schedule(at, [this, dst, msg = std::move(d), at]() mutable {
-    NodeHost* host = hosts_[dst];
-    host->AdvanceTo(at);
-    host->OnDatagram(std::move(msg));
-    Refresh(dst);
+  uint32_t rec;
+  if (free_mail_.empty()) {
+    rec = static_cast<uint32_t>(mail_.size());
+    mail_.emplace_back();
+  } else {
+    rec = free_mail_.back();
+    free_mail_.pop_back();
+  }
+  mail_[rec] = std::move(d);
+  // Run advances the host to `at` first and refreshes it after.
+  events_.Schedule(at, dst, [this, rec] {
+    Datagram msg = std::move(mail_[rec]);
+    free_mail_.push_back(rec);
+    hosts_[msg.dst]->OnDatagram(std::move(msg));
   }).Release();
 }
 
@@ -128,7 +138,7 @@ void Machine::InjectionInstant(const Datagram& d, const char* what, SimTime at) 
 
 void Machine::InjectAndDeliver(Datagram d, SimTime at) {
   if (!injector_.enabled()) {
-    Deliver(d.dst, std::move(d), at);
+    Deliver(std::move(d), at);
     return;
   }
   FaultDecision dec = injector_.Decide(d.src, d.dst, d.type, d.klass);
@@ -150,7 +160,7 @@ void Machine::InjectAndDeliver(Datagram d, SimTime at) {
       net_stats_.stall_deferrals++;
       InjectionInstant(d, "stall", t);
     }
-    Deliver(d.dst, std::move(d), t);
+    Deliver(std::move(d), t);
   }
   for (size_t i = 0; i < dups.size(); ++i) {
     net_stats_.messages_duplicated++;
@@ -164,7 +174,7 @@ void Machine::InjectAndDeliver(Datagram d, SimTime at) {
     DFIL_LOG(kDebug, "net") << "dup " << dups[i].src << "->" << dups[i].dst
                             << " type=" << dups[i].type << " at+" << ToMilliseconds(t - at)
                             << "ms";
-    Deliver(dups[i].dst, std::move(dups[i]), t);
+    Deliver(std::move(dups[i]), t);
   }
 }
 
@@ -209,11 +219,7 @@ void Machine::Broadcast(Datagram d, SimTime ready) {
 EventHandle Machine::ScheduleTimer(NodeId node, SimTime at, std::function<void()> fn) {
   DFIL_CHECK_GE(node, 0);
   DFIL_CHECK_LT(static_cast<size_t>(node), hosts_.size());
-  return events_.Schedule(at, [this, node, at, fn = std::move(fn)]() {
-    hosts_[node]->AdvanceTo(at);
-    fn();
-    Refresh(node);
-  });
+  return events_.Schedule(at, node, std::move(fn));
 }
 
 RunResult Machine::Run(SimTime max_virtual_time) {
@@ -258,9 +264,12 @@ RunResult Machine::Run(SimTime max_virtual_time) {
         result.deadlock_report = "virtual time limit exceeded";
         break;
       }
-      auto [at, fn] = events_.Pop();
+      // Every event is a delivery or a timer addressed to a host.
+      EventQueue::Event event = events_.PopEvent();
       ++events_dispatched_;
-      fn();
+      hosts_[event.node]->AdvanceTo(event.time);
+      event.fn();
+      Refresh(event.node);
       continue;
     }
 

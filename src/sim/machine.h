@@ -150,7 +150,8 @@ class Machine {
   void Broadcast(Datagram d, SimTime ready);
 
   // Schedules `fn` to run on `node` at virtual time `at` (a SIGALRM analog: the host clock is
-  // advanced to `at` and charged timer overhead before `fn` runs).
+  // advanced to `at` before `fn` runs). The event queue's slot keeps `fn` until it fires or is
+  // cancelled, so a callback small enough for std::function's inline storage costs no allocation.
   EventHandle ScheduleTimer(NodeId node, SimTime at, std::function<void()> fn);
 
   // Earliest pending external event; running nodes yield when their clock reaches this.
@@ -199,7 +200,8 @@ class Machine {
 
   // Applies the fault plan (drop/duplicate/delay/stall) to one planned delivery.
   void InjectAndDeliver(Datagram d, SimTime at);
-  void Deliver(NodeId dst, Datagram d, SimTime at);
+  // Schedules the delivery of `d` to d.dst at `at`, keeping it in a reused mail record.
+  void Deliver(Datagram d, SimTime at);
   std::string BuildDeadlockReport() const;
 
   // Re-reads host `id`'s runnability and clock into the runnable heap. Called after the host's
@@ -233,6 +235,10 @@ class Machine {
   std::string failure_;  // set by Fail
   std::array<InjectionNote, kInjectionLogCapacity> injection_log_{};
   uint64_t injections_seen_ = 0;
+  // Datagrams in flight, each in a record its delivery event names by index; a delivered record
+  // goes on the free list for the next Deliver.
+  std::vector<Datagram> mail_;
+  std::vector<uint32_t> free_mail_;
 };
 
 }  // namespace dfil::sim

@@ -4,10 +4,12 @@
 // reply elision with request cancelation, and the Jacobson/Karels RTT estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <iterator>
-#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -49,8 +51,8 @@ Payload Int64Payload(int64_t v) {
 void RegisterEcho(MiniHost& host, Service service = Service::kTestEcho) {
   host.endpoint->RegisterService(
       service,
-      [](NodeId, WireReader r) -> std::optional<Payload> {
-        return Int64Payload(r.Get<int64_t>() + 1);
+      [](NodeId, WireReader r, ReplyWriter& reply) {
+        return Reply(reply, Int64Payload(r.Get<int64_t>() + 1));
       },
       /*idempotent=*/true);
 }
@@ -113,9 +115,9 @@ TEST(CoalesceTest, MtuBoundSplitsOversizedBatches) {
   int served = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter&) {
         ++served;
-        return Payload{};
+        return true;
       },
       /*idempotent=*/true);
   // 8 x 2000-byte requests exceed the 8800-byte datagram budget: the flush must split the batch,
@@ -165,10 +167,10 @@ LargeBodyRun RunLargeBodies(bool coalesce) {
   // The request names the reply's length and pattern seed.
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [](NodeId, WireReader r) -> std::optional<Payload> {
+      [](NodeId, WireReader r, ReplyWriter& reply) {
         const auto len = r.Get<uint32_t>();
         const auto seed = r.Get<uint32_t>();
-        return Pattern(len, seed);
+        return Reply(reply, Pattern(len, seed));
       },
       /*idempotent=*/true);
   LargeBodyRun run;
@@ -242,9 +244,9 @@ TEST(CoalesceTest, PackedUnpackIsIdempotentUnderDuplication) {
   int mutations = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestMutate,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter& reply) {
         ++mutations;
-        return Int64Payload(mutations);
+        return Reply(reply, Int64Payload(mutations));
       },
       /*idempotent=*/false);
   constexpr int kRequests = 10;
@@ -303,9 +305,9 @@ TEST(CoalesceTest, PackedReorderDeliversEveryFrameOnce) {
   int mutations = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestMutate,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter& reply) {
         ++mutations;
-        return Int64Payload(mutations);
+        return Reply(reply, Int64Payload(mutations));
       },
       /*idempotent=*/false);
   constexpr int kRequests = 15;
@@ -352,10 +354,10 @@ TEST(CoalesceTest, ElidedReplyThenCancelClearsOutstanding) {
   int served = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter& reply) {
         ++served;
         rig.b->endpoint->ElideCurrentReply();
-        return Int64Payload(0);
+        return Reply(reply, Int64Payload(0));
       },
       /*idempotent=*/true);
   bool reply_ran = false;
@@ -505,7 +507,7 @@ TEST(CoalesceTest, QueuedLargeRepliesDoNotTimeOut) {
   Rig rig;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [](NodeId, WireReader) -> std::optional<Payload> { return Payload(kReplyBytes); },
+      [](NodeId, WireReader, ReplyWriter& reply) { return Reply(reply, Payload(kReplyBytes)); },
       /*idempotent=*/true);
   constexpr int kRequests = 4;
   int replies = 0;
@@ -531,12 +533,12 @@ TEST(CoalesceTest, BackoffNeverShrinksATimerAboveTheCap) {
   std::vector<SimTime> arrivals;
   rig.b->endpoint->RegisterService(
       Service::kReduceUp,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter&) {
         arrivals.push_back(rig.b->Clock());
         if (arrivals.size() <= 3) {
-          return std::nullopt;  // deferred: only a retransmission gets it served
+          return false;  // deferred: only a retransmission gets it served
         }
-        return Payload{};
+        return true;
       },
       /*idempotent=*/true);
   bool replied = false;
@@ -553,6 +555,205 @@ TEST(CoalesceTest, BackoffNeverShrinksATimerAboveTheCap) {
         << "retransmission " << i << " came " << ToMilliseconds(arrivals[i] - arrivals[i - 1])
         << " ms after the previous arrival, sooner than the first's "
         << ToMilliseconds(first_gap) << " ms";
+  }
+}
+
+// --- The bytes on the wire ---------------------------------------------------------------------
+//
+// A reply puts exactly a frame header plus the body its service wrote on the wire, whichever path
+// sends it. Frames are read back with a mirror of the endpoint's private header.
+
+struct WireHeader {
+  uint8_t kind;
+  uint16_t service;
+  uint64_t req_id;
+  uint64_t trace;
+};
+static_assert(sizeof(WireHeader) == kFrameHeaderBytes);
+constexpr uint8_t kReplyKind = 2;
+constexpr uint8_t kPackedKind = 5;
+
+// Two MiniHosts; node 0 keeps every datagram it receives, with the buffer it arrived in, and
+// node 1 every request datagram.
+struct WireRig {
+  std::unique_ptr<sim::Machine> machine;
+  std::unique_ptr<MiniHost> a, b;
+  std::vector<Payload> to_a;
+  std::vector<const std::byte*> to_a_buffers;
+  std::vector<sim::Datagram> to_b;
+
+  explicit WireRig(bool coalesce, PacketConfig b_config = {}) {
+    sim::CostModel costs = sim::CostModel::SunIpcEthernet();
+    machine = std::make_unique<sim::Machine>(std::make_unique<sim::SharedEthernet>(costs), costs);
+    a = std::make_unique<MiniHost>(0, machine.get());
+    b = std::make_unique<MiniHost>(1, machine.get(), b_config);
+    if (coalesce) {
+      CoalesceConfig co;
+      co.enabled = true;
+      a->endpoint->set_coalesce(co);
+      b->endpoint->set_coalesce(co);
+    }
+    machine->AddHost(a.get());
+    machine->AddHost(b.get());
+    a->on_datagram = [this](const sim::Datagram& d) {
+      to_a.push_back(d.payload);
+      to_a_buffers.push_back(d.payload.data());
+    };
+    b->on_datagram = [this](const sim::Datagram& d) { to_b.push_back(d); };
+  }
+};
+
+// `frame` is the reply to `req_id` whose body is exactly `body`.
+void ExpectReplyFrame(std::span<const std::byte> frame, uint64_t req_id, const Payload& body) {
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + body.size());
+  WireReader r(frame);
+  const auto h = r.Get<WireHeader>();
+  EXPECT_EQ(h.kind, kReplyKind);
+  EXPECT_EQ(h.service, static_cast<uint16_t>(Service::kTestEcho));
+  EXPECT_EQ(h.req_id, req_id);
+  const std::span<const std::byte> rest = r.Rest();
+  EXPECT_TRUE(std::equal(rest.begin(), rest.end(), body.begin(), body.end()));
+}
+
+class ReplyWireTest : public ::testing::TestWithParam<bool> {};  // coalescing on?
+
+TEST_P(ReplyWireTest, IdempotentReplyGoesOutInTheBufferItsServiceWrote) {
+  WireRig rig(/*coalesce=*/GetParam());
+  const std::byte* written = nullptr;
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [&](NodeId, WireReader r, ReplyWriter& reply) {
+        WireWriter& w = reply.Body(sizeof(int64_t));
+        w.Put(r.Get<int64_t>() + 1);
+        written = w.data();
+        return true;
+      },
+      /*idempotent=*/true);
+  const uint64_t req =
+      rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(41), [](WireReader) {});
+  ASSERT_TRUE(rig.machine->Run().completed);
+  ASSERT_EQ(rig.to_a.size(), 1u);
+  ExpectReplyFrame(rig.to_a[0], req, Int64Payload(42));
+  // A singleton datagram, coalesced or not: the reply was never copied.
+  EXPECT_EQ(rig.to_a_buffers[0], written);
+  EXPECT_EQ(rig.machine->net_stats().bytes_sent, 2 * (kFrameHeaderBytes + 8));
+}
+
+TEST_P(ReplyWireTest, DeferredServeSendsNothingOfWhatItWrote) {
+  WireRig rig(/*coalesce=*/GetParam());
+  int calls = 0;
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [&](NodeId, WireReader, ReplyWriter& reply) {
+        reply.Body(sizeof(int64_t)).Put(int64_t{++calls == 1 ? -1 : 5});
+        return calls > 1;  // the first serve defers, after writing
+      },
+      /*idempotent=*/true);
+  const uint64_t req =
+      rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [](WireReader) {});
+  ASSERT_TRUE(rig.machine->Run().completed);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(rig.b->endpoint->stats().deferred_requests, 1u);
+  ASSERT_EQ(rig.to_a.size(), 1u);
+  ExpectReplyFrame(rig.to_a[0], req, Int64Payload(5));
+}
+
+TEST_P(ReplyWireTest, ElidedServePutsNoReplyOnTheWire) {
+  WireRig rig(/*coalesce=*/GetParam());
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [&](NodeId, WireReader, ReplyWriter& reply) {
+        reply.Body(sizeof(int64_t)).Put(int64_t{7});
+        rig.b->endpoint->ElideCurrentReply();
+        return true;
+      },
+      /*idempotent=*/true);
+  const uint64_t req = rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(0),
+                                                    [](WireReader) {});
+  rig.machine->ScheduleTimer(0, Milliseconds(30.0), [&] { rig.a->endpoint->CancelRequest(req); })
+      .Release();
+  ASSERT_TRUE(rig.machine->Run().completed);
+  EXPECT_EQ(rig.b->endpoint->stats().replies_elided, 1u);
+  EXPECT_TRUE(rig.to_a.empty());
+  EXPECT_EQ(rig.machine->net_stats().bytes_sent, kFrameHeaderBytes + 8);
+}
+
+TEST_P(ReplyWireTest, CachedReplyGoesOutAsFirstSent) {
+  WireRig rig(/*coalesce=*/GetParam());
+  int mutations = 0;
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [&](NodeId, WireReader, ReplyWriter& reply) {
+        return Reply(reply, Int64Payload(++mutations));
+      },
+      /*idempotent=*/false);
+  const uint64_t req =
+      rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(3), [](WireReader) {});
+  ASSERT_TRUE(rig.machine->Run().completed);
+  // The network duplicates the request: the service does not run again, and the reply comes
+  // from the response cache.
+  ASSERT_EQ(rig.to_b.size(), 1u);
+  rig.machine->Send(rig.to_b[0], rig.a->Clock());
+  ASSERT_TRUE(rig.machine->Run().completed);
+  EXPECT_EQ(mutations, 1);
+  EXPECT_EQ(rig.b->endpoint->stats().duplicate_requests, 1u);
+  ASSERT_EQ(rig.to_a.size(), 2u);
+  ExpectReplyFrame(rig.to_a[0], req, Int64Payload(1));
+  EXPECT_EQ(rig.to_a[1], rig.to_a[0]);
+}
+
+TEST_P(ReplyWireTest, BufferedReplyIsRetransmittedAsFirstSent) {
+  // ack_replies on the replier only: the requester never acks, so the replier retransmits its
+  // buffered reply until the limit ends the run.
+  PacketConfig config;
+  config.ack_replies = true;
+  config.retransmit_limit = 3;
+  WireRig rig(/*coalesce=*/GetParam(), config);
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [](NodeId, WireReader, ReplyWriter& reply) { return Reply(reply, Int64Payload(9)); },
+      /*idempotent=*/true);
+  const uint64_t req =
+      rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(0), [](WireReader) {});
+  const sim::RunResult r = rig.machine->Run();
+  EXPECT_FALSE(r.completed);
+  EXPECT_NE(r.deadlock_report.find("never acknowledged"), std::string::npos);
+  EXPECT_EQ(rig.b->endpoint->stats().reply_retransmissions, 2u);
+  ASSERT_EQ(rig.to_a.size(), 3u);
+  for (const Payload& frame : rig.to_a) {
+    ExpectReplyFrame(frame, req, Int64Payload(9));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Coalescing, ReplyWireTest, ::testing::Bool());
+
+TEST(ReplyWireTest, PackedFlushCarriesEachReplyFrameAsWritten) {
+  WireRig rig(/*coalesce=*/true);
+  rig.b->endpoint->RegisterService(
+      Service::kTestEcho,
+      [](NodeId, WireReader r, ReplyWriter& reply) {
+        return Reply(reply, Int64Payload(r.Get<int64_t>() * 10));
+      },
+      /*idempotent=*/true);
+  constexpr int kRequests = 3;
+  std::vector<uint64_t> reqs;
+  for (int i = 0; i < kRequests; ++i) {
+    reqs.push_back(rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(i),
+                                                [](WireReader) {}));
+  }
+  ASSERT_TRUE(rig.machine->Run().completed);
+  // One packed datagram: its header, then per frame a length prefix and the frame.
+  ASSERT_EQ(rig.to_a.size(), 1u);
+  const size_t frame_bytes = kFrameHeaderBytes + sizeof(int64_t);
+  ASSERT_EQ(rig.to_a[0].size(),
+            kFrameHeaderBytes + kRequests * (sizeof(uint32_t) + frame_bytes));
+  WireReader r(rig.to_a[0]);
+  const auto h = r.Get<WireHeader>();
+  EXPECT_EQ(h.kind, kPackedKind);
+  EXPECT_EQ(h.req_id, static_cast<uint64_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(r.Get<uint32_t>(), frame_bytes);
+    ExpectReplyFrame(r.GetSpan(frame_bytes), reqs[i], Int64Payload(i * 10));
   }
 }
 

@@ -65,8 +65,10 @@ TEST(LayoutTest, GroupsReportAllMembers) {
   uint16_t g = layout.GroupPages(1, 3);
   layout.Seal(1);
   EXPECT_NE(g, kNoGroup);
-  EXPECT_EQ(layout.GroupPagesOf(2), (std::vector<PageId>{1, 2, 3}));
-  EXPECT_EQ(layout.GroupPagesOf(0), (std::vector<PageId>{0}));
+  const auto group = layout.GroupPagesOf(2);
+  EXPECT_EQ(std::vector<PageId>(group.begin(), group.end()), (std::vector<PageId>{1, 2, 3}));
+  const auto alone = layout.GroupPagesOf(0);
+  EXPECT_EQ(std::vector<PageId>(alone.begin(), alone.end()), (std::vector<PageId>{0}));
 }
 
 TEST(LayoutTest, CustomPageSize) {

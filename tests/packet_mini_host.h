@@ -3,6 +3,7 @@
 #ifndef DFIL_TESTS_PACKET_MINI_HOST_H_
 #define DFIL_TESTS_PACKET_MINI_HOST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,7 +24,12 @@ class MiniHost : public PacketHost {
   bool Done() const override { return true; }
   void Step() override {}
   void AdvanceTo(SimTime t) override { clock_ = t > clock_ ? t : clock_; }
-  void OnDatagram(sim::Datagram d) override { endpoint->OnDatagram(std::move(d)); }
+  void OnDatagram(sim::Datagram d) override {
+    if (on_datagram) {
+      on_datagram(d);
+    }
+    endpoint->OnDatagram(std::move(d));
+  }
   std::string DescribeBlocked() const override { return ""; }
   void Charge(TimeCategory, SimTime cost) override { clock_ += cost; }
   bool InCriticalSection() const override { return critical; }
@@ -31,11 +37,19 @@ class MiniHost : public PacketHost {
   std::unique_ptr<PacketEndpoint> endpoint;
   // The node's critical-section flag: while set, mutating requests are ignored.
   bool critical = false;
+  // When set, sees each datagram delivered to this node before the endpoint does.
+  std::function<void(const sim::Datagram&)> on_datagram;
 
  private:
   NodeId id_;
   SimTime clock_ = 0;
 };
+
+// Writes `body` as a service's reply, for services that build their reply up front.
+inline bool Reply(ReplyWriter& reply, const Payload& body) {
+  reply.Body(body.size()).PutBytes(body.data(), body.size());
+  return true;
+}
 
 }  // namespace dfil::net
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -41,8 +40,8 @@ TEST(PacketTest, RequestReplyRoundTrip) {
   Rig rig;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [](NodeId, WireReader r) -> std::optional<Payload> {
-        return Int64Payload(r.Get<int64_t>() + 1);
+      [](NodeId, WireReader r, ReplyWriter& reply) {
+        return Reply(reply, Int64Payload(r.Get<int64_t>() + 1));
       },
       true);
   int64_t got = 0;
@@ -59,8 +58,8 @@ TEST(PacketTest, ManyOutstandingRequestsComplete) {
   Rig rig;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [](NodeId, WireReader r) -> std::optional<Payload> {
-        return Int64Payload(r.Get<int64_t>() * 2);
+      [](NodeId, WireReader r, ReplyWriter& reply) {
+        return Reply(reply, Int64Payload(r.Get<int64_t>() * 2));
       },
       true);
   int64_t sum = 0;
@@ -82,9 +81,9 @@ TEST_P(PacketLossTest, ReliableUnderLoss) {
   int64_t served = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [&](NodeId, WireReader r) -> std::optional<Payload> {
+      [&](NodeId, WireReader r, ReplyWriter& reply) {
         ++served;
-        return Int64Payload(r.Get<int64_t>());
+        return Reply(reply, Int64Payload(r.Get<int64_t>()));
       },
       true);
   int replies = 0;
@@ -119,9 +118,9 @@ TEST(PacketTest, NonIdempotentServiceRunsOncePerRequest) {
   int mutations = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestMutate,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter& reply) {
         ++mutations;
-        return Int64Payload(mutations);
+        return Reply(reply, Int64Payload(mutations));
       },
       /*idempotent=*/false);
   constexpr int kRequests = 25;
@@ -146,9 +145,9 @@ TEST(PacketTest, CriticalSectionDefersMutatingRequests) {
   int mutations = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestMutate,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter&) {
         ++mutations;
-        return Payload{};
+        return true;
       },
       /*idempotent=*/false);
   bool done = false;
@@ -167,11 +166,11 @@ TEST(PacketTest, ServiceDeferralViaNullopt) {
   int attempts = 0;
   rig.b->endpoint->RegisterService(
       Service::kTestEcho,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter& reply) {
         if (++attempts < 3) {
-          return std::nullopt;  // busy; the requester's retransmission retries
+          return false;  // busy; the requester's retransmission retries
         }
-        return Int64Payload(99);
+        return Reply(reply, Int64Payload(99));
       },
       true);
   int64_t got = 0;
@@ -212,9 +211,9 @@ TEST_P(AckModeLossTest, TcpLikeModeIsAlsoReliable) {
   int mutations = 0;
   b.endpoint->RegisterService(
       Service::kTestMutate,
-      [&](NodeId, WireReader) -> std::optional<Payload> {
+      [&](NodeId, WireReader, ReplyWriter& reply) {
         ++mutations;
-        return Int64Payload(mutations);
+        return Reply(reply, Int64Payload(mutations));
       },
       /*idempotent=*/false);
   int replies = 0;
@@ -243,23 +242,23 @@ TEST(PacketTest, LargeBuffersGoBackToTheSpareList) {
     Rig rig;
     rig.b->endpoint->RegisterService(
         Service::kTestEcho,
-        [](NodeId, WireReader) -> std::optional<Payload> { return Payload(70000); },
+        [](NodeId, WireReader, ReplyWriter& reply) { return Reply(reply, Payload(70000)); },
         /*idempotent=*/true);
     size_t reply_bytes = 0;
     rig.a->endpoint->SendRequest(1, Service::kTestEcho, {},
                                  [&](WireReader p) { reply_bytes = p.remaining(); });
     rig.machine->Run();
     EXPECT_EQ(reply_bytes, 70000u);
-    // Oldest first: the service's reply once it was framed, then the reply datagram (24 header
-    // bytes more) once it was dispatched. The third reservation finds the list empty and
-    // allocates exactly what it asks.
+    // The reply went out in the one buffer the service wrote, its body plus the 24 header bytes,
+    // which came back to the list once the reply was dispatched. The second reservation finds
+    // the list empty and allocates exactly what it asks.
     std::vector<size_t> capacities;
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       WireWriter w;
       w.Reserve(kSpareMinBytes);
       capacities.push_back(w.Take().capacity());
     }
-    EXPECT_EQ(capacities, (std::vector<size_t>{70000, 70000 + 24, kSpareMinBytes}));
+    EXPECT_EQ(capacities, (std::vector<size_t>{70000 + 24, kSpareMinBytes}));
   }).join();
 }
 
@@ -336,7 +335,7 @@ TEST(PacketTest, RetransmissionUsesExponentialBackoff) {
   Rig rig(1.0, 1);  // nothing gets through; watch the retry clock
   rig.a->endpoint->config().retransmit_limit = 4;
   rig.b->endpoint->RegisterService(
-      Service::kTestEcho, [](NodeId, WireReader) -> std::optional<Payload> { return Payload{}; },
+      Service::kTestEcho, [](NodeId, WireReader, ReplyWriter&) { return true; },
       true);
   rig.a->endpoint->SendRequest(1, Service::kTestEcho, {}, [](WireReader) {});
   // The limit ends the run softly and names the request.
@@ -374,7 +373,7 @@ TEST(PacketTest, UnacknowledgedReplyEndsTheRunAtTheLimit) {
   machine->AddHost(&a);
   machine->AddHost(&b);
   b.endpoint->RegisterService(
-      Service::kTestEcho, [](NodeId, WireReader) -> std::optional<Payload> { return Payload{}; },
+      Service::kTestEcho, [](NodeId, WireReader, ReplyWriter&) { return true; },
       true);
   int replies = 0;
   a.endpoint->SendRequest(1, Service::kTestEcho, {}, [&](WireReader) { ++replies; });

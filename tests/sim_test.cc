@@ -98,6 +98,68 @@ TEST(EventQueueTest, CancelAfterFireLeavesQueueUnchanged) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventQueueTest, FiredHandleStaysInertAfterItsSlotIsReused) {
+  // A queue with one pending event at a time has one slot, so each new event reuses it.
+  EventQueue q;
+  std::vector<int> order;
+  EventHandle fired = q.Schedule(10, [&] { order.push_back(1); });
+  EXPECT_TRUE(fired.active());
+  q.Pop().second();
+  EXPECT_FALSE(fired.active());
+  EventHandle newer = q.Schedule(20, [&] { order.push_back(2); });
+  EXPECT_FALSE(fired.active());
+  fired.Cancel();
+  EXPECT_TRUE(newer.active());
+  EXPECT_EQ(q.NextTime(), 20);
+  q.Pop().second();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueueTest, CancelledHandleStaysInertAfterItsSlotIsReused) {
+  EventQueue q;
+  int fired = 0;
+  EventHandle cancelled = q.Schedule(10, [&] { fired += 100; });
+  const EventHandle copy = cancelled;  // a second handle to the same event
+  cancelled.Cancel();
+  EXPECT_FALSE(cancelled.active());
+  EXPECT_FALSE(copy.active());
+  EXPECT_TRUE(q.empty());
+  EventHandle newer = q.Schedule(20, [&] { ++fired; });
+  EXPECT_FALSE(copy.active());
+  EventHandle stale = copy;
+  stale.Cancel();
+  EXPECT_TRUE(newer.active());
+  EXPECT_EQ(q.NextTime(), 20);
+  q.Pop().second();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, TombstoneOfAReusedSlotIsStillPruned) {
+  // A cancelled entry deep in the heap stays there as a tombstone while a newer event takes its
+  // slot; the tombstone must neither fire nor hide the newer event.
+  EventQueue q;
+  std::vector<int> order;
+  q.Schedule(10, [&] { order.push_back(1); }).Release();
+  EventHandle deep = q.Schedule(30, [&] { order.push_back(99); });
+  deep.Cancel();
+  q.Schedule(40, [&] { order.push_back(3); }).Release();  // takes the cancelled event's slot
+  q.Schedule(20, [&] { order.push_back(2); }).Release();
+  while (!q.empty()) {
+    q.Pop().second();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, PopEventReturnsTheAddress) {
+  EventQueue q;
+  q.Schedule(5, NodeId{3}, [] {}).Release();
+  q.Schedule(7, [] {}).Release();
+  EventQueue::Event first = q.PopEvent();
+  EXPECT_EQ(first.time, 5);
+  EXPECT_EQ(first.node, 3);
+  EXPECT_EQ(q.PopEvent().node, kNoNode);
+}
+
 TEST(CostModelTest, WireTimeMatchesTenMegabit) {
   CostModel m = CostModel::SunIpcEthernet();
   // 4 KB page + 58 bytes framing at 1.25 bytes/us ~ 3.32 ms.
