@@ -27,9 +27,10 @@
 //   sum(pool run) + other_run() == run_time()
 //
 // The ledger never charges time, sends messages, or steers the runtime, so it cannot move a
-// schedule. Its hot path is allocation-free except when a pool id is first booked. The ring is
-// the flight recorder: the last kRingCapacity blocked intervals per node, dumped when the
-// coherence oracle flags a violation or a fuzz case fails.
+// schedule. AddCharge never allocates: a pool's row is added when a runner binds a thread to the
+// pool (EnsurePool) or when a per-pool event first names it. The ring is the flight recorder:
+// the last kRingCapacity blocked intervals per node, dumped when the coherence oracle flags a
+// violation or a fuzz case fails.
 #ifndef DFIL_COMMON_LEDGER_H_
 #define DFIL_COMMON_LEDGER_H_
 
@@ -133,10 +134,15 @@ class TimeLedger {
   };
 
   // --- Feed points ---
+  // A pool context's row must exist (EnsurePool): this runs in every charge, so it indexes the
+  // row without growing the table.
   void AddCharge(TimeCategory c, int context, SimTime t) {
     figure10_[static_cast<size_t>(c)] += t;
     if (context >= 0) {
-      Pool(context).run += t;
+      DFIL_DCHECK(static_cast<size_t>(context) < pools_.size()) << "pool " << context;
+      PoolRow& row = pools_[static_cast<size_t>(context)];
+      row.booked = true;
+      row.run += t;
     } else if (context == kOtherRun) {
       other_run_ += t;
     } else {
@@ -172,6 +178,15 @@ class TimeLedger {
     row.fn = static_cast<int>(it - fns_.begin());
     if (it == fns_.end()) {
       fns_.push_back(fn);
+    }
+  }
+  // Adds `pool`'s row, unbooked, if it is missing. Called when a runner binds a thread to the
+  // pool, so that the thread's charges find the row; a row no event names stays out of every
+  // export.
+  void EnsurePool(int pool) {
+    DFIL_DCHECK(pool >= 0) << "pool " << pool;
+    if (static_cast<size_t>(pool) >= pools_.size()) {
+      GrowPools(pool);
     }
   }
   void AddFault(int pool) { Pool(pool).faults++; }
@@ -228,15 +243,12 @@ class TimeLedger {
 
  private:
   PoolRow& Pool(int pool) {
-    DFIL_DCHECK(pool >= 0) << "pool " << pool;
-    if (static_cast<size_t>(pool) >= pools_.size()) {
-      GrowPools(pool);
-    }
+    EnsurePool(pool);
     PoolRow& row = pools_[static_cast<size_t>(pool)];
     row.booked = true;
     return row;
   }
-  // Adds rows up to `pool`. Out of line, so that AddCharge inlines without it.
+  // Adds rows up to `pool`. Out of line, so that callers inline without it.
   void GrowPools(int pool);
 
   std::array<SimTime, kNumTimeCategories> figure10_{};

@@ -147,7 +147,7 @@ FjHandle FjEngine::ForkSlow(FjFn fn, const FjArgs& args) {
     ship_next_ = false;
     const NodeId child = tree_children_.front();
     tree_children_.erase(tree_children_.begin());
-    auto* cell = new JoinCell();
+    JoinCell* cell = NewCell();
     net::WireWriter w;
     w.Put(ShipBody{reinterpret_cast<uint64_t>(fn), args, rt_->id(),
                    reinterpret_cast<uint64_t>(cell)});
@@ -161,7 +161,7 @@ FjHandle FjEngine::ForkSlow(FjFn fn, const FjArgs& args) {
   // Otherwise a real local filament: Fork has already pruned every fork that it could, in this
   // same state. Creating it mutates the thread queues — a critical section (a single flag
   // assignment each way); concurrent steal requests are deferred meanwhile.
-  auto* cell = new JoinCell();
+  JoinCell* cell = NewCell();
   rt_->EnterCritical();
   queue_.push_back(Task{fn, args, rt_->id(), reinterpret_cast<uint64_t>(cell)});
   rt_->Charge(TimeCategory::kFilamentExec, rt_->costs().filament_create);
@@ -206,9 +206,19 @@ FjResult FjEngine::JoinSlow(FjHandle& handle) {
     rt_->BlockCurrent(WaitKind::kJoin);
   }
   const FjResult result = cell->result;
-  delete cell;
+  spare_cells_.emplace_back(cell);
   handle.cell = nullptr;
   return result;
+}
+
+JoinCell* FjEngine::NewCell() {
+  if (spare_cells_.empty()) {
+    return new JoinCell();
+  }
+  JoinCell* cell = spare_cells_.back().release();
+  spare_cells_.pop_back();
+  *cell = JoinCell{};
+  return cell;
 }
 
 void FjEngine::WorkerLoop(bool is_main) {

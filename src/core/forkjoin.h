@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/common/types.h"
@@ -75,6 +76,8 @@ class FjEngine {
 
   // Fork() of a fork that is not pruned: ship it to a tree child, or queue a local filament.
   FjHandle ForkSlow(FjFn fn, const FjArgs& args);
+  // A cleared join cell: a finished one from spare_cells_, or a new one.
+  JoinCell* NewCell();
   // Join() of a fork that was not pruned: run the child here if it is still queued, else block.
   FjResult JoinSlow(FjHandle& handle);
   void RegisterServices();
@@ -112,6 +115,10 @@ class FjEngine {
   // suspended so coarse forks stay visible as stealable filaments (the paper's pruning condition
   // is "enough work to keep all nodes busy" — a global property, not a local queue depth).
   SimTime last_steal_demand_ = kSimTimeNever * -1;
+  // Join cells whose join has returned, kept for NewCell. A cell comes back only there, after
+  // the last read of it, so an address in a kForkShip or kJoinResult body never names a reused
+  // cell. (Last, after the members the inline Fork reads.)
+  std::vector<std::unique_ptr<JoinCell>> spare_cells_;
 };
 
 }  // namespace dfil::core

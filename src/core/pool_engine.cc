@@ -309,6 +309,7 @@ void PoolEngine::RunnerLoop() {
     Pool* pool = order_[next_pool_++];
     pool->running = true;
     running_pool_[rt_->CurrentThread()] = RunnerPosition{pool, 0};
+    rt_->ledger_.EnsurePool(pool->id);  // the runner's charges book to the row without a check
     rt_->CurrentThread()->set_profile_pool(pool->id);
     rt_->TraceBegin("pool", "pool " + std::to_string(pool->id));
     ExecutePool(pool);

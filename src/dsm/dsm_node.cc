@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <utility>
@@ -101,13 +102,16 @@ DsmNode::DsmNode(DsmHost* host, const GlobalLayout* layout, net::PacketEndpoint*
       costs_(costs),
       config_(config),
       barrier_parent_(barrier_parent),
+      page_shift_(static_cast<uint32_t>(layout->page_shift())),
       tracer_(tracer),
       metrics_(metrics),
       replica_(static_cast<std::byte*>(mmap(nullptr, layout->region_bytes(),
                                             PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
                                             -1, 0))),
       table_(layout->num_pages()),
-      fault_heat_(layout->num_pages()) {
+      fault_heat_(layout->num_pages()),
+      // Adaptation runs over an implicit-invalidate base (checked below).
+      sweeps_copies_(config.pcp == Pcp::kImplicitInvalidate || config.pcp == Pcp::kDiff) {
   DFIL_CHECK(replica_ != MAP_FAILED) << "cannot map a " << layout->region_bytes()
                                      << "-byte replica";
   DFIL_CHECK(layout->sealed());
@@ -592,6 +596,9 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
     while (threads::ServerThread* t = e.waiters.PopFront()) {
       host_->Wake(t);
     }
+    if (!ownership && new_state != PageState::kInvalid) {
+      NoteCopy(p);
+    }
   }
   if (config_.adapt_protocols && new_state != PageState::kInvalid) {
     // The reply's diff tag is authoritative: the serving owner decided the group's mode, and the
@@ -813,6 +820,7 @@ void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, boo
     e.probable_owner = owner_hint;
     e.hold_until = host_->Clock() + config_.mirage_window;
     // Any grant record survives (see FinishFetch); harmless here since state is now kReadOnly.
+    NoteCopy(page);
     stats_.prefetched_pages++;
     DFIL_ORACLE(OnInstallRead(self_, page));
     while (threads::ServerThread* t = e.waiters.PopFront()) {
@@ -1038,10 +1046,38 @@ bool DsmNode::ServeInvalidate(NodeId src, net::WireReader body, net::ReplyWriter
   return true;  // an empty ack
 }
 
+void DsmNode::DropReadCopies() {
+  size_t kept = 0;
+  for (const PageId p : copies_) {
+    PageEntry& e = table_[p];
+    if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
+      e.state = PageState::kInvalid;
+      e.diff_copy = false;
+      stats_.implicit_invalidations++;
+      NotePageDiscarded(e);
+    }
+    if (!e.owner && e.state != PageState::kInvalid) {
+      copies_[kept++] = p;  // still a copy: being fetched, or a writable diff copy
+    } else {
+      e.copy_listed = false;  // a later install lists it again
+    }
+  }
+  copies_.resize(kept);
+}
+
+bool DsmNode::NoReadCopyLeft() const {
+  return std::none_of(table_.begin(), table_.end(), [](const PageEntry& e) {
+    return !e.owner && e.state == PageState::kReadOnly && !e.fetching;
+  });
+}
+
 void DsmNode::AtSyncPoint() {
   for (PageProtocol* p : active_protocols_) {
     p->OnSyncPoint();
   }
+  // Write-invalidate read copies live on past a sync point; the two sweeping protocols leave none.
+  DFIL_DCHECK(!sweeps_copies_ || NoReadCopyLeft())
+      << "node " << self_ << ": a read copy missing from the copy list survived a sync point";
   if (config_.adapt_protocols) {
     AdapterAtSyncPoint();
   }

@@ -34,8 +34,10 @@
 #define DFIL_DSM_DSM_NODE_H_
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -114,9 +116,12 @@ struct DsmConfig {
 };
 
 struct PageEntry {
+  // The first three bytes are the ones the inline hit reads, as one word (HitsInline below).
   PageState state = PageState::kInvalid;
+  bool pending_use = false;        // installed for blocked faulters not yet run (defer serves)
+  bool prefetched_unused = false;  // installed by a prefetch and not yet touched by any access
   bool owner = false;
-  bool fetching = false;            // a page request is outstanding
+  bool fetching = false;           // a page request is outstanding
   AccessMode fetch_mode = AccessMode::kRead;
   int pending_invalidate_acks = 0;  // write-invalidate: acks awaited before the write proceeds
   NodeId probable_owner = 0;
@@ -127,13 +132,34 @@ struct PageEntry {
   uint32_t grant_seq = 0;  // fault_seq of the request the grant answered (re-reply match key)
   uint32_t fetch_seq = 0;  // this node's fault counter for the page; stamped into page requests
   bool discard_install = false;    // the in-flight read copy was invalidated; drop it on arrival
-  bool pending_use = false;        // installed for blocked faulters that have not yet run (defer serves)
   bool diff_copy = false;          // a multiple-writer (diff-protocol) copy; twinned on first write
-  bool prefetched_unused = false;  // installed by a prefetch and not yet touched by any access
   bool prefetch_wasted = false;    // sticky: the last prefetched copy died untouched (hint pruning)
+  bool copy_listed = false;        // on DsmNode::copies_ (kept only under a sweeping protocol)
   uint64_t trace_id = 0;           // causal trace id of the in-flight fetch (0 = none)
   IntrusiveList<threads::ServerThread, &threads::ServerThread::queue_link> waiters;
 };
+
+// HitsInline reads state, pending_use and prefetched_unused as the low three bytes of one
+// little-endian word, and tests the state by its value.
+static_assert(std::endian::native == std::endian::little);
+static_assert(offsetof(PageEntry, state) == 0 && offsetof(PageEntry, pending_use) == 1 &&
+              offsetof(PageEntry, prefetched_unused) == 2 && sizeof(bool) == 1);
+static_assert(static_cast<int>(PageState::kReadOnly) == 1 &&
+              static_cast<int>(PageState::kReadWrite) == 2);
+static_assert(sizeof(PageEntry) == 96);
+
+// Whether DsmNode::Access answers an access to a page with this entry inline: the page is
+// present for `mode` and owes no NotePageUsed bookkeeping (!pending_use && !prefetched_unused).
+// One 32-bit load masked to the three bytes and one compare: a set flag lifts the word above
+// kReadWrite, so a read hits when the word is kReadOnly or kReadWrite and a write when it is
+// kReadWrite. The fourth byte (owner) is masked off.
+inline bool HitsInline(const PageEntry& e, AccessMode mode) {
+  uint32_t word;
+  std::memcpy(&word, &e, sizeof word);
+  word &= 0x00ff'ffffu;
+  return mode == AccessMode::kRead ? word - 1 < 2
+                                   : word == static_cast<uint32_t>(PageState::kReadWrite);
+}
 
 // The node a DsmNode runs on, as the DSM layer sees it: a Packet host that also schedules the
 // server threads, since a fault suspends only the faulting thread (paper §3).
@@ -172,17 +198,14 @@ class DsmNode {
 
   // Faults pages in as needed and returns a pointer to the bytes of [addr, addr+len), valid until
   // the next potential suspension point. Must be called from a server thread. The hit on one page
-  // that owes no NotePageUsed bookkeeping is answered inline, standing in for the free hit of an
-  // mprotect-checked load (DESIGN.md §2); every other access takes AccessSlow.
+  // that owes no NotePageUsed bookkeeping is answered inline (HitsInline), standing in for the
+  // free hit of an mprotect-checked load (DESIGN.md §2); every other access takes AccessSlow.
   std::byte* Access(GlobalAddr addr, size_t len, AccessMode mode) {
     DFIL_DCHECK(len > 0);
     DFIL_DCHECK(addr + len <= layout_->region_bytes());
-    const PageId page = layout_->PageOf(addr);
-    if (page == layout_->PageOf(addr + len - 1)) {
-      const PageEntry& e = table_[page];
-      if (PagePresent(e, mode) && !e.pending_use && !e.prefetched_unused) {
-        return replica_ + addr;
-      }
+    const GlobalAddr page = addr >> page_shift_;
+    if (page == (addr + len - 1) >> page_shift_ && HitsInline(table_[page], mode)) [[likely]] {
+      return replica_ + addr;
     }
     return AccessSlow(addr, len, mode);
   }
@@ -206,7 +229,8 @@ class DsmNode {
   // --- Synchronization integration ---
 
   // Called by the runtime at every synchronization point (reduction/barrier). Under
-  // implicit-invalidate this discards all read-only copies — no messages are sent.
+  // implicit-invalidate this discards all read-only copies — no messages are sent. The sweep
+  // walks copies_, the pages that may hold a copy, not the page table.
   void AtSyncPoint();
 
   // Called when the barrier's done signal arrives (coalescing sync-batch mode): cancels the
@@ -344,6 +368,26 @@ class DsmNode {
   }
   void NotePageDiscarded(PageEntry& e);
 
+  // --- Copy list (implicit-invalidate and diff sync points) ---
+
+  // Lists `page`, which just became a present copy this node does not own. FinishFetch and
+  // FinishBulkPage are the only two installs of such a copy: every other transition to a present
+  // state makes or keeps the page owned.
+  void NoteCopy(PageId page) {
+    PageEntry& e = table_[page];
+    if (sweeps_copies_ && !e.copy_listed) {
+      e.copy_listed = true;
+      copies_.push_back(page);
+    }
+  }
+  // The sync-point sweep of the implicit-invalidate and diff protocols: every non-owned,
+  // read-only page not being fetched dies silently and loses its diff tag (which only a
+  // diff-protocol serve sets, and the diff sweep runs first under adaptation). Pages that are no
+  // longer non-owned copies leave the list.
+  void DropReadCopies();
+  // Debug check after a sweep: no page of the table is a non-owned, read-only, non-fetching copy.
+  bool NoReadCopyLeft() const;
+
   // Completes a fetch: grants access, wakes waiters, decrements pending counter. `diff_copy`
   // tags the installed group as multiple-writer copies (from the reply's diff flag).
   void FinishFetch(PageId page, PageState new_state, bool ownership, bool diff_copy = false);
@@ -369,6 +413,9 @@ class DsmNode {
   const sim::CostModel* costs_;
   DsmConfig config_;
   NodeId barrier_parent_;
+  // layout_->page_shift(), read by the inline hit without the hop through layout_ (it sits in
+  // what was padding, so the members after it keep their offsets).
+  uint32_t page_shift_;
   NodeTracer* tracer_;
   MetricsRegistry* metrics_;
   // Sync-point traffic batching (DESIGN.md §11) rides on frame coalescing: diff flush sets are
@@ -387,7 +434,7 @@ class DsmNode {
   // heap.) The destructor unmaps it.
   std::byte* replica_;
   std::byte* PageBytes(PageId page) {
-    return replica_ + (static_cast<GlobalAddr>(page) << layout_->page_shift());
+    return replica_ + (static_cast<GlobalAddr>(page) << page_shift_);
   }
   std::vector<PageEntry> table_;
   std::vector<uint32_t> fault_heat_;
@@ -423,6 +470,12 @@ class DsmNode {
   // Kept after the members the inline hit reads: placed between metrics_ and replica_, it made
   // the 64-node Jacobi run (perfbench jacobi64) about a tenth slower.
   HistogramRef fault_wait_us_{"dsm.fault_wait_us"};
+  // Pages that may hold a copy this node does not own, each once (PageEntry::copy_listed), kept
+  // only while a protocol that drops copies at sync points is active (implicit-invalidate, diff,
+  // and both under adaptation). The sweep visits them in list order; it changes only counters
+  // and per-page flags, so the order cannot move a schedule.
+  bool sweeps_copies_;
+  std::vector<PageId> copies_;
 };
 
 }  // namespace dfil::dsm

@@ -77,13 +77,7 @@ bool WriteInvalidateProtocol::OnOwnershipInstall(PageId page, uint64_t copyset) 
 void ImplicitInvalidateProtocol::OnSyncPoint() {
   // Implicit invalidation: read-only copies have a very short lifetime — they die, without any
   // message traffic, at every synchronization point (paper §3).
-  for (PageEntry& e : node_.table_) {
-    if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
-      e.state = PageState::kInvalid;
-      node_.stats_.implicit_invalidations++;
-      node_.NotePageDiscarded(e);
-    }
-  }
+  node_.DropReadCopies();
 }
 
 // --- Diff (multiple-writer) --------------------------------------------------------------------
@@ -204,14 +198,7 @@ void DiffProtocol::OnSyncPoint() {
   // Clean (never-written) read copies die silently, exactly like implicit-invalidate copies.
   // This covers untagged copies too (bulk/prefetch installs carry no diff tag): any copy that
   // survived a sync point could hold bytes from before other writers' merges landed at the home.
-  for (PageEntry& e : node_.table_) {
-    if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
-      e.state = PageState::kInvalid;
-      e.diff_copy = false;
-      node_.stats_.implicit_invalidations++;
-      node_.NotePageDiscarded(e);
-    }
-  }
+  node_.DropReadCopies();
 }
 
 void DiffProtocol::FlushTwins() {

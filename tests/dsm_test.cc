@@ -632,7 +632,31 @@ TEST(DsmPrefetchTest, RegularJacobiStripsWasteNoPrefetches) {
 // --- Inline access hit ---
 //
 // DsmNode::Access answers a hit inline only on a page that owes no NotePageUsed bookkeeping.
-// These two runs each hit a page that does owe it, through the public access path.
+// The first test checks the one-word test against that definition on every entry it can see;
+// the two runs after it each hit a page that does owe it, through the public access path.
+
+TEST(DsmAccessTest, OneWordHitMatchesPresentAndNoBookkeeping) {
+  int cases = 0;
+  for (const PageState state : {PageState::kInvalid, PageState::kReadOnly, PageState::kReadWrite}) {
+    for (int flags = 0; flags < 16; ++flags) {
+      for (const AccessMode mode : {AccessMode::kRead, AccessMode::kWrite}) {
+        PageEntry e;
+        e.state = state;
+        e.pending_use = (flags & 1) != 0;
+        e.prefetched_unused = (flags & 2) != 0;
+        e.owner = (flags & 4) != 0;
+        e.fetching = (flags & 8) != 0;
+        const bool present = mode == AccessMode::kRead ? state != PageState::kInvalid
+                                                       : state == PageState::kReadWrite;
+        EXPECT_EQ(HitsInline(e, mode), present && !e.pending_use && !e.prefetched_unused)
+            << "state " << static_cast<int>(state) << " flags " << flags << " mode "
+            << static_cast<int>(mode);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3 * 16 * 2);
+}
 
 TEST(DsmAccessTest, FirstReadOfAPrefetchedCopyCountsAsUse) {
   // A prefetched copy that lands with no waiters is marked unused. The read that first touches it
@@ -723,6 +747,115 @@ TEST(DsmAccessTest, HitBeforeTheWokenFaulterRunsRetiresTheUseOnceHold) {
   EXPECT_EQ(use_once.value, 7u);
   EXPECT_FALSE(use_once.held_after_read);
 }
+
+// --- Copy list ---
+//
+// The implicit-invalidate and diff sync points walk a list of the pages that may hold a copy,
+// not the page table. Each run below mixes demand read copies, a bulk prefetch (one of whose
+// pages is never read), ownership moves and, on one page, false-sharing writes by every node.
+// After every barrier no non-owned, read-only, non-fetching page may be left under a sweeping
+// protocol (write-invalidate copies live on by design), and the count of implicit
+// invalidations must be the one the full-table sweep gave (pinned from it).
+
+struct CopyListCase {
+  const char* name;
+  Pcp pcp;
+  bool adapt;
+  uint64_t implicit_invalidations;  // cluster total under the full-table sweep
+};
+
+void PrintTo(const CopyListCase& c, std::ostream* os) { *os << c.name; }
+
+class DsmCopyListTest : public ::testing::TestWithParam<CopyListCase> {};
+
+TEST_P(DsmCopyListTest, SyncPointsLeaveNoReadCopy) {
+  const CopyListCase c = GetParam();
+  constexpr int kNodes = 4;
+  constexpr int kPagesPerNode = 4;
+  constexpr int kPages = kNodes * kPagesPerNode;
+  ClusterConfig cfg = Config(kNodes, c.pcp);
+  cfg.dsm.adapt_protocols = c.adapt;
+  Cluster cluster(cfg);
+  const size_t ps = cluster.layout().page_size();
+  const size_t per_page = ps / sizeof(double);
+  auto arr = GlobalArray1D<double>::Alloc(cluster.layout(), kPages * per_page, "arr");
+  for (NodeId n = 0; n < kNodes; ++n) {
+    cluster.layout().SetInitialOwner(arr.addr(n * kPagesPerNode * per_page), kPagesPerNode * ps,
+                                     n);
+  }
+  const PageId first_page = cluster.layout().PageOf(arr.addr(0));
+  const bool sweeps = c.pcp == Pcp::kImplicitInvalidate || c.pcp == Pcp::kDiff;
+  std::vector<int> left(kNodes, 0);  // read copies found after a barrier
+  std::vector<int> wrong(kNodes, 0);
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    DsmNode& dsm = env.runtime().dsm();
+    const int me = env.node();
+    const auto count_read_copies = [&] {
+      for (PageId p = first_page; p < first_page + kPages; ++p) {
+        const PageEntry& e = dsm.page(p);
+        left[me] += !e.owner && e.state == PageState::kReadOnly && !e.fetching ? 1 : 0;
+      }
+    };
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      for (int q = me * kPagesPerNode; q < (me + 1) * kPagesPerNode; ++q) {
+        arr.Write(env, q * per_page + epoch, q * 10.0 + epoch);
+      }
+      arr.Write(env, 100 + me, epoch);  // every node writes its own word of page 0
+      if (epoch % 2 == 1) {
+        // Take over the last page of the next node's block (an ownership move, or a twin).
+        const int q = ((me + 1) % kNodes) * kPagesPerNode + kPagesPerNode - 1;
+        arr.Write(env, q * per_page + 200 + me, epoch);
+      }
+      env.Barrier();
+      count_read_copies();
+      if (me == 1 && c.pcp != Pcp::kMigratory) {
+        // Node 3's block as one bulk fetch; its last page is never read before the barrier.
+        dsm.Prefetch(first_page + 3 * kPagesPerNode, kPagesPerNode, AccessMode::kRead);
+        while (dsm.pending_fetches() > 0) {
+          env.ChargeWork(Microseconds(100.0));
+        }
+      }
+      for (int q = 0; q < kPages - 1; ++q) {
+        wrong[me] += arr.Read(env, q * per_page + epoch) != q * 10.0 + epoch ? 1 : 0;
+      }
+      env.Barrier();
+      count_read_copies();
+    }
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  uint64_t implicit = 0;
+  uint64_t prefetched = 0;
+  uint64_t to_diff = 0;
+  int copies_left = 0;
+  for (const core::NodeReport& nr : r.nodes) {
+    implicit += nr.dsm.implicit_invalidations;
+    prefetched += nr.dsm.prefetched_pages;
+    to_diff += nr.dsm.adapter_switches_to_diff;
+    copies_left += left[nr.node];
+    EXPECT_EQ(wrong[nr.node], 0) << "node " << nr.node;
+  }
+  if (sweeps) {
+    EXPECT_EQ(copies_left, 0);
+  } else if (c.pcp == Pcp::kWriteInvalidate) {
+    EXPECT_GT(copies_left, 0) << "write-invalidate copies outlive a barrier";
+  }
+  if (c.pcp != Pcp::kMigratory) {
+    EXPECT_GT(prefetched, 0u);
+  }
+  if (c.adapt) {
+    EXPECT_GT(to_diff, 0u) << "page 0's writers must flip it to diff";
+  }
+  EXPECT_EQ(implicit, c.implicit_invalidations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, DsmCopyListTest,
+    ::testing::Values(CopyListCase{"implicit_invalidate", Pcp::kImplicitInvalidate, false, 228},
+                      CopyListCase{"diff", Pcp::kDiff, false, 253},
+                      CopyListCase{"adaptive", Pcp::kImplicitInvalidate, true, 236},
+                      CopyListCase{"write_invalidate", Pcp::kWriteInvalidate, false, 0},
+                      CopyListCase{"migratory", Pcp::kMigratory, false, 0}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace dfil::dsm

@@ -1,6 +1,8 @@
 // Scheduling allocates nothing in steady state (DESIGN.md §2): this binary replaces the global
 // operator new with a counting one, warms each path up, and then requires N more rounds of it to
-// allocate nothing. It is its own binary because the replacement covers the whole program.
+// allocate nothing. It also counts the allocations of whole fork/join runs, to check that a
+// queued fork reuses a join cell. It is its own binary because the replacement covers the whole
+// program.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +12,7 @@
 #include <new>
 #include <string>
 
+#include "src/apps/quadrature.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/machine.h"
@@ -178,3 +181,43 @@ TEST(EventAllocTest, MachineTimersAllocateNothingCancelledOrNot) {
 
 }  // namespace
 }  // namespace dfil::sim
+
+namespace dfil::apps {
+namespace {
+
+struct QuadratureCount {
+  uint64_t allocations;
+  uint64_t queued_forks;  // forks_local + forks_sent: each one takes a join cell
+};
+
+QuadratureCount CountQuadrature(double tolerance) {
+  QuadratureParams p;
+  p.tolerance = tolerance;
+  core::ClusterConfig cfg;
+  cfg.nodes = 8;
+  cfg.network = core::NetworkKind::kSharedEthernet;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const AppRun df = RunQuadratureDf(p, cfg);
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(df.report.completed) << df.report.deadlock_report;
+  uint64_t forks = 0;
+  for (const core::NodeReport& nr : df.report.nodes) {
+    forks += nr.filaments.forks_local + nr.filaments.forks_sent;
+  }
+  return {allocations, forks};
+}
+
+TEST(ForkJoinAllocTest, QueuedForksReuseFinishedJoinCells) {
+  // A finer tolerance queues many more forks. Were each join cell a fresh allocation, the extra
+  // allocations would be at least the extra queued forks; with finished cells reused, what is
+  // left (task-deque chunks, mostly) stays well under half of them.
+  const QuadratureCount coarse = CountQuadrature(1e-6);
+  const QuadratureCount fine = CountQuadrature(1e-8);
+  ASSERT_GT(fine.queued_forks, coarse.queued_forks + 1000);
+  const uint64_t extra_forks = fine.queued_forks - coarse.queued_forks;
+  EXPECT_LT(fine.allocations - coarse.allocations, extra_forks / 2)
+      << "extra queued forks " << extra_forks;
+}
+
+}  // namespace
+}  // namespace dfil::apps

@@ -15,9 +15,11 @@
 #include <array>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/apps/jacobi.h"
 #include "src/apps/quadrature.h"
+#include "src/core/cluster.h"
 #include "src/core/metrics_io.h"
 #include "src/dsm/coherence_oracle.h"
 #include "tests/skewed_workload.h"
@@ -157,6 +159,38 @@ TEST(PoolProfTest, ExactPartitionAtSimTimeResolution) {
       EXPECT_EQ(pool_run, ledger.run_time()) << pinned.name << " node " << nr.node;
     }
   }
+}
+
+void ChargedFilament(core::NodeEnv& env, int64_t, int64_t, int64_t) {
+  env.ChargeWork(Microseconds(50.0));
+}
+
+// A runner that binds a thread to a pool adds the pool's row, so that the charges of the thread
+// index it directly. A pool that never charges keeps that row unbooked, and the export skips
+// it: the pinned hash is this run's export with no row for the empty pool at all.
+TEST(PoolProfTest, RunnerOfAPoolThatNeverChargesLeavesItsRowUnbooked) {
+  core::ClusterConfig cfg;
+  cfg.nodes = 2;
+  core::Cluster cluster(cfg);
+  const core::RunReport r = cluster.Run([](core::NodeEnv& env) {
+    const core::PoolHandle busy = env.CreatePool();
+    env.CreatePool();  // no filament: its runner binds to it and charges nothing
+    for (int i = 0; i < 8; ++i) {
+      env.CreateFilament(busy, &ChargedFilament, i);
+    }
+    env.RunPools();
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  for (const core::NodeReport& nr : r.nodes) {
+    const std::vector<TimeLedger::PoolRow>& pools = nr.breakdown.pools();
+    ASSERT_EQ(pools.size(), 2u) << "node " << nr.node;
+    EXPECT_TRUE(pools[0].booked) << "node " << nr.node;
+    EXPECT_FALSE(pools[1].booked) << "node " << nr.node;
+    EXPECT_EQ(pools[1].run, 0) << "node " << nr.node;
+  }
+  std::ostringstream metrics;
+  core::WriteMetricsJson(r, "pin", metrics, {{"git", "pin"}});
+  EXPECT_EQ(Fnv1a(metrics.str()), 15598437040942418893ull);
 }
 
 }  // namespace
