@@ -23,7 +23,8 @@ const char* BarrierName(ClusterConfig::BarrierKind k) {
 
 }  // namespace
 
-Cluster::Cluster(const ClusterConfig& config) : config_(config), layout_(config.page_shift) {
+Cluster::Cluster(const ClusterConfig& config)
+    : config_(config), layout_(config.page_shift), host_context_(config.backend) {
   const std::vector<std::string> errors = config_.Validate();
   for (const std::string& error : errors) {
     DFIL_LOG(kError, "core") << "invalid ClusterConfig: " << error;
@@ -58,7 +59,8 @@ RunReport Cluster::Run(const NodeMain& node_main) {
   machine_->SetTrace(trace.get());
   nodes_.clear();
   for (NodeId n = 0; n < config_.nodes; ++n) {
-    nodes_.push_back(std::make_unique<NodeRuntime>(n, config_, machine_.get(), &layout_));
+    nodes_.push_back(std::make_unique<NodeRuntime>(n, config_, machine_.get(), &layout_,
+                                                  &host_context_));
     nodes_.back()->SetTrace(trace.get());
     machine_->AddHost(nodes_.back().get());
   }
@@ -100,6 +102,8 @@ RunReport Cluster::Run(const NodeMain& node_main) {
   report.deadlock_report = sim_result.deadlock_report;
   report.makespan = sim_result.makespan;
   report.events = sim_result.events_dispatched;
+  report.steps = sim_result.steps;
+  report.handoffs = sim_result.handoffs;
   report.net = machine_->net_stats();
   report.medium_busy = machine_->network().MediumBusyTime();
   report.pcp = dsm::PcpName(config_.dsm.pcp);

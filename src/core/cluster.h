@@ -61,6 +61,8 @@ struct RunReport {
   std::string deadlock_report;
   SimTime makespan = 0;             // max node clock (the program's virtual run time)
   uint64_t events = 0;
+  uint64_t steps = 0;               // host steps (sim::RunResult::steps); not exported
+  uint64_t handoffs = 0;            // of which handed off by a yield; not exported
   MessageStats net;                 // cluster-wide message counters
   SimTime medium_busy = 0;          // total wire occupancy (saturation diagnostics)
   std::string pcp;                  // protocol name (PcpName), for report labelling
@@ -97,6 +99,8 @@ class Cluster {
   ClusterConfig config_;
   dsm::GlobalLayout layout_;
   std::unique_ptr<sim::Machine> machine_;
+  // The host context every node's server threads switch back to (threads::HostContext).
+  threads::HostContext host_context_;
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   bool ran_ = false;
 };

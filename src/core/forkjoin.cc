@@ -72,8 +72,7 @@ void FjEngine::RegisterServices() {
         net::WireWriter& w = reply.Body(sizeof(uint8_t) + sizeof(ShipBody));
         if (phase_active_ && !terminated_ &&
             queue_.size() >= static_cast<size_t>(kStealMinSurplus)) {
-          Task task = queue_.front();  // oldest = coarsest work
-          queue_.pop_front();
+          const Task task = queue_.pop_front();  // oldest = coarsest work
           w.Put(uint8_t{1});
           w.Put(ShipBody{reinterpret_cast<uint64_t>(task.fn), task.args, task.origin,
                          task.cell_addr});
@@ -182,11 +181,11 @@ FjResult FjEngine::JoinSlow(FjHandle& handle) {
   // giving up stealability in the window between Fork and Join.
   if (!cell->done) {
     const auto cell_addr = reinterpret_cast<uint64_t>(cell);
-    for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-      if (it->cell_addr == cell_addr && it->origin == rt_->id()) {
-        Task task = *it;
+    for (size_t i = queue_.size(); i-- > 0;) {
+      if (queue_[i].cell_addr == cell_addr && queue_[i].origin == rt_->id()) {
+        const Task task = queue_[i];
         rt_->EnterCritical();
-        queue_.erase(std::next(it).base());
+        queue_.erase(i);
         rt_->ExitCritical();
         Execute(task);
         break;
@@ -211,6 +210,25 @@ FjResult FjEngine::JoinSlow(FjHandle& handle) {
   return result;
 }
 
+void FjEngine::TaskRing::erase(size_t i) {
+  for (size_t j = i + 1; j < size(); ++j) {
+    (*this)[j - 1] = (*this)[j];
+  }
+  --tail_;
+}
+
+void FjEngine::TaskRing::Grow() {
+  std::vector<Task> grown(std::max<size_t>(16, 2 * slots_.size()));
+  const size_t n = size();
+  for (size_t i = 0; i < n; ++i) {
+    grown[i] = (*this)[i];
+  }
+  slots_ = std::move(grown);
+  mask_ = slots_.size() - 1;
+  head_ = 0;
+  tail_ = n;
+}
+
 JoinCell* FjEngine::NewCell() {
   if (spare_cells_.empty()) {
     return new JoinCell();
@@ -225,8 +243,7 @@ void FjEngine::WorkerLoop(bool is_main) {
   for (;;) {
     if (!queue_.empty()) {
       rt_->EnterCritical();
-      Task task = queue_.back();  // newest first: depth-first keeps the working set small
-      queue_.pop_back();
+      const Task task = queue_.pop_back();  // newest first: depth-first keeps the working set small
       rt_->ExitCritical();
       Execute(task);
       continue;

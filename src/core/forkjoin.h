@@ -19,7 +19,6 @@
 #define DFIL_CORE_FORKJOIN_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -74,6 +73,36 @@ class FjEngine {
     uint64_t cell_addr;  // JoinCell* on the origin node
   };
 
+  // The local fork/join filaments, oldest first: pushed at the back, executed LIFO from the back,
+  // stolen FIFO from the front. A power-of-two ring over a vector, so once it has grown to the
+  // deepest queue the run reaches, filling and draining it allocates nothing.
+  class TaskRing {
+   public:
+    size_t size() const { return static_cast<size_t>(tail_ - head_); }
+    bool empty() const { return tail_ == head_; }
+    // The i-th task from the front.
+    Task& operator[](size_t i) { return slots_[(head_ + i) & mask_]; }
+    void push_back(const Task& task) {
+      if (size() == slots_.size()) {
+        Grow();
+      }
+      slots_[tail_++ & mask_] = task;
+    }
+    Task pop_back() { return slots_[--tail_ & mask_]; }
+    Task pop_front() { return slots_[head_++ & mask_]; }
+    // Removes the i-th task from the front; the tasks behind it move up one, keeping their order.
+    void erase(size_t i);
+
+   private:
+    void Grow();
+
+    std::vector<Task> slots_;
+    size_t mask_ = 0;  // slots_.size() - 1
+    // Running positions of the front and one past the back; a task's slot is its position & mask_.
+    size_t head_ = 0;
+    size_t tail_ = 0;
+  };
+
   // Fork() of a fork that is not pruned: ship it to a tree child, or queue a local filament.
   FjHandle ForkSlow(FjFn fn, const FjArgs& args);
   // A cleared join cell: a finished one from spare_cells_, or a new one.
@@ -92,7 +121,7 @@ class FjEngine {
   void ArmStealRetry();
 
   NodeRuntime* rt_;
-  std::deque<Task> queue_;  // local fork/join filaments: LIFO execution, FIFO stealing
+  TaskRing queue_;  // local fork/join filaments: LIFO execution, FIFO stealing
   std::vector<NodeId> tree_children_;
   bool ship_next_ = true;  // of each fork pair, ship one and keep one
 

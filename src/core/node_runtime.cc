@@ -15,8 +15,8 @@
 namespace dfil::core {
 
 NodeRuntime::NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
-                         const dsm::GlobalLayout* layout)
-    : id_(id), config_(config), machine_(machine), threads_(config.backend), env_(this) {
+                         const dsm::GlobalLayout* layout, threads::HostContext* host)
+    : id_(id), config_(config), machine_(machine), threads_(config.backend, host), env_(this) {
   tracer_.BindNode(id_, [this] { return CurrentTid(); }, [this] { return clock_; });
   BuildReduceSchedule();
   packet_ = std::make_unique<net::PacketEndpoint>(machine_, this, config_.packet);
@@ -78,9 +78,10 @@ void NodeRuntime::Step() {
     // Switching server threads costs real time (paper Figure 9: 48.8 us on the Sun IPC).
     Charge(TimeCategory::kFilamentExec, costs().thread_context_switch);
   }
-  threads_.SwitchTo(t);
-  if (t->state() == threads::ThreadState::kDone) {
-    threads_.Recycle(t);
+  // After hand-offs the thread that comes back may be another node's.
+  threads::ServerThread* back = threads_.SwitchTo(t);
+  if (back->state() == threads::ThreadState::kDone) {
+    back->system().Recycle(back);
   }
 }
 
@@ -128,6 +129,14 @@ void NodeRuntime::YieldForEvent() {
   DFIL_CHECK(resume_first_ == nullptr);
   resume_first_ = self;
   self->set_state(threads::ThreadState::kReady);
+  if (sim::NodeHost* host = machine_->HandOff(id_)) {
+    // The next step would be that node's Step() resuming its mid-charge thread: do it here.
+    auto* next = static_cast<NodeRuntime*>(host);
+    threads::ServerThread* t = next->resume_first_;
+    next->resume_first_ = nullptr;
+    threads_.HandOff(self, next->threads_, t);
+    return;
+  }
   threads_.SwitchToHost();
 }
 

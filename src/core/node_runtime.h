@@ -9,7 +9,9 @@
 // thread; the thread gives the processor back when it blocks, finishes, or — mid-charge — when a
 // pending external event (message/timer) must be dispatched, in which case it is resumed first
 // afterwards (interrupt semantics: handlers run "under" the interrupted thread, which then
-// continues; no reschedule happens on an interrupt, the scheduler is non-preemptive).
+// continues; no reschedule happens on an interrupt, the scheduler is non-preemptive). A thread
+// that yields mid-charge asks Machine::HandOff for the next step; when that step would only
+// resume another node's mid-charge thread, it switches straight to it instead of to the host.
 #ifndef DFIL_CORE_NODE_RUNTIME_H_
 #define DFIL_CORE_NODE_RUNTIME_H_
 
@@ -44,8 +46,9 @@ class PoolEngine;
 
 class NodeRuntime final : public dsm::DsmHost {
  public:
+  // `host` is the host context the cluster's nodes share (threads::HostContext).
   NodeRuntime(NodeId id, const ClusterConfig& config, sim::Machine* machine,
-              const dsm::GlobalLayout* layout);
+              const dsm::GlobalLayout* layout, threads::HostContext* host);
   ~NodeRuntime() override;
 
   // Installs the node's main program; it runs as the first server thread.
@@ -57,6 +60,7 @@ class NodeRuntime final : public dsm::DsmHost {
   bool Runnable() const override { return resume_first_ != nullptr || !ready_.empty(); }
   bool Done() const override { return main_done_; }
   void Step() override;
+  bool ResumesMidCharge() const override { return resume_first_ != nullptr; }
   void AdvanceTo(SimTime t) override;
   void OnDatagram(sim::Datagram d) override;
   std::string DescribeBlocked() const override;
@@ -179,7 +183,9 @@ class NodeRuntime final : public dsm::DsmHost {
   // Charge() in handler context, of zero cost, or past the charge limit (charging up to each
   // limit in turn and yielding there).
   void ChargeSlow(TimeCategory category, SimTime cost);
-  // Charge() helper: returns to the machine so a due event can dispatch; resumes afterwards.
+  // Charge() helper: gives up the processor so a due event can dispatch or a node behind this
+  // one's horizon can run, and resumes afterwards. Hands off to the next node's mid-charge thread
+  // when Machine::HandOff names one, else returns to the host.
   void YieldForEvent();
 
   // Makes blocked `t` ready at the front or the tail of the ready queue, booking the pending

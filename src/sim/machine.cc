@@ -74,8 +74,9 @@ void Machine::Sift(size_t i, RunnableSlot slot) {
     i = (i - 1) / 2;
   }
   for (size_t child = 2 * i + 1; child < runnable_.size(); child = 2 * i + 1) {
-    if (child + 1 < runnable_.size() && runnable_[child + 1] < runnable_[child]) {
-      ++child;
+    if (child + 1 < runnable_.size()) {
+      // The smaller child, picked by a conditional move rather than a branch.
+      child += static_cast<size_t>(runnable_[child + 1] < runnable_[child]);
     }
     if (!(runnable_[child] < slot)) {
       break;
@@ -222,8 +223,39 @@ EventHandle Machine::ScheduleTimer(NodeId node, SimTime at, std::function<void()
   return events_.Schedule(at, node, std::move(fn));
 }
 
+NodeHost* Machine::BeginStep() {
+  const NodeId next = runnable_.front().id;
+  // The lowest clock among the other runnable hosts sits in one of the root's children.
+  SimTime min_other = kSimTimeNever;
+  for (size_t child = 1; child <= 2 && child < runnable_.size(); ++child) {
+    min_other = std::min(min_other, runnable_[child].clock);
+  }
+  stepping_ = next;
+  stepping_horizon_ = min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
+  ++steps_;
+  return hosts_[next];
+}
+
+NodeHost* Machine::HandOff(NodeId self) {
+  DFIL_DCHECK(self == stepping_);
+  Refresh(self);
+  if (!failure_.empty()) {
+    return nullptr;
+  }
+  DFIL_DCHECK(HeapRootMatchesScan());
+  if (!RootStepsBefore(events_.NextTime()) || RootPastCap() ||
+      !hosts_[runnable_.front().id]->ResumesMidCharge()) {
+    return nullptr;
+  }
+  ++handoffs_;
+  NodeHost* next = BeginStep();
+  DFIL_DCHECK(stepping_ != self);
+  return next;
+}
+
 RunResult Machine::Run(SimTime max_virtual_time) {
   RunResult result;
+  max_virtual_time_ = max_virtual_time;
   // Hosts may have changed since the last Run (tests script them directly), so index them anew.
   runnable_.clear();
   heap_index_.assign(hosts_.size(), -1);
@@ -238,25 +270,17 @@ RunResult Machine::Run(SimTime max_virtual_time) {
     // The runnable node with the smallest clock (ties by id, for determinism) is the heap root.
     DFIL_DCHECK(HeapRootMatchesScan());
     SimTime event_time = events_.NextTime();
-
-    // Strict inequality: an event due at exactly the node's clock dispatches first — otherwise a
-    // node that yielded for that event would be resumed only to yield again, forever.
-    if (!runnable_.empty() && runnable_.front().clock < event_time) {
-      const RunnableSlot next = runnable_.front();
-      if (next.clock > max_virtual_time) {
+    if (RootStepsBefore(event_time)) {
+      if (RootPastCap()) {
         result.deadlock_report = "virtual time limit exceeded";
         break;
       }
-      // The lowest clock among the other runnable hosts sits in one of the root's children.
-      SimTime min_other = kSimTimeNever;
-      for (size_t child = 1; child <= 2 && child < runnable_.size(); ++child) {
-        min_other = std::min(min_other, runnable_[child].clock);
-      }
-      stepping_ = next.id;
-      stepping_horizon_ = min_other == kSimTimeNever ? kSimTimeNever : min_other + lookahead_;
-      hosts_[next.id]->Step();
+      BeginStep()->Step();
+      // The thread that came back belongs to the stepping host, which hand-offs may have moved
+      // past the host stepped here (already re-sifted when it handed off).
+      const NodeId back = stepping_;
       stepping_ = kNoNode;
-      Refresh(next.id);
+      Refresh(back);
       continue;
     }
     if (event_time != kSimTimeNever) {
@@ -295,6 +319,8 @@ RunResult Machine::Run(SimTime max_virtual_time) {
     }
   }
   result.events_dispatched = events_dispatched_;
+  result.steps = steps_;
+  result.handoffs = handoffs_;
   return result;
 }
 

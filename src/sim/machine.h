@@ -48,10 +48,11 @@ struct Datagram {
 // Per-node execution engine, implemented by the runtime layer (src/core). The Machine calls these
 // from its own (host) stack; OnDatagram and timer callbacks must not block or switch contexts.
 //
-// Scheduling contract: a host's Runnable() and Clock() change only inside its own Step(), or
-// inside an event addressed to it (a delivery to it, or a timer scheduled for it). The Machine
-// relies on this to keep its runnable-host heap and the stepping host's causal horizon current
-// without rescanning every host; debug builds cross-check both against a full scan.
+// Scheduling contract: a host's Runnable() and Clock() change only while it is the stepping host
+// (inside its own Step(), or after a HandOff made it the stepping host), or inside an event
+// addressed to it (a delivery to it, or a timer scheduled for it). The Machine relies on this to
+// keep its runnable-host heap and the stepping host's causal horizon current without rescanning
+// every host; debug builds cross-check both against a full scan.
 class NodeHost {
  public:
   virtual ~NodeHost() = default;
@@ -66,8 +67,14 @@ class NodeHost {
   virtual bool Done() const = 0;
 
   // Resumes execution. Returns when the node blocks (no ready thread) or when its clock reaches
-  // the machine's next external event time.
+  // the machine's next external event time. A host that yields through HandOff passes the step on
+  // without returning, so Step() may return after other hosts have run, on behalf of whichever
+  // host is stepping by then.
   virtual void Step() = 0;
+
+  // True when Step() would only resume a thread that yielded mid-charge, charging nothing before
+  // it switches to it. Only such a host can be handed a step (Machine::HandOff).
+  virtual bool ResumesMidCharge() const { return false; }
 
   // Moves the node clock forward to at least `t` (used for deliveries to idle nodes). Must not
   // move the clock backwards.
@@ -87,6 +94,8 @@ struct RunResult {
   SimTime makespan = 0;  // max node clock at termination
   std::string deadlock_report;
   uint64_t events_dispatched = 0;
+  uint64_t steps = 0;     // host steps: Run's Step() calls plus hand-offs
+  uint64_t handoffs = 0;  // steps a yielding host passed on itself (HandOff)
 };
 
 class Machine {
@@ -178,6 +187,14 @@ class Machine {
   // is exceeded (a runaway guard; kSimTimeNever disables it), or a layer calls Fail.
   RunResult Run(SimTime max_virtual_time = kSimTimeNever);
 
+  // Called by the stepping host `self` when its thread yields mid-charge, with its resume already
+  // set up: makes Run's next step choice on the yielding thread's stack. Re-sifts `self`, then
+  // returns nullptr when Run would not simply resume the next host's mid-charge thread: the
+  // machine failed, an event is due first, the root is past the virtual-time cap, or the root is
+  // not ResumesMidCharge(). Otherwise makes the root the stepping host, as Run would before its
+  // Step(), and returns it; the caller switches straight to that host's thread. Never `self`.
+  NodeHost* HandOff(NodeId self);
+
   // Ends the run softly: once the current event or Step() returns, Run stops with completed =
   // false and `reason` in deadlock_report, as the virtual-time cap does. The first reason
   // stands, and a failed machine stays failed.
@@ -193,10 +210,25 @@ class Machine {
   struct RunnableSlot {
     SimTime clock;
     NodeId id;
-    bool operator<(const RunnableSlot& other) const {
-      return clock != other.clock ? clock < other.clock : id < other.id;
+    // (clock, id) in lexicographic order as one unsigned 128-bit key, so a compare is a
+    // subtract-with-borrow and no branch: flipping the sign bit maps the signed clock order onto
+    // unsigned order, and host ids are non-negative.
+    unsigned __int128 Key() const {
+      const uint64_t high = static_cast<uint64_t>(clock) ^ (uint64_t{1} << 63);
+      return static_cast<unsigned __int128>(high) << 64 | static_cast<uint32_t>(id);
     }
+    bool operator<(const RunnableSlot& other) const { return Key() < other.Key(); }
   };
+
+  // The step choice Run and HandOff share. The heap root steps next when its clock is below the
+  // next event's time; strictly, so an event due at exactly the root's clock dispatches first
+  // (otherwise a host that yielded for that event would be resumed only to yield again, forever).
+  bool RootStepsBefore(SimTime event_time) const {
+    return !runnable_.empty() && runnable_.front().clock < event_time;
+  }
+  bool RootPastCap() const { return runnable_.front().clock > max_virtual_time_; }
+  // Makes the heap root the stepping host, memoizing its causal horizon, and returns it.
+  NodeHost* BeginStep();
 
   // Applies the fault plan (drop/duplicate/delay/stall) to one planned delivery.
   void InjectAndDeliver(Datagram d, SimTime at);
@@ -225,13 +257,17 @@ class Machine {
   // Runnable hosts as an indexed binary min-heap on (clock, id), the order Run steps them in.
   std::vector<RunnableSlot> runnable_;
   std::vector<int> heap_index_;  // per host: its index in runnable_, or -1 when not runnable
-  // The host inside Step() and its causal horizon, memoized before the Step() began.
+  // The host inside Step() (or handed the step by HandOff) and its causal horizon, memoized before
+  // it began to run.
   NodeId stepping_ = kNoNode;
   SimTime stepping_horizon_ = kSimTimeNever;
+  SimTime max_virtual_time_ = kSimTimeNever;  // Run's cap, for HandOff
   EventQueue events_;
   MessageStats net_stats_;
   SimTime lookahead_ = Microseconds(200.0);
   uint64_t events_dispatched_ = 0;
+  uint64_t steps_ = 0;
+  uint64_t handoffs_ = 0;
   std::string failure_;  // set by Fail
   std::array<InjectionNote, kInjectionLogCapacity> injection_log_{};
   uint64_t injections_seen_ = 0;

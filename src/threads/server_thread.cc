@@ -6,8 +6,13 @@
 
 namespace dfil::threads {
 
-ThreadSystem::ThreadSystem(ContextBackend backend) : backend_(backend) {
-  host_context_.InitAsCaller(backend_);
+ThreadSystem::ThreadSystem(ContextBackend backend, HostContext* host)
+    : backend_(backend), host_(host) {
+  if (host_ == nullptr) {
+    own_host_ = std::make_unique<HostContext>(backend_);
+    host_ = own_host_.get();
+  }
+  DFIL_CHECK(host_->context.backend() == backend_) << "mixed context backends";
 }
 
 ThreadSystem::~ThreadSystem() = default;
@@ -40,14 +45,14 @@ ServerThread* ThreadSystem::Create(std::function<void()> body) {
   return thread;
 }
 
-void ThreadSystem::SwitchTo(ServerThread* thread) {
+ServerThread* ThreadSystem::SwitchTo(ServerThread* thread) {
   DFIL_CHECK(current_ == nullptr) << "SwitchTo must be called from the host context";
   DFIL_CHECK(thread->state_ == ThreadState::kReady);
   thread->state_ = ThreadState::kRunning;
   current_ = thread;
-  Context::Switch(&host_context_, &thread->context_);
-  // The thread switched back: either it blocked/yielded, or it finished.
-  current_ = nullptr;
+  Context::Switch(&host_->context, &thread->context_);
+  // A thread switched back (it blocked, yielded or finished) and cleared its system's current_.
+  return host_->returned;
 }
 
 void ThreadSystem::SwitchToHost() {
@@ -55,7 +60,21 @@ void ThreadSystem::SwitchToHost() {
   DFIL_CHECK(thread != nullptr) << "SwitchToHost must be called from a server thread";
   DFIL_CHECK(thread->state_ != ThreadState::kRunning)
       << "set the thread state (blocked/ready/done) before switching away";
-  Context::Switch(&thread->context_, &host_context_);
+  current_ = nullptr;
+  host_->returned = thread;
+  Context::Switch(&thread->context_, &host_->context);
+}
+
+void ThreadSystem::HandOff(ServerThread* self, ThreadSystem& to_system, ServerThread* to) {
+  DFIL_DCHECK(self == current_);
+  DFIL_DCHECK(self->state_ != ThreadState::kRunning);
+  DFIL_DCHECK(to->system_ == &to_system && to_system.host_ == host_);
+  DFIL_DCHECK(to_system.current_ == nullptr);
+  DFIL_CHECK(to->state_ == ThreadState::kReady);
+  current_ = nullptr;
+  to->state_ = ThreadState::kRunning;
+  to_system.current_ = to;
+  Context::Switch(&self->context_, &to->context_);
 }
 
 void ThreadSystem::Recycle(ServerThread* thread) {

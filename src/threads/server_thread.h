@@ -7,9 +7,13 @@
 // host context (the simulator loop) and thread contexts.
 //
 // Control flow discipline: the host switches into a thread with SwitchTo(); a thread gives up the
-// processor only through SwitchToHost() (when it blocks, yields for a pending event, or exits).
-// Threads never switch directly to each other, so the scheduler policy lives entirely with the
-// caller.
+// processor through SwitchToHost() (when it blocks, yields for a pending event, or exits), or,
+// when it yields and the caller's scheduler has already picked a thread that is ready to resume,
+// through HandOff(), which switches straight to that thread, possibly another node's. The
+// scheduling policy still lives entirely with the caller; a hand-off only runs the policy's choice
+// on the yielding thread's stack instead of the host's. Every ThreadSystem of a cluster shares
+// one HostContext, so whichever thread gives up the processor last returns to the SwitchTo that
+// started the chain.
 #ifndef DFIL_THREADS_SERVER_THREAD_H_
 #define DFIL_THREADS_SERVER_THREAD_H_
 
@@ -33,6 +37,15 @@ enum class ThreadState : uint8_t {
 };
 
 class ThreadSystem;
+class ServerThread;
+
+// The host context (the simulator loop's stack) that threads switch back to, shared by every
+// ThreadSystem of a cluster, and the thread that last switched back to it.
+struct HostContext {
+  explicit HostContext(ContextBackend backend) { context.InitAsCaller(backend); }
+  Context context;
+  ServerThread* returned = nullptr;
+};
 
 class ServerThread {
  public:
@@ -63,6 +76,9 @@ class ServerThread {
   int profile_pool() const { return profile_pool_; }
   void set_profile_pool(int pool) { profile_pool_ = pool; }
 
+  // The ThreadSystem that created the thread and recycles it.
+  ThreadSystem& system() const { return *system_; }
+
   // Link used by ready queues and wait queues (a thread is on at most one at a time).
   ListNode queue_link;
 
@@ -84,7 +100,9 @@ class ServerThread {
 // Per-node thread manager.
 class ThreadSystem {
  public:
-  explicit ThreadSystem(ContextBackend backend);
+  // `host` is the host context shared by the ThreadSystems of a cluster (same backend); a
+  // ThreadSystem given none keeps a private one.
+  explicit ThreadSystem(ContextBackend backend, HostContext* host = nullptr);
   ~ThreadSystem();
 
   ThreadSystem(const ThreadSystem&) = delete;
@@ -93,12 +111,19 @@ class ThreadSystem {
   // Creates a ready-to-run thread executing `body`. Reuses a recycled thread when available.
   ServerThread* Create(std::function<void()> body);
 
-  // Host side: resumes `thread`. Returns when the thread switches back to the host.
-  void SwitchTo(ServerThread* thread);
+  // Host side: resumes `thread`. Returns when a thread switches back to the host, and returns
+  // that thread: `thread`, or after hand-offs a thread of any ThreadSystem sharing the host
+  // context. A finished one is the caller's to recycle, through its own system().
+  ServerThread* SwitchTo(ServerThread* thread);
 
   // Thread side: gives the processor back to the host context. The caller must already have set
-  // its state (kBlocked with a reason, or kReady if merely yielding).
+  // its state (kBlocked with a reason, kReady if merely yielding, kDone on exit).
   void SwitchToHost();
+
+  // Thread side: switches from `self`, this system's running thread, straight to `to`, a ready
+  // thread of `to_system` (which shares this system's host context), and marks `to` running.
+  // `self` must already have set its state, as for SwitchToHost. Returns when `self` is resumed.
+  void HandOff(ServerThread* self, ThreadSystem& to_system, ServerThread* to);
 
   // The thread currently running on this node, or nullptr when the host context is active.
   ServerThread* current() const { return current_; }
@@ -115,7 +140,8 @@ class ThreadSystem {
 
   ContextBackend backend_;
   StackPool stack_pool_;
-  Context host_context_;
+  std::unique_ptr<HostContext> own_host_;  // set when no shared host context was given
+  HostContext* host_;
   ServerThread* current_ = nullptr;
   std::vector<std::unique_ptr<ServerThread>> all_threads_;
   std::vector<ServerThread*> parked_;  // recycled, ready for Create to reuse

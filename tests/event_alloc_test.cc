@@ -1,8 +1,8 @@
 // Scheduling allocates nothing in steady state (DESIGN.md §2): this binary replaces the global
 // operator new with a counting one, warms each path up, and then requires N more rounds of it to
 // allocate nothing. It also counts the allocations of whole fork/join runs, to check that a
-// queued fork reuses a join cell. It is its own binary because the replacement covers the whole
-// program.
+// queued fork reuses a join cell and a queue slot. It is its own binary because the replacement
+// covers the whole program.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -207,16 +207,36 @@ QuadratureCount CountQuadrature(double tolerance) {
   return {allocations, forks};
 }
 
-TEST(ForkJoinAllocTest, QueuedForksReuseFinishedJoinCells) {
-  // A finer tolerance queues many more forks. Were each join cell a fresh allocation, the extra
-  // allocations would be at least the extra queued forks; with finished cells reused, what is
-  // left (task-deque chunks, mostly) stays well under half of them.
-  const QuadratureCount coarse = CountQuadrature(1e-6);
-  const QuadratureCount fine = CountQuadrature(1e-8);
-  ASSERT_GT(fine.queued_forks, coarse.queued_forks + 1000);
-  const uint64_t extra_forks = fine.queued_forks - coarse.queued_forks;
-  EXPECT_LT(fine.allocations - coarse.allocations, extra_forks / 2)
-      << "extra queued forks " << extra_forks;
+// A finer tolerance queues many more forks. The two runs are shared by the cases below.
+class ForkJoinAllocTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    coarse_ = CountQuadrature(1e-6);
+    fine_ = CountQuadrature(1e-8);
+  }
+  static uint64_t ExtraForks() { return fine_.queued_forks - coarse_.queued_forks; }
+  static uint64_t ExtraAllocations() { return fine_.allocations - coarse_.allocations; }
+
+  static QuadratureCount coarse_;
+  static QuadratureCount fine_;
+};
+
+QuadratureCount ForkJoinAllocTest::coarse_;
+QuadratureCount ForkJoinAllocTest::fine_;
+
+TEST_F(ForkJoinAllocTest, QueuedForksReuseFinishedJoinCells) {
+  // Were each join cell a fresh allocation, the extra allocations would be at least the extra
+  // queued forks.
+  ASSERT_GT(fine_.queued_forks, coarse_.queued_forks + 1000);
+  EXPECT_LT(ExtraAllocations(), ExtraForks() / 2) << "extra queued forks " << ExtraForks();
+}
+
+TEST_F(ForkJoinAllocTest, QueuedForksAllocateNoTaskStorage) {
+  // The task ring grows only to the deepest queue the run reaches, so the extra forks add next to
+  // no allocations. A chunked deque allocates and frees a chunk each time the queue crosses a
+  // chunk boundary: about one allocation per five extra forks.
+  ASSERT_GT(fine_.queued_forks, coarse_.queued_forks + 1000);
+  EXPECT_LT(ExtraAllocations(), ExtraForks() / 100) << "extra queued forks " << ExtraForks();
 }
 
 }  // namespace

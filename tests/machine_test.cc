@@ -24,10 +24,13 @@ class ScriptHost : public NodeHost {
   SimTime Clock() const override { return clock_; }
   bool Runnable() const override { return !steps_.empty(); }
   bool Done() const override { return steps_.empty() && done_; }
+  // A host whose front step stopped at a charge limit only resumes that charge when stepped.
+  bool ResumesMidCharge() const override { return mid_charge_; }
   void Step() override {
     if (step_log != nullptr) {
       step_log->push_back(id_);
     }
+    mid_charge_ = false;
     // One step: advance the clock by the scripted charge (respecting the machine's charge
     // limit — split like a real runtime would), then run the action.
     auto [cost, action] = steps_.front();
@@ -40,6 +43,19 @@ class ScriptHost : public NodeHost {
       const SimTime done_part = limit > clock_ ? limit - clock_ : 0;
       clock_ += done_part;
       steps_.front().first = cost - done_part;
+      mid_charge_ = true;
+      if (hand_off) {
+        // What a runtime's yield does: ask the machine for the next step, and run it in place of
+        // returning (a server thread would switch straight to that host's thread).
+        if (before_hand_off) {
+          before_hand_off();
+        }
+        NodeHost* next = machine_->HandOff(id_);
+        handed_to.push_back(next != nullptr ? next->id() : kNoNode);
+        if (next != nullptr) {
+          next->Step();
+        }
+      }
       return;
     }
     clock_ += cost;
@@ -59,12 +75,18 @@ class ScriptHost : public NodeHost {
 
   std::vector<Datagram> received;
   std::vector<NodeId>* step_log = nullptr;  // when set, every Step() appends this host's id
+  // When set, a step that stops at a charge limit calls HandOff and logs what it returned
+  // (kNoNode for nullptr) in handed_to; before_hand_off, when set, runs just before.
+  bool hand_off = false;
+  std::function<void()> before_hand_off;
+  std::vector<NodeId> handed_to;
 
  private:
   NodeId id_;
   Machine* machine_;
   SimTime clock_ = 0;
   bool done_ = true;
+  bool mid_charge_ = false;
   std::vector<std::pair<SimTime, std::function<void()>>> steps_;
 };
 
@@ -259,6 +281,150 @@ TEST(MachineTest, ChargeLimitInsideAStepIsTheHostsCausalHorizon) {
   // the last host has none.
   EXPECT_EQ(limits, (std::vector<SimTime>{Microseconds(300.0), Microseconds(400.0),
                                           Microseconds(500.0), kSimTimeNever}));
+}
+
+// Two hosts tied at 0 with one long charge each, yielding at every horizon, and handing off.
+struct HandOffRig {
+  CostModel costs = CostModel::SunIpcEthernet();
+  Machine machine{std::make_unique<SharedEthernet>(costs), costs};
+  std::vector<std::unique_ptr<ScriptHost>> hosts;
+
+  explicit HandOffRig(SimTime charge) {
+    for (NodeId n = 0; n < 2; ++n) {
+      hosts.push_back(std::make_unique<ScriptHost>(n, &machine));
+      hosts[n]->hand_off = true;
+      hosts[n]->AddStep(charge);
+      machine.AddHost(hosts[n].get());
+    }
+  }
+};
+
+TEST(MachineHandOffTest, HandsEachYieldToTheHostRunWouldStepNext) {
+  HandOffRig rig(Milliseconds(1.0));
+  std::vector<NodeId> order;
+  for (auto& host : rig.hosts) {
+    host->step_log = &order;
+  }
+  const RunResult r = rig.machine.Run();
+  ASSERT_TRUE(r.completed);
+  // Host 0 stops at 200 us, host 1's horizon. Host 1 has not started its charge, so it is no
+  // hand-off target yet: Run steps it, and it stops at 400 us. From then on each yield hands
+  // straight to the other host (host 0 stops at 600 us, host 1 at 800 us), until host 0 finishes
+  // at 1 ms and the chain returns to Run, which steps host 1 to the end with no horizon.
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 1, 0, 1, 0, 1}));
+  EXPECT_EQ(rig.hosts[0]->handed_to, (std::vector<NodeId>{kNoNode, 1}));
+  EXPECT_EQ(rig.hosts[1]->handed_to, (std::vector<NodeId>{0, 0}));
+  EXPECT_EQ(r.steps, order.size());
+  EXPECT_EQ(r.handoffs, 3u);
+  EXPECT_EQ(rig.hosts[0]->Clock(), Milliseconds(1.0));
+  EXPECT_EQ(rig.hosts[1]->Clock(), Milliseconds(1.0));
+}
+
+TEST(MachineHandOffTest, ReturnsNullptrWhenAnEventIsDueFirst) {
+  HandOffRig rig(Milliseconds(1.0));
+  // Host 1's first yield would hand off to host 0 at 200 us, but a timer is due for host 0 then.
+  rig.hosts[1]->before_hand_off = [&rig] {
+    rig.machine.ScheduleTimer(0, rig.hosts[0]->Clock(), [] {}).Release();
+  };
+  ASSERT_TRUE(rig.machine.Run().completed);
+  ASSERT_GE(rig.hosts[1]->handed_to.size(), 1u);
+  EXPECT_EQ(rig.hosts[1]->handed_to[0], kNoNode);
+}
+
+TEST(MachineHandOffTest, ReturnsNullptrWhenTheRootWouldNotResumeMidCharge) {
+  HandOffRig rig(Milliseconds(1.0));
+  ASSERT_TRUE(rig.machine.Run().completed);
+  // Host 0's first yield finds host 1 not yet started: its Step() would begin a step, not resume
+  // a charge.
+  ASSERT_GE(rig.hosts[0]->handed_to.size(), 1u);
+  EXPECT_EQ(rig.hosts[0]->handed_to[0], kNoNode);
+}
+
+TEST(MachineHandOffTest, ReturnsNullptrWhenTheRootIsPastTheVirtualTimeCap) {
+  HandOffRig rig(Milliseconds(1.0));
+  // With a 500 us cap, host 0 yields at 600 us and hands off to host 1 at 400 us: the cap is on
+  // the clock of the host about to step. Host 1 yields at 800 us, and host 0, at 600 us, is past
+  // the cap: Run would stop, so HandOff returns nullptr and Run reports the cap.
+  const RunResult r = rig.machine.Run(/*max_virtual_time=*/Microseconds(500.0));
+  EXPECT_FALSE(r.completed);
+  EXPECT_NE(r.deadlock_report.find("limit"), std::string::npos);
+  EXPECT_EQ(rig.hosts[0]->handed_to, (std::vector<NodeId>{kNoNode, 1}));
+  EXPECT_EQ(rig.hosts[1]->handed_to, (std::vector<NodeId>{0, kNoNode}));
+}
+
+TEST(MachineHandOffTest, ReturnsNullptrAfterFail) {
+  HandOffRig rig(Milliseconds(1.0));
+  rig.hosts[1]->before_hand_off = [&rig] { rig.machine.Fail("scripted failure"); };
+  const RunResult r = rig.machine.Run();
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.deadlock_report, "scripted failure");
+  EXPECT_EQ(rig.hosts[1]->handed_to, (std::vector<NodeId>{kNoNode}));
+}
+
+// Runs a seeded script on six hosts (charges across several horizons, sends that wake a seventh
+// host and interrupt the others), with or without hand-offs, and returns the step order.
+struct ScriptRun {
+  std::vector<NodeId> order;
+  std::vector<SimTime> clocks;
+  RunResult result;
+};
+
+ScriptRun RunSeededScript(uint64_t seed, bool hand_off) {
+  CostModel costs = CostModel::SunIpcEthernet();
+  Machine machine(std::make_unique<SharedEthernet>(costs), costs);
+  std::vector<std::unique_ptr<ScriptHost>> hosts;
+  for (NodeId n = 0; n < 6; ++n) {
+    hosts.push_back(std::make_unique<ScriptHost>(n, &machine));
+  }
+  hosts.push_back(std::make_unique<WakeOnReceiveHost>(6, &machine));
+  ScriptRun run;
+  for (auto& host : hosts) {
+    host->step_log = &run.order;
+    host->hand_off = hand_off;
+    machine.AddHost(host.get());
+  }
+  Rng rng(seed);
+  for (NodeId n = 0; n < 6; ++n) {
+    for (int s = 0; s < 8; ++s) {
+      std::function<void()> action;
+      if (rng.NextBernoulli(0.3)) {
+        const auto dst = static_cast<NodeId>(rng.NextBounded(7));
+        action = [&machine, &hosts, n, dst] {
+          if (dst != n) {
+            Datagram d;
+            d.src = n;
+            d.dst = dst;
+            machine.Send(std::move(d), hosts[n]->Clock());
+          }
+        };
+      }
+      hosts[n]->AddStep(Microseconds(50.0 + static_cast<double>(rng.NextBounded(900))),
+                        std::move(action));
+    }
+  }
+  run.result = machine.Run();
+  for (auto& host : hosts) {
+    run.clocks.push_back(host->Clock());
+  }
+  return run;
+}
+
+TEST(MachineHandOffTest, HandOffsKeepRunsStepOrder) {
+  uint64_t handoffs = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const ScriptRun plain = RunSeededScript(seed, /*hand_off=*/false);
+    const ScriptRun handed = RunSeededScript(seed, /*hand_off=*/true);
+    ASSERT_TRUE(plain.result.completed) << seed;
+    ASSERT_TRUE(handed.result.completed) << seed;
+    EXPECT_EQ(handed.order, plain.order) << seed;
+    EXPECT_EQ(handed.clocks, plain.clocks) << seed;
+    EXPECT_EQ(handed.result.makespan, plain.result.makespan) << seed;
+    EXPECT_EQ(handed.result.events_dispatched, plain.result.events_dispatched) << seed;
+    EXPECT_EQ(handed.result.steps, plain.result.steps) << seed;
+    EXPECT_EQ(plain.result.handoffs, 0u) << seed;
+    handoffs += handed.result.handoffs;
+  }
+  EXPECT_GT(handoffs, 0u);
 }
 
 // --- Wire serialization ---

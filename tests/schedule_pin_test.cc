@@ -2,10 +2,12 @@
 // runs (64) and at a non-power-of-two count (13), and of fork/join quadrature on shared Ethernet
 // at 8 and 13 nodes. The simulator's scheduler must pick the same node at every step however it
 // indexes the runnable hosts, and a pruned fork must cost what it did as an out-of-line call, so a
-// tie-order slip or a moved charge anywhere shows up here as a changed makespan, event count,
-// datagram count, fault or fork count, or trace hash. The 13-node cases also run under the central
-// and dissemination barriers, with coalescing, and with the done and termination broadcasts sent
-// as reliable requests, so every path of the reduction schedule and the broadcast is pinned.
+// tie-order slip or a moved charge anywhere shows up here as a changed makespan, event or step
+// count, datagram count, fault or fork count, or trace hash; every pinned run yields, so each must
+// also hand some of its steps off from thread to thread. The 13-node cases also run under the
+// central and dissemination barriers, with coalescing, and with the done and termination
+// broadcasts sent as reliable requests, so every path of the reduction schedule and the broadcast
+// is pinned.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -37,6 +39,7 @@ struct Pin {
   int nodes;
   SimTime makespan;
   uint64_t events;
+  uint64_t steps;
   uint64_t datagrams;
   uint64_t faults;
   uint64_t trace_hash;
@@ -86,6 +89,8 @@ TEST_P(SchedulePin, JacobiSwitchedScheduleIsUnchanged) {
 
   EXPECT_EQ(df.report.makespan, pin.makespan);
   EXPECT_EQ(df.report.events, pin.events);
+  EXPECT_EQ(df.report.steps, pin.steps);
+  EXPECT_GT(df.report.handoffs, 0u);
   EXPECT_EQ(datagrams, pin.datagrams);
   EXPECT_EQ(faults, pin.faults);
   EXPECT_EQ(TraceHash(df.report), pin.trace_hash);
@@ -109,11 +114,12 @@ void PrintTo(const Pin& pin, std::ostream* os) {
 INSTANTIATE_TEST_SUITE_P(
     Nodes, SchedulePin,
     ::testing::Values(
-        Pin{64, 131784202, 1512, 1264, 378, 17992316678045315465ull},
-        Pin{13, 305308798, 312, 266, 88, 7536173988298807045ull},
-        Pin{13, 304733162, 312, 266, 88, 7879669914165408269ull, BarrierKind::kCentral},
-        Pin{13, 313420718, 584, 582, 88, 1132592771355265799ull, BarrierKind::kDissemination},
-        Pin{13, 304457308, 454, 208, 88, 11280630722848976799ull, BarrierKind::kCentral,
+        Pin{64, 131784202, 1512, 41059, 1264, 378, 17992316678045315465ull},
+        Pin{13, 305308798, 312, 10655, 266, 88, 7536173988298807045ull},
+        Pin{13, 304733162, 312, 10702, 266, 88, 7879669914165408269ull, BarrierKind::kCentral},
+        Pin{13, 313420718, 584, 11734, 582, 88, 1132592771355265799ull,
+            BarrierKind::kDissemination},
+        Pin{13, 304457308, 454, 11284, 208, 88, 11280630722848976799ull, BarrierKind::kCentral,
             /*coalesce=*/true}),
     [](const auto& info) { return PinName(info.param); });
 
@@ -121,6 +127,7 @@ struct FjPin {
   int nodes;
   SimTime makespan;
   uint64_t events;
+  uint64_t steps;
   uint64_t datagrams;
   uint64_t forks_pruned;
   uint64_t forks_local;
@@ -158,6 +165,8 @@ TEST_P(SchedulePinForkJoin, QuadratureEthernetScheduleIsUnchanged) {
 
   EXPECT_EQ(df.report.makespan, pin.makespan);
   EXPECT_EQ(df.report.events, pin.events);
+  EXPECT_EQ(df.report.steps, pin.steps);
+  EXPECT_GT(df.report.handoffs, 0u);
   EXPECT_EQ(datagrams, pin.datagrams);
   EXPECT_EQ(fs.forks_pruned, pin.forks_pruned);
   EXPECT_EQ(fs.forks_local, pin.forks_local);
@@ -186,11 +195,67 @@ void PrintTo(const FjPin& pin, std::ostream* os) {
 INSTANTIATE_TEST_SUITE_P(
     Nodes, SchedulePinForkJoin,
     ::testing::Values(
-        FjPin{8, 1162213851, 482, 461, 107868, 88079, 7, 88086, 37, 5468970854877725391ull},
-        FjPin{13, 712829612, 1117, 1072, 82654, 113288, 12, 113300, 89, 5238769971391085009ull},
-        FjPin{13, 745278612, 1205, 1180, 82654, 113288, 12, 113300, 89, 6435737383739716026ull,
-              BarrierKind::kCentral, /*reliable_broadcast=*/true}),
+        FjPin{8, 1162213851, 482, 16003, 461, 107868, 88079, 7, 88086, 37,
+              5468970854877725391ull},
+        FjPin{13, 712829612, 1117, 21991, 1072, 82654, 113288, 12, 113300, 89,
+              5238769971391085009ull},
+        FjPin{13, 745278612, 1205, 22201, 1180, 82654, 113288, 12, 113300, 89,
+              6435737383739716026ull, BarrierKind::kCentral, /*reliable_broadcast=*/true}),
     [](const auto& info) { return FjPinName(info.param); });
+
+// The schedule is the Machine's, not the context switch's: each yield hands off or returns to the
+// host the same way under either backend, so DF quadrature and DF Jacobi at 8 nodes give the same
+// makespan, events, steps and trace under the hand-written switch and under ucontext.
+struct BackendRun {
+  SimTime makespan;
+  uint64_t events;
+  uint64_t steps;
+  uint64_t handoffs;
+  uint64_t trace_hash;
+};
+
+BackendRun RunUnder(threads::ContextBackend backend, bool jacobi) {
+  core::ClusterConfig cfg;
+  cfg.nodes = 8;
+  cfg.backend = backend;
+  cfg.trace_enabled = true;
+  AppRun df;
+  if (jacobi) {
+    JacobiParams p;
+    p.n = 256;
+    p.iterations = 3;
+    p.pools = 3;
+    cfg.network = core::NetworkKind::kSwitched;
+    cfg.dsm.pcp = dsm::Pcp::kImplicitInvalidate;
+    df = RunJacobiDf(p, cfg);
+  } else {
+    QuadratureParams p;
+    p.tolerance = 1e-6;
+    cfg.network = core::NetworkKind::kSharedEthernet;
+    df = RunQuadratureDf(p, cfg);
+  }
+  EXPECT_TRUE(df.report.completed) << df.report.deadlock_report;
+  return {df.report.makespan, df.report.events, df.report.steps, df.report.handoffs,
+          TraceHash(df.report)};
+}
+
+class ContextBackendSchedule : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ContextBackendSchedule, AsmAndUcontextRunTheSameSchedule) {
+  const BackendRun with_asm = RunUnder(threads::ContextBackend::kAsm, GetParam());
+  const BackendRun with_ucontext = RunUnder(threads::ContextBackend::kUcontext, GetParam());
+  EXPECT_EQ(with_ucontext.makespan, with_asm.makespan);
+  EXPECT_EQ(with_ucontext.events, with_asm.events);
+  EXPECT_EQ(with_ucontext.steps, with_asm.steps);
+  EXPECT_EQ(with_ucontext.handoffs, with_asm.handoffs);
+  EXPECT_GT(with_asm.handoffs, 0u);
+  EXPECT_EQ(with_ucontext.trace_hash, with_asm.trace_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, ContextBackendSchedule, ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return std::string(info.param ? "jacobi8" : "quadrature8");
+                         });
 
 }  // namespace
 }  // namespace dfil::apps

@@ -127,6 +127,40 @@ TEST_P(ContextBackendTest, RecycleReusesThreadsAndStacks) {
   EXPECT_EQ(sys.stacks_allocated(), 1u);
 }
 
+TEST_P(ContextBackendTest, HandOffSwitchesThreadToThreadAcrossSystemsSharingTheHost) {
+  // Two systems share one host context. A yields to the host once (a plain yield), then hands
+  // off to B's thread; B finishes, so the host's SwitchTo(A) returns B's thread, for B's system
+  // to recycle. Resumed later, A finishes and returns itself.
+  HostContext host(GetParam());
+  ThreadSystem a_sys(GetParam(), &host);
+  ThreadSystem b_sys(GetParam(), &host);
+  std::vector<std::string> trace;
+  ServerThread* b = b_sys.Create([&] { trace.push_back("b"); });
+  ServerThread* a = a_sys.Create([&] {
+    trace.push_back("a1");
+    a_sys.current()->set_state(ThreadState::kReady);
+    a_sys.SwitchToHost();
+    trace.push_back("a2");
+    a_sys.current()->set_state(ThreadState::kReady);
+    a_sys.HandOff(a_sys.current(), b_sys, b);
+    trace.push_back("a3");
+  });
+  EXPECT_EQ(a_sys.SwitchTo(a), a);
+  EXPECT_EQ(a_sys.current(), nullptr);
+  ServerThread* back = a_sys.SwitchTo(a);
+  EXPECT_EQ(back, b);
+  EXPECT_EQ(b->state(), ThreadState::kDone);
+  EXPECT_EQ(&back->system(), &b_sys);
+  EXPECT_EQ(a_sys.current(), nullptr);
+  EXPECT_EQ(b_sys.current(), nullptr);
+  back->system().Recycle(back);
+  EXPECT_EQ(b_sys.live_threads(), 0u);
+  EXPECT_EQ(a->state(), ThreadState::kReady);
+  EXPECT_EQ(a_sys.SwitchTo(a), a);
+  EXPECT_EQ(a->state(), ThreadState::kDone);
+  EXPECT_EQ(trace, (std::vector<std::string>{"a1", "a2", "b", "a3"}));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, ContextBackendTest,
                          ::testing::Values(ContextBackend::kAsm, ContextBackend::kUcontext),
                          [](const auto& info) {
