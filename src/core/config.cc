@@ -140,14 +140,15 @@ uint64_t ClusterConfig::Digest() const {
   w.Field("packet.retransmit_timeout", packet.retransmit_timeout);
   w.Field("packet.retransmit_timeout_max", packet.retransmit_timeout_max);
   w.Field("packet.rto_min", packet.rto_min);
-  w.Field("packet.retransmit_limit", packet.retransmit_limit);
+  w.Field("packet.retransmit_limit", net::kRetransmitLimit);
   w.Field("packet.response_cache_timeouts", net::kResponseCacheTimeouts);
-  w.Field("packet.ack_replies", packet.ack_replies);
+  // The reply-buffering ack mode is gone: its switch here and its hold below keep their defaults.
+  w.Field("packet.ack_replies", false);
 
   w.Field("coalesce.enabled", coalesce.enabled);
   w.Field("coalesce.max_datagram_bytes", net::kMaxDatagramBytes);
   w.Field("coalesce.request_hold", net::kRequestHold);
-  w.Field("coalesce.ack_hold", net::kAckHold);
+  w.Field("coalesce.ack_hold", Milliseconds(2.0));
   w.Field("coalesce.mutual_window", net::kMutualWindow);
   w.Field("coalesce.hold_requests", true);
   w.Field("coalesce.sync_batch", true);

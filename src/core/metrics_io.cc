@@ -242,8 +242,6 @@ const char* MsgClassLabel(sim::MsgClass klass) {
       return "reply";
     case sim::MsgClass::kRaw:
       return "raw";
-    case sim::MsgClass::kAck:
-      return "ack";
     case sim::MsgClass::kPacked:
       return "packed";
     case sim::MsgClass::kUnknown:

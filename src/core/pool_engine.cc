@@ -87,9 +87,6 @@ void PoolEngine::RunSweep() {
 
   int total_filaments = 0;
   for (Pool* p : order_) {
-    p->running = false;
-    p->completed = false;
-    p->faulted_this_sweep = false;
     total_filaments += static_cast<int>(p->filaments.size());
   }
   next_pool_ = 0;
@@ -248,7 +245,6 @@ PoolEngine::MigrationBatch PoolEngine::ExtractMigration(double fraction) {
     pages.insert(pages.end(), p->write_pages.begin(), p->write_pages.end());
     p->filaments.clear();
     p->strips.clear();
-    p->singles.clear();
     p->patterns_valid = false;
     p->hints.clear();
     p->write_pages.clear();
@@ -267,11 +263,11 @@ void PoolEngine::NoteWriteAccess(uint32_t page) {
   if (!sweep_active_) {
     return;
   }
-  const auto it = running_pool_.find(rt_->CurrentThread());
-  if (it == running_pool_.end()) {
+  Pool* pool = RunningPool();
+  if (pool == nullptr) {
     return;  // not a pool runner (main-thread writes are not pool footprint)
   }
-  std::vector<uint32_t>& pages = it->second.pool->write_pages;
+  std::vector<uint32_t>& pages = pool->write_pages;
   // Strips walk addresses in order, so consecutive writes overwhelmingly repeat the last page;
   // full dedupe happens once at extraction.
   if (pages.empty() || pages.back() != page) {
@@ -307,17 +303,12 @@ void PoolEngine::RunnerLoop() {
       counted_spare = false;
     }
     Pool* pool = order_[next_pool_++];
-    pool->running = true;
-    running_pool_[rt_->CurrentThread()] = RunnerPosition{pool, 0};
     rt_->ledger_.EnsurePool(pool->id);  // the runner's charges book to the row without a check
     rt_->CurrentThread()->set_profile_pool(pool->id);
     rt_->TraceBegin("pool", "pool " + std::to_string(pool->id));
     ExecutePool(pool);
     rt_->TraceEnd();
     rt_->CurrentThread()->set_profile_pool(TimeLedger::kOtherRun);
-    running_pool_.erase(rt_->CurrentThread());
-    pool->running = false;
-    pool->completed = true;
     finish_stack_.push_back(pool);
     if (--pools_remaining_ == 0 && sweep_waiter_ != nullptr) {
       threads::ServerThread* waiter = sweep_waiter_;
@@ -379,13 +370,12 @@ void PoolEngine::ExecutePool(Pool* pool) {
   const sim::CostModel& costs = rt_->costs();
   FilamentStats& fs = rt_->fil_stats();
   NodeEnv& env = rt_->env();
-  RunnerPosition& pos = running_pool_[rt_->CurrentThread()];
   int64_t ordinal = 0;
   for (const Strip& s : pool->strips) {
     const bool inlined = s.count >= kMinStripLength;
     const SimTime per_filament = inlined ? costs.filament_switch_inlined : costs.filament_switch;
     for (int64_t k = 0; k < s.count; ++k) {
-      pos.ordinal = ordinal++;
+      pool->ordinal = ordinal++;
       rt_->Charge(TimeCategory::kFilamentExec, per_filament);
       fs.filaments_run++;
       if (inlined) {
@@ -397,16 +387,19 @@ void PoolEngine::ExecutePool(Pool* pool) {
   }
 }
 
+Pool* PoolEngine::RunningPool() const {
+  const int id = rt_->CurrentThread()->profile_pool();
+  return id >= 0 ? pools_[static_cast<size_t>(id)].get() : nullptr;
+}
+
 void PoolEngine::OnThreadBlockedOnPage(PageId page) {
   if (!sweep_active_) {
     return;
   }
-  auto it = running_pool_.find(rt_->CurrentThread());
-  if (it == running_pool_.end()) {
+  Pool* pool = RunningPool();
+  if (pool == nullptr) {
     return;  // not a pool runner (e.g. the main thread faulting during initialization)
   }
-  Pool* pool = it->second.pool;
-  pool->faulted_this_sweep = true;
   if (rt_->config().dsm.prefetch_hints) {
     auto hit = std::find_if(pool->hints.begin(), pool->hints.end(),
                             [&](const Pool::HintRecord& h) { return h.page == page; });
@@ -420,7 +413,7 @@ void PoolEngine::OnThreadBlockedOnPage(PageId page) {
     }
   }
   if (pool->auto_profile) {
-    pool->fault_profile.emplace_back(it->second.ordinal, page);
+    pool->fault_profile.emplace_back(pool->ordinal, page);
   }
   rt_->ledger_.AddFault(pool->id);
   rt_->fil_stats().pool_suspensions++;

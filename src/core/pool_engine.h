@@ -90,6 +90,8 @@ class PoolEngine {
   // Sweep-entry migration barrier: integrates arrived batches, blocks ("migrate") on in-flight
   // ones, so no sweep runs while migrated filaments are between nodes.
   void WaitForMigrations();
+  // The pool the current server thread is running (its profile_pool), or nullptr outside one.
+  Pool* RunningPool() const;
 
   NodeRuntime* rt_;
   std::vector<std::unique_ptr<Pool>> pools_;
@@ -103,11 +105,6 @@ class PoolEngine {
   std::vector<Pool*> finish_stack_;  // completion order; reversed, it frontloads the next sweep
   threads::ServerThread* sweep_waiter_ = nullptr;
   int spare_runners_ = 0;  // spawned runners that have not picked a pool yet
-  struct RunnerPosition {
-    Pool* pool = nullptr;
-    int64_t ordinal = 0;  // index of the filament currently executing (profiling key)
-  };
-  std::map<threads::ServerThread*, RunnerPosition> running_pool_;
   int auto_pool_ = -1;
   std::map<uint32_t, int> auto_page_pools_;  // faulted page -> pool id
 

@@ -339,17 +339,10 @@ void DsmNode::SendPageRequest(PageId page, AccessMode mode, NodeId target) {
       TimeCategory::kDataTransfer);
 }
 
-bool DsmNode::ServePageRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply) {
-  const auto req = body.Get<RequestBody>();
-  PageEntry& e = table_[req.page];
-  // The serve span plus a flow step tie this handler into the faulting node's arc (the packet
-  // layer put the request's trace id in our current context).
-  TraceSpan serve_span(tracer_, "dsm", "serve p", req.page);
-  if (NodeTracer* tr = tracer(); tr != nullptr) {
-    tr->Flow(kFlowStep, "dsm", FlowName(req.page), tr->current());
-  }
-
-  if (e.granted_to == src && e.grant_seq == req.fault_seq && e.state == PageState::kInvalid &&
+DsmNode::Verdict DsmNode::Judge(NodeId src, PageId page, AccessMode mode,
+                                uint32_t fault_seq) const {
+  const PageEntry& e = table_[page];
+  if (e.granted_to == src && e.grant_seq == fault_seq && e.state == PageState::kInvalid &&
       !e.owner) {
     // A retransmission of the exact fault our last transfer answered: the requester never saw the
     // reply (it was lost), so re-serve the identical transfer from the stale frame. This keeps
@@ -360,13 +353,7 @@ bool DsmNode::ServePageRequest(NodeId src, net::WireReader body, net::ReplyWrite
     //  - it must match the fault (grant_seq), not just the node: under migratory, ownership
     //    cycles, and a LATER fault by the same node can chase back to us mid-refetch — serving
     //    the old grant's bytes to that fault would hand out stale data (and a second owner).
-    host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
-    stats_.page_requests_served++;
-    stats_.grant_reserves++;
-    DFIL_ORACLE(OnServeGrantReserve(self_, src, req.page));
-    WriteDataReply(reply.Body(DataReplyBytes(req.page)), req.page, /*transfer_ownership=*/true,
-                   /*include_copyset=*/proto(req.page).TracksCopyset(), /*from_grant=*/true);
-    return true;
+    return Verdict::kReserveGrant;
   }
 
   if (e.fetching) {
@@ -374,26 +361,18 @@ bool DsmNode::ServePageRequest(NodeId src, net::WireReader body, net::ReplyWrite
     // outstanding — serving a transfer now would create a second owner), or we are fetching and
     // our chase hint may point right back at the requester. Ignore the request; the requester's
     // retransmission retries once our fetch settles (the paper's deferred-servicing pattern).
-    stats_.fetch_deferrals++;
-    if (NodeTracer* tr = tracer(); tr != nullptr) {
-      tr->Instant("dsm", "defer_fetch " + FlowName(req.page));
-    }
-    return false;
+    return Verdict::kDeferFetch;
   }
 
   if (e.owner) {
-    if (e.granted_to == src && e.grant_seq == req.fault_seq) {
+    if (e.granted_to == src && e.grant_seq == fault_seq) {
       // A delayed duplicate of a transfer request we already answered, arriving after we
       // re-acquired the page. The requester is long done with that fault (had it still been
       // waiting, ownership could never have chased back through it to us), so serving a fresh
       // transfer here would demote us and orphan the page: the requester drops the unexpected
       // reply and nobody is left owning it. Grant records persist across re-acquisition
       // (FinishFetch keeps them) precisely so this duplicate is recognizable.
-      stats_.stale_transfer_dups_ignored++;
-      if (NodeTracer* tr = tracer(); tr != nullptr) {
-        tr->Instant("dsm", "stale_dup " + FlowName(req.page));
-      }
-      return false;
+      return Verdict::kStaleDup;
     }
     if (e.pending_use) {
       // The page just arrived for our own blocked faulters and none has run yet. Serving now —
@@ -401,33 +380,80 @@ bool DsmNode::ServePageRequest(NodeId src, net::WireReader body, net::ReplyWrite
       // into an upgrade round — restarts their fault from scratch; with service latency above
       // the Mirage window that regresses into a livelock where no writer ever completes an
       // access. Ignore the request; the retransmission arrives after the waiters have run.
-      stats_.use_deferrals++;
-      if (NodeTracer* tr = tracer(); tr != nullptr) {
-        tr->Instant("dsm", "defer_use " + FlowName(req.page));
-      }
-      return false;
+      return Verdict::kDeferUse;
     }
-    if (proto(req.page).TransfersOwnership(req.mode) && config_.mirage_window > 0 &&
+    if (proto(page).TransfersOwnership(mode) && config_.mirage_window > 0 &&
         host_->Clock() < e.hold_until) {
       // Mirage hold window: ignore the request; the requester's retransmission will retry.
-      stats_.mirage_deferrals++;
-      if (NodeTracer* tr = tracer(); tr != nullptr) {
-        tr->Instant("dsm", "defer_mirage " + FlowName(req.page));
-      }
-      return false;
+      return Verdict::kDeferMirage;
     }
-    host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
-    stats_.page_requests_served++;
-    proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq,
-                                    reply.Body(DataReplyBytes(req.page)));
-    return true;
+    return Verdict::kServe;
   }
 
   // Not the owner: redirect the requester along the probable-owner chain.
-  host_->Charge(TimeCategory::kDataTransfer, costs_->page_redirect);
-  stats_.page_forwards++;
-  reply.Body(sizeof(ReplyHeader)).Put(ReplyHeader{kReplyRedirect, e.probable_owner, 0, 0});
+  return Verdict::kRedirect;
+}
+
+bool DsmNode::ServePageRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply) {
+  const auto req = body.Get<RequestBody>();
+  // The serve span plus a flow step tie this handler into the faulting node's arc (the packet
+  // layer put the request's trace id in our current context).
+  TraceSpan serve_span(tracer_, "dsm", "serve p", req.page);
+  if (NodeTracer* tr = tracer(); tr != nullptr) {
+    tr->Flow(kFlowStep, "dsm", FlowName(req.page), tr->current());
+  }
+  const Verdict verdict = Judge(src, req.page, req.mode, req.fault_seq);
+  switch (verdict) {
+    case Verdict::kDeferFetch:
+      return IgnoreRequest(stats_.fetch_deferrals, "defer_fetch ", req.page);
+    case Verdict::kStaleDup:
+      return IgnoreRequest(stats_.stale_transfer_dups_ignored, "stale_dup ", req.page);
+    case Verdict::kDeferUse:
+      return IgnoreRequest(stats_.use_deferrals, "defer_use ", req.page);
+    case Verdict::kDeferMirage:
+      return IgnoreRequest(stats_.mirage_deferrals, "defer_mirage ", req.page);
+    case Verdict::kRedirect:
+      host_->Charge(TimeCategory::kDataTransfer, costs_->page_redirect);
+      stats_.page_forwards++;
+      reply.Body(sizeof(ReplyHeader))
+          .Put(ReplyHeader{kReplyRedirect, table_[req.page].probable_owner, 0, 0});
+      return true;
+    case Verdict::kReserveGrant:
+    case Verdict::kServe:
+      break;
+  }
+  host_->Charge(TimeCategory::kDataTransfer, costs_->page_service);
+  stats_.page_requests_served++;
+  net::WireWriter& w = reply.Body(DataReplyBytes(req.page));
+  if (verdict == Verdict::kReserveGrant) {
+    ReserveGrant(src, req.page, w);
+  } else {
+    proto(req.page).OnRemoteRequest(src, req.page, req.mode, req.fault_seq, w);
+  }
   return true;
+}
+
+bool DsmNode::IgnoreRequest(uint64_t& counter, const char* what, PageId page) {
+  counter++;
+  if (NodeTracer* tr = tracer(); tr != nullptr) {
+    tr->Instant("dsm", what + FlowName(page));
+  }
+  return false;
+}
+
+void DsmNode::ReserveGrant(NodeId src, PageId page, net::WireWriter& w) {
+  stats_.grant_reserves++;
+  DFIL_ORACLE(OnServeGrantReserve(self_, src, page));
+  WriteDataReply(w, page, /*transfer_ownership=*/true,
+                 /*include_copyset=*/proto(page).TracksCopyset(), /*from_grant=*/true);
+}
+
+void DsmNode::ChargeBatchedServe(size_t pages) {
+  if (pages > 0) {
+    host_->Charge(TimeCategory::kDataTransfer,
+                  costs_->page_service +
+                      costs_->bulk_service_extra_page * static_cast<SimTime>(pages - 1));
+  }
 }
 
 void DsmNode::ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags, net::WireWriter& w) {
@@ -614,10 +640,7 @@ void DsmNode::FinishFetch(PageId page, PageState new_state, bool ownership, bool
   } else if (new_state == PageState::kReadOnly) {
     DFIL_ORACLE(OnInstallRead(self_, page));
   }
-  DFIL_CHECK_GT(pending_fetches_, 0);
-  if (--pending_fetches_ == 0) {
-    host_->FetchesDrained();
-  }
+  EndFetch();
 }
 
 // --- Bulk transfers / prefetching ------------------------------------------------------------
@@ -721,10 +744,11 @@ bool DsmNode::ServeBulkRequest(NodeId src, net::WireReader body, net::ReplyWrite
   if (NodeTracer* tr = tracer(); tr != nullptr) {
     tr->Flow(kFlowStep, "dsm", BulkFlowName(req.first), tr->current());
   }
-  // Served idempotently from current state, like single-page replies: pages this node owns ship
-  // as read-only copies, everything else is reported back as a miss for the requester to re-fault
-  // through the owner-forwarding directory. Never defers and never transfers ownership, so
-  // in-flux entries, the Mirage window, and the grant record are untouched.
+  // Served idempotently from current state, like single-page replies: pages this node may serve
+  // a read copy of ship as read-only copies, everything else is reported back as a miss for the
+  // requester to re-fault through the owner-forwarding directory. Never defers and never
+  // transfers ownership, so in-flux entries, the Mirage window, and the grant record are
+  // untouched. The fault_seq 0 matches no grant: every fault increments its fetch_seq first.
   std::vector<PageId>& hits = bulk_hits_;
   std::vector<PageId>& misses = bulk_misses_;
   hits.clear();
@@ -733,17 +757,13 @@ bool DsmNode::ServeBulkRequest(NodeId src, net::WireReader body, net::ReplyWrite
       std::min<uint64_t>(static_cast<uint64_t>(req.first) + req.count, table_.size());
   for (uint64_t p64 = req.first; p64 < end; ++p64) {
     const PageId p = static_cast<PageId>(p64);
-    const PageEntry& e = table_[p];
-    const bool servable = e.owner && !e.fetching && !e.pending_use &&
-                          page_pcp(p) != Pcp::kMigratory && layout_->GroupOf(p) == kNoGroup;
+    const bool servable = Judge(src, p, AccessMode::kRead, /*fault_seq=*/0) == Verdict::kServe &&
+                          !proto(p).TransfersOwnership(AccessMode::kRead) &&
+                          layout_->GroupOf(p) == kNoGroup;
     (servable ? hits : misses).push_back(p);
   }
-  if (!hits.empty()) {
-    host_->Charge(TimeCategory::kDataTransfer,
-                  costs_->page_service +
-                      costs_->bulk_service_extra_page * static_cast<SimTime>(hits.size() - 1));
-    stats_.bulk_pages_served += hits.size();
-  }
+  ChargeBatchedServe(hits.size());
+  stats_.bulk_pages_served += hits.size();
   const size_t ps = layout_->page_size();
   net::WireWriter& w = reply.Body(sizeof(BulkReplyHeader) +
                                   hits.size() * (sizeof(PageBlockHeader) + ps) +
@@ -798,7 +818,7 @@ void DsmNode::OnBulkReply(net::WireReader r) {
 
 void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, bool diff_copy) {
   PageEntry& e = table_[page];
-  DFIL_CHECK(e.fetching) << "bulk reply for page " << page << " we are not fetching";
+  DFIL_CHECK(e.fetching) << "batch reply for page " << page << " we are not fetching";
   e.fetching = false;
   if (installed && e.discard_install) {
     // Invalidated while the bulk bytes were in flight; installing would resurrect a stale
@@ -838,10 +858,7 @@ void DsmNode::FinishBulkPage(PageId page, bool installed, NodeId owner_hint, boo
       host_->Wake(t);
     }
   }
-  DFIL_CHECK_GT(pending_fetches_, 0);
-  if (--pending_fetches_ == 0) {
-    host_->FetchesDrained();
-  }
+  EndFetch();
 }
 
 // --- Rebalance page re-homing ----------------------------------------------------------------
@@ -913,53 +930,35 @@ bool DsmNode::ServeRehomeRequest(NodeId src, net::WireReader body, net::ReplyWri
   w.Put(RehomeReplyHeader{});  // the counts are known once every page is decided
   uint16_t nserved = 0;
   std::vector<PageId> misses;
-  // A served page: its id and length, then its single-page transfer reply, written in place.
-  const auto open_served = [&](PageId page) {
+  for (uint16_t i = 0; i < h.count; ++i) {
+    const auto [page, fault_seq] = body.Get<RehomePageReq>();
+    const Verdict verdict = static_cast<size_t>(page) < table_.size()
+                                ? Judge(src, page, AccessMode::kWrite, fault_seq)
+                                : Verdict::kRedirect;
+    const bool serve = verdict == Verdict::kServe && layout_->GroupOf(page) == kNoGroup &&
+                       proto(page).TransfersOwnership(AccessMode::kWrite);
+    if (!serve && verdict != Verdict::kReserveGrant) {
+      // Every other page is a miss, never a deferral: the batch reply must not stall on one page
+      // in flux, and a missed page simply stays where it is until a demand fault moves it. A
+      // stale duplicate is a miss too, or serving it would orphan the page (see Judge).
+      stats_.rehome_misses_served++;
+      misses.push_back(page);
+      continue;
+    }
+    // A served page: its id and length, then its single-page transfer reply, written in place.
     ++nserved;
     w.Put(page);
     w.Put(static_cast<uint32_t>(DataReplyBytes(page)));
-    return w.size();
-  };
-  for (uint16_t i = 0; i < h.count; ++i) {
-    const auto preq = body.Get<RehomePageReq>();
-    if (static_cast<size_t>(preq.page) >= table_.size()) {
-      misses.push_back(preq.page);
-      continue;
+    const size_t at = w.size();
+    if (serve) {
+      proto(page).OnRemoteRequest(src, page, AccessMode::kWrite, fault_seq, w);
+    } else {
+      ReserveGrant(src, page, w);  // the reply to this very fault was lost
     }
-    PageEntry& e = table_[preq.page];
-    if (e.granted_to == src && e.grant_seq == preq.fault_seq &&
-        e.state == PageState::kInvalid && !e.owner) {
-      // A retransmission of the exact fault our last transfer answered (the reply was lost);
-      // re-serve the identical transfer from the stale frame, as ServePageRequest does.
-      stats_.grant_reserves++;
-      DFIL_ORACLE(OnServeGrantReserve(self_, src, preq.page));
-      const size_t at = open_served(preq.page);
-      WriteDataReply(w, preq.page, /*transfer_ownership=*/true,
-                     /*include_copyset=*/proto(preq.page).TracksCopyset(), /*from_grant=*/true);
-      DFIL_DCHECK(w.size() - at == DataReplyBytes(preq.page));
-      continue;
-    }
-    // Unservable pages are misses, never deferrals: the batch reply must not stall on one page
-    // in flux, and a missed page simply stays home until a demand fault moves it.
-    const bool servable = e.owner && !e.fetching && !e.pending_use &&
-                          page_pcp(preq.page) != Pcp::kDiff &&
-                          layout_->GroupOf(preq.page) == kNoGroup &&
-                          !(config_.mirage_window > 0 && host_->Clock() < e.hold_until);
-    if (!servable) {
-      stats_.rehome_misses_served++;
-      misses.push_back(preq.page);
-      continue;
-    }
-    const size_t at = open_served(preq.page);
-    proto(preq.page).OnRemoteRequest(src, preq.page, AccessMode::kWrite, preq.fault_seq, w);
-    DFIL_DCHECK(w.size() - at == DataReplyBytes(preq.page));
+    DFIL_DCHECK(w.size() - at == DataReplyBytes(page));
   }
-  if (nserved > 0) {
-    host_->Charge(TimeCategory::kDataTransfer,
-                  costs_->page_service +
-                      costs_->bulk_service_extra_page * static_cast<SimTime>(nserved - 1));
-    stats_.rehome_pages_served += nserved;
-  }
+  ChargeBatchedServe(nserved);
+  stats_.rehome_pages_served += nserved;
   w.PutAt(header_at, RehomeReplyHeader{nserved, static_cast<uint16_t>(misses.size())});
   for (PageId p : misses) {
     w.Put(p);
@@ -981,21 +980,10 @@ void DsmNode::OnRehomeReply(net::WireReader r) {
     OnPageReply(page, AccessMode::kWrite, embedded);
   }
   for (uint16_t i = 0; i < h.nmisses; ++i) {
-    const PageId p = r.Get<PageId>();
     stats_.rehome_misses++;
-    PageEntry& e = table_[p];
-    DFIL_CHECK(e.fetching) << "rehome miss for page " << p << " we are not fetching";
-    e.fetching = false;
-    e.discard_install = false;
     // Anyone who demand-faulted while the re-home was in flight re-faults through Access();
     // the page simply stays at its current owner.
-    while (threads::ServerThread* t = e.waiters.PopFront()) {
-      host_->Wake(t);
-    }
-    DFIL_CHECK_GT(pending_fetches_, 0);
-    if (--pending_fetches_ == 0) {
-      host_->FetchesDrained();
-    }
+    FinishBulkPage(r.Get<PageId>(), /*installed=*/false, /*owner_hint=*/kNoNode);
   }
 }
 
@@ -1051,10 +1039,7 @@ void DsmNode::DropReadCopies() {
   for (const PageId p : copies_) {
     PageEntry& e = table_[p];
     if (!e.owner && e.state == PageState::kReadOnly && !e.fetching) {
-      e.state = PageState::kInvalid;
-      e.diff_copy = false;
-      stats_.implicit_invalidations++;
-      NotePageDiscarded(e);
+      DropCopy(e);
     }
     if (!e.owner && e.state != PageState::kInvalid) {
       copies_[kept++] = p;  // still a copy: being fetched, or a writable diff copy

@@ -300,8 +300,29 @@ class DsmNode {
   // completes the pending write fetch of `page`.
   void StartInvalidations(PageId page, uint64_t targets);
 
+  // What the owner side does with a request from `src` for `page` (Judge).
+  enum class Verdict : uint8_t {
+    kReserveGrant,  // a retransmission of the fault the last transfer answered: re-serve it
+    kDeferFetch,    // the entry is in transition
+    kStaleDup,      // a delayed duplicate of a transfer answered before this node re-acquired
+    kDeferUse,      // installed for blocked faulters, none of which has run yet
+    kDeferMirage,   // inside the Mirage hold window
+    kServe,         // owned and free to serve
+    kRedirect,      // not the owner
+  };
+  // The serve decision the page, bulk and re-home services share, its guards in the order they
+  // must run. It only reads the entry: each service maps the verdict to its own counters,
+  // charges and reply.
+  Verdict Judge(NodeId src, PageId page, AccessMode mode, uint32_t fault_seq) const;
   // Handles an incoming page request: writes the reply, or returns false to defer.
   bool ServePageRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply);
+  // Ignores a page request, which the requester's retransmission retries: counts it and marks
+  // it on the trace as `what` and the page. Returns false, the deferring service's answer.
+  bool IgnoreRequest(uint64_t& counter, const char* what, PageId page);
+  // Re-serves the transfer that the grant record of `page` answered, from the stale frame.
+  void ReserveGrant(NodeId src, PageId page, net::WireWriter& w);
+  // Charges one serve of `pages` pages batched into one reply (none: no charge).
+  void ChargeBatchedServe(size_t pages);
   bool ServeInvalidate(NodeId src, net::WireReader body, net::ReplyWriter& reply);
   void OnPageReply(PageId page, AccessMode mode, net::WireReader reply);
 
@@ -314,7 +335,9 @@ class DsmNode {
   // the reply header; ServeTransfer demotes this owner and records the grant.
   void ServeReadCopy(NodeId src, PageId page, uint8_t extra_flags, net::WireWriter& w);
   void ServeTransfer(NodeId src, PageId page, uint32_t fault_seq, net::WireWriter& w);
-  PageProtocol& proto(PageId page) { return *protocols_[static_cast<size_t>(page_pcp(page))]; }
+  PageProtocol& proto(PageId page) const {
+    return *protocols_[static_cast<size_t>(page_pcp(page))];
+  }
 
   // --- Per-page-group adapter ---
 
@@ -352,9 +375,17 @@ class DsmNode {
   bool ServeRehomeRequest(NodeId src, net::WireReader body, net::ReplyWriter& reply);
   void OnRehomeReply(net::WireReader reply);
 
-  // Completes one page of a bulk fetch (no group logic: bulk runs cover ungrouped pages only).
-  // `diff_copy` installs the page as a multiple-writer copy (from the block's diff tag).
+  // Completes one page of a bulk or re-home fetch (no group logic: both cover ungrouped pages
+  // only). `diff_copy` installs the page as a multiple-writer copy (from the block's diff tag); a
+  // page not `installed` is a miss, which wakes its waiters to re-fault and ignores `owner_hint`.
   void FinishBulkPage(PageId page, bool installed, NodeId owner_hint, bool diff_copy = false);
+  // Ends one pending fetch (or acknowledged diff merge); the last one to end drains the node.
+  void EndFetch() {
+    DFIL_CHECK_GT(pending_fetches_, 0);
+    if (--pending_fetches_ == 0) {
+      host_->FetchesDrained();
+    }
+  }
 
   // Marks a present page as touched; discarding an untouched prefetched copy counts as waste.
   // Also retires the use-once hold: a page fetched for blocked faulters becomes servable again
@@ -385,6 +416,13 @@ class DsmNode {
   // diff-protocol serve sets, and the diff sweep runs first under adaptation). Pages that are no
   // longer non-owned copies leave the list.
   void DropReadCopies();
+  // Drops one copy at a sync point: it dies silently and loses its diff tag.
+  void DropCopy(PageEntry& e) {
+    e.state = PageState::kInvalid;
+    e.diff_copy = false;
+    stats_.implicit_invalidations++;
+    NotePageDiscarded(e);
+  }
   // Debug check after a sweep: no page of the table is a non-owned, read-only, non-fetching copy.
   bool NoReadCopyLeft() const;
 

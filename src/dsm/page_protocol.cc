@@ -308,21 +308,14 @@ void DiffProtocol::FlushTwins() {
           if (NodeTracer* tr = node_.tracer(); tr != nullptr) {
             tr->Flow(kFlowEnd, "dsm", "diff e" + std::to_string(epoch), flow);
           }
-          DFIL_CHECK_GT(node_.pending_fetches_, 0);
-          if (--node_.pending_fetches_ == 0) {
-            node_.host_->FetchesDrained();
-          }
+          node_.EndFetch();
         },
         TimeCategory::kDataTransfer);
   }
   // The flushed copies die like any sync-point copy; the home's frame is now authoritative. Their
   // twins go to the spare list.
   while (!twins_.empty()) {
-    PageEntry& e = node_.table_[twins_.begin()->first];
-    e.state = PageState::kInvalid;
-    e.diff_copy = false;
-    node_.stats_.implicit_invalidations++;
-    node_.NotePageDiscarded(e);
+    node_.DropCopy(node_.table_[twins_.begin()->first]);
     spare_twins_.push_back(twins_.extract(twins_.begin()));
   }
 }

@@ -70,9 +70,9 @@ class PageProtocol {
   }
 
   // Owner-side serve decision. The generic guards (grant re-serve, in-flux defer, stale-dup,
-  // use-once hold, Mirage window, the page_service charge) have already run in
-  // DsmNode::ServePageRequest; this appends the data reply to `reply` and applies the protocol's
-  // state transition.
+  // use-once hold, Mirage window) have already passed in DsmNode::Judge, and the serving service
+  // (page or re-home) has charged for the serve; this appends the data reply to `reply` and
+  // applies the protocol's state transition.
   virtual void OnRemoteRequest(NodeId src, PageId page, AccessMode mode, uint32_t fault_seq,
                                net::WireWriter& reply);
 

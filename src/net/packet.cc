@@ -53,9 +53,6 @@ PacketEndpoint::~PacketEndpoint() {
   for (auto& [id, out] : outstanding_) {
     out.timer.Cancel();
   }
-  for (auto& [id, rep] : pending_replies_) {
-    rep.timer.Cancel();
-  }
   for (auto& [dst, q] : queues_) {
     if (q.hold_armed) {
       q.hold_timer.Cancel();
@@ -117,7 +114,6 @@ void PacketEndpoint::SendFrame(NodeId dst, Kind kind, Service service, Payload f
                 static_cast<uint8_t>(sim::MsgClass::kRequest));
   static_assert(static_cast<uint8_t>(Kind::kReply) == static_cast<uint8_t>(sim::MsgClass::kReply));
   static_assert(static_cast<uint8_t>(Kind::kRaw) == static_cast<uint8_t>(sim::MsgClass::kRaw));
-  static_assert(static_cast<uint8_t>(Kind::kAck) == static_cast<uint8_t>(sim::MsgClass::kAck));
   static_assert(static_cast<uint8_t>(Kind::kPacked) ==
                 static_cast<uint8_t>(sim::MsgClass::kPacked));
   if (coalesce_.enabled) {
@@ -426,7 +422,7 @@ void PacketEndpoint::OnTimeout(uint64_t req_id) {
     return;  // reply arrived while the timer event was in flight
   }
   Outstanding& out = it->second;
-  if (out.attempts >= config_.retransmit_limit) {
+  if (out.attempts >= kRetransmitLimit) {
     std::ostringstream os;
     os << "Packet: node " << self_ << ": request " << req_id << " to node " << out.dst
        << " (service " << static_cast<int>(out.service) << " " << ServiceName(out.service)
@@ -545,15 +541,6 @@ void PacketEndpoint::DispatchFrame(NodeId src, const Header& h, WireReader body,
       it->second.fn(src, body);
       return;
     }
-    case Kind::kAck: {
-      host_->Charge(TimeCategory::kSyncOverhead, recv_cost);
-      auto it = pending_replies_.find({src, h.req_id});
-      if (it != pending_replies_.end()) {
-        it->second.timer.Cancel();
-        pending_replies_.erase(it);
-      }
-      return;
-    }
     case Kind::kPacked:
       break;  // nested packing is not produced; fall through to the corrupt-kind check
   }
@@ -584,12 +571,6 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
                 CurTrace());
       return;
     }
-  }
-  if (config_.ack_replies && pending_replies_.count({src, req_id}) != 0) {
-    // TCP-like mode: the original reply is still buffered (its ack is pending); the timer-driven
-    // retransmission covers this duplicate request.
-    stats_.duplicate_requests++;
-    return;
   }
 
   elide_current_reply_ = false;
@@ -640,29 +621,10 @@ void PacketEndpoint::HandleRequest(NodeId src, uint64_t req_id, Service service,
     }
   }
   stats_.replies_sent++;
-  if (config_.ack_replies) {
-    SendReplyBuffered(src, service, req_id, std::move(frame), trace);
-  } else {
-    SendFrame(src, Kind::kReply, service, std::move(frame), TimeCategory::kSyncOverhead, trace);
-  }
+  SendFrame(src, Kind::kReply, service, std::move(frame), TimeCategory::kSyncOverhead, trace);
 }
 
 void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, WireReader body) {
-  if (config_.ack_replies) {
-    // TCP-like mode: explicitly acknowledge every reply (duplicates included, or the replier
-    // would retransmit its buffered copy forever). With coalescing on the ack is held so it can
-    // piggyback on any outgoing frame to the same peer; pure-ack datagrams nearly vanish.
-    stats_.acks_sent++;
-    if (coalesce_.enabled) {
-      const uint64_t trace = CurTrace();
-      Enqueue(src, Kind::kAck, static_cast<Service>(0),
-              Frame(Kind::kAck, static_cast<Service>(0), req_id, trace, {}),
-              TimeCategory::kSyncOverhead, trace, /*held=*/true, kAckHold);
-    } else {
-      Transmit(src, Kind::kAck, static_cast<Service>(0), req_id, {}, TimeCategory::kSyncOverhead,
-               CurTrace());
-    }
-  }
   auto it = outstanding_.find(req_id);
   if (it == outstanding_.end()) {
     stats_.duplicate_replies++;  // late duplicate (Figure 3d); drop it
@@ -675,42 +637,6 @@ void PacketEndpoint::HandleReply(NodeId src, uint64_t req_id, WireReader body) {
   if (on_reply) {
     on_reply(body);
   }
-}
-
-void PacketEndpoint::SendReplyBuffered(NodeId dst, Service service, uint64_t req_id,
-                                       Payload frame, uint64_t trace) {
-  SendFrame(dst, Kind::kReply, service, frame, TimeCategory::kSyncOverhead, trace);
-  PendingReply rep;
-  rep.dst = dst;
-  rep.service = service;
-  rep.frame = std::move(frame);
-  rep.trace = trace;
-  rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
-                                      [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
-  pending_replies_[{dst, req_id}] = std::move(rep);
-}
-
-void PacketEndpoint::OnReplyTimeout(NodeId dst, uint64_t req_id) {
-  auto it = pending_replies_.find({dst, req_id});
-  if (it == pending_replies_.end()) {
-    return;
-  }
-  PendingReply& rep = it->second;
-  if (rep.attempts >= config_.retransmit_limit) {
-    std::ostringstream os;
-    os << "Packet: node " << self_ << ": reply to request " << req_id << " from node " << dst
-       << " (service " << static_cast<int>(rep.service) << " " << ServiceName(rep.service)
-       << ") was never acknowledged and exceeded the retransmission limit";
-    machine_->Fail(os.str());
-    return;
-  }
-  rep.attempts++;
-  stats_.reply_retransmissions++;
-  host_->Charge(TimeCategory::kSyncOverhead, machine_->costs().timer_overhead);
-  SendFrame(rep.dst, Kind::kReply, rep.service, rep.frame, TimeCategory::kSyncOverhead,
-            rep.trace);
-  rep.timer = machine_->ScheduleTimer(self_, host_->Clock() + config_.retransmit_timeout,
-                                      [this, dst, req_id] { OnReplyTimeout(dst, req_id); });
 }
 
 }  // namespace dfil::net

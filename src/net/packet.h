@@ -79,8 +79,6 @@ inline constexpr size_t kMaxDatagramBytes = 8800;
 // reach their boundary pages several ms apart); the just-served filter in ShouldHold keeps
 // this from charging fetches whose carrier already left.
 inline constexpr SimTime kRequestHold = Milliseconds(20.0);
-// How long a piggybacked ack may wait (ack_replies mode only).
-inline constexpr SimTime kAckHold = Milliseconds(2.0);
 // A page/bulk request to a lower-numbered mutual peer — one that requested from us within this
 // window — is held briefly so it can ride on our reply to that peer's next request.
 inline constexpr SimTime kMutualWindow = Milliseconds(250.0);
@@ -99,14 +97,10 @@ struct PacketConfig {
   // congested paths, not to undercut a value the uncoalesced protocol never retransmits at —
   // a shared-medium barrier routinely queues an ack past any quiet-time RTT estimate.
   SimTime rto_min = Milliseconds(100.0);
-  // Attempts per request (or buffered reply) before the run ends softly: Machine::Fail.
-  int retransmit_limit = 60;
-  // TCP-like ablation (paper §3: "a different reliability mechanism—such as the one in TCP—might
-  // perform better" on lossy networks): replies are buffered at the replier and retransmitted
-  // until explicitly acknowledged, instead of being rebuilt on request retransmission. Costs one
-  // extra ack message per exchange and reply buffering — Packet's whole savings.
-  bool ack_replies = false;
 };
+
+// Attempts per request before the run ends softly: Machine::Fail.
+inline constexpr int kRetransmitLimit = 60;
 
 // How long a cached non-idempotent reply stays valid, in initial retransmission timeouts.
 inline constexpr int kResponseCacheTimeouts = 20;
@@ -115,6 +109,8 @@ inline constexpr int kResponseCacheTimeouts = 20;
 #define DFIL_PACKET_STATS(X)                                                                       \
   X(requests_sent)                                                                                 \
   X(replies_sent)                                                                                  \
+  /* Always 0: replies are never buffered, so none is acknowledged or retransmitted. Kept */       \
+  /* because every metrics export, `dfil figure9` and the host-time benchmark read them. */        \
   X(acks_sent)                                                                                     \
   X(reply_retransmissions)                                                                         \
   X(retransmissions)                                                                               \
@@ -247,11 +243,10 @@ class PacketEndpoint {
   size_t outstanding() const { return outstanding_.size(); }
 
   const PacketStats& stats() const { return stats_; }
-  PacketConfig& config() { return config_; }
 
   // Observability wiring (optional; set by the runtime after construction). The tracer supplies
   // the causal trace id stamped on every outgoing packet — requests carry the sender's current
-  // context, replies/acks echo the request's id, retransmissions re-stamp the original — and
+  // context, replies echo the request's id, retransmissions re-stamp the original — and
   // incoming handlers run under the message's id so nested sends inherit it. The metrics registry
   // receives the per-service send counters and the outstanding-pipeline-depth histogram.
   void set_tracer(NodeTracer* tracer) { tracer_ = tracer; }
@@ -260,14 +255,15 @@ class PacketEndpoint {
   // — the stall the retransmission is recovering from — in the node's time ledger.
   void set_ledger(TimeLedger* ledger) { ledger_ = ledger; }
 
-  // Messages transmitted per service (requests, replies, raws and acks combined), for the
-  // Figure 9 message-count table.
+  // Messages transmitted per service (requests, replies and raws combined), for the Figure 9
+  // message-count table.
   const std::map<uint16_t, uint64_t>& sent_by_service() const { return sent_by_service_; }
 
  private:
   // kPacked marks a coalesced multi-frame datagram: Header{kPacked, 0, nframes, 0} followed by
-  // nframes x (uint32_t len, then a full legacy Header + body of `len` bytes).
-  enum class Kind : uint8_t { kRequest = 1, kReply = 2, kRaw = 3, kAck = 4, kPacked = 5 };
+  // nframes x (uint32_t len, then a full legacy Header + body of `len` bytes). kPacked keeps its
+  // wire value, so 4 is unused.
+  enum class Kind : uint8_t { kRequest = 1, kReply = 2, kRaw = 3, kPacked = 5 };
 
   struct Header {
     Kind kind;
@@ -331,7 +327,7 @@ class PacketEndpoint {
   };
 
   // Header + body in one buffer sized to fit, for a frame whose body the endpoint keeps (a
-  // request's, for retransmission) or was handed as a view (raw sends, acks).
+  // request's, for retransmission) or was handed as a view (raw sends).
   static Payload Frame(Kind kind, Service service, uint64_t req_id, uint64_t trace,
                        std::span<const std::byte> body);
   // A service's reply as a frame: the header is written into the room `reply` opened with.
@@ -375,10 +371,6 @@ class PacketEndpoint {
   void OnTimeout(uint64_t req_id);
   void HandleRequest(NodeId src, uint64_t req_id, Service service, WireReader body);
   void HandleReply(NodeId src, uint64_t req_id, WireReader body);
-  // ack_replies mode: buffer an outgoing reply frame and retransmit it until acknowledged.
-  void SendReplyBuffered(NodeId dst, Service service, uint64_t req_id, Payload frame,
-                         uint64_t trace);
-  void OnReplyTimeout(NodeId dst, uint64_t req_id);
 
   sim::Machine* machine_;
   PacketHost* host_;
@@ -407,17 +399,6 @@ class PacketEndpoint {
   std::map<NodeId, PeerRtt> peer_rtt_;
   std::unordered_map<uint16_t, ServiceEntry> services_;
   std::unordered_map<uint16_t, RawEntry> raw_handlers_;
-  // ack_replies mode: replies awaiting acknowledgement, keyed by (requester, request id) — the
-  // request-id namespace is per sender.
-  struct PendingReply {
-    NodeId dst;
-    Service service;
-    Payload frame;
-    sim::EventHandle timer;
-    int attempts = 1;
-    uint64_t trace = 0;
-  };
-  std::map<std::pair<NodeId, uint64_t>, PendingReply> pending_replies_;
 
   // Response cache for non-idempotent services: (src, req_id) -> reply, evicted FIFO.
   static constexpr size_t kResponseCacheCap = 1024;

@@ -39,11 +39,11 @@ enum class MsgClass : uint8_t {
   kRequest = 1,
   kReply = 2,
   kRaw = 3,
-  kAck = 4,
   // A coalesced multi-frame datagram (net::PacketEndpoint with config.coalesce on). Fault rules
   // matching on a specific class or service type never match packed datagrams — target them with
   // klass == kPacked, or use plan-level loss/burst/stalls, which apply to every delivery. A packed
-  // datagram is one delivery unit: dropping it drops every frame inside (correlated loss).
+  // datagram is one delivery unit: dropping it drops every frame inside (correlated loss). It
+  // keeps its wire value, so 4 is unused.
   kPacked = 5,
 };
 

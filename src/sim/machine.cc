@@ -110,8 +110,6 @@ const char* MsgClassName(MsgClass klass) {
       return "reply";
     case MsgClass::kRaw:
       return "raw";
-    case MsgClass::kAck:
-      return "ack";
     case MsgClass::kPacked:
       return "packed";
     default:

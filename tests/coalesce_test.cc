@@ -582,11 +582,11 @@ struct WireRig {
   std::vector<const std::byte*> to_a_buffers;
   std::vector<sim::Datagram> to_b;
 
-  explicit WireRig(bool coalesce, PacketConfig b_config = {}) {
+  explicit WireRig(bool coalesce) {
     sim::CostModel costs = sim::CostModel::SunIpcEthernet();
     machine = std::make_unique<sim::Machine>(std::make_unique<sim::SharedEthernet>(costs), costs);
     a = std::make_unique<MiniHost>(0, machine.get());
-    b = std::make_unique<MiniHost>(1, machine.get(), b_config);
+    b = std::make_unique<MiniHost>(1, machine.get());
     if (coalesce) {
       CoalesceConfig co;
       co.enabled = true;
@@ -700,29 +700,6 @@ TEST_P(ReplyWireTest, CachedReplyGoesOutAsFirstSent) {
   ASSERT_EQ(rig.to_a.size(), 2u);
   ExpectReplyFrame(rig.to_a[0], req, Int64Payload(1));
   EXPECT_EQ(rig.to_a[1], rig.to_a[0]);
-}
-
-TEST_P(ReplyWireTest, BufferedReplyIsRetransmittedAsFirstSent) {
-  // ack_replies on the replier only: the requester never acks, so the replier retransmits its
-  // buffered reply until the limit ends the run.
-  PacketConfig config;
-  config.ack_replies = true;
-  config.retransmit_limit = 3;
-  WireRig rig(/*coalesce=*/GetParam(), config);
-  rig.b->endpoint->RegisterService(
-      Service::kTestEcho,
-      [](NodeId, WireReader, ReplyWriter& reply) { return Reply(reply, Int64Payload(9)); },
-      /*idempotent=*/true);
-  const uint64_t req =
-      rig.a->endpoint->SendRequest(1, Service::kTestEcho, Int64Payload(0), [](WireReader) {});
-  const sim::RunResult r = rig.machine->Run();
-  EXPECT_FALSE(r.completed);
-  EXPECT_NE(r.deadlock_report.find("never acknowledged"), std::string::npos);
-  EXPECT_EQ(rig.b->endpoint->stats().reply_retransmissions, 2u);
-  ASSERT_EQ(rig.to_a.size(), 3u);
-  for (const Payload& frame : rig.to_a) {
-    ExpectReplyFrame(frame, req, Int64Payload(9));
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Coalescing, ReplyWireTest, ::testing::Bool());

@@ -475,7 +475,6 @@ TEST(ReduceTest, RetransmissionLimitEndsTheRunWithAReport) {
   cfg.reliable_broadcast = true;
   cfg.packet.retransmit_timeout = Milliseconds(10.0);
   cfg.packet.retransmit_timeout_max = Milliseconds(40.0);
-  cfg.packet.retransmit_limit = 5;
   sim::FaultRule lose_up;
   lose_up.src = 1;
   lose_up.type = static_cast<uint32_t>(net::Service::kReduceUp);
@@ -489,7 +488,7 @@ TEST(ReduceTest, RetransmissionLimitEndsTheRunWithAReport) {
                                    "the retransmission limit"),
             std::string::npos)
       << r.deadlock_report;
-  EXPECT_EQ(r.nodes[1].packet.retransmissions, 4u);
+  EXPECT_EQ(r.nodes[1].packet.retransmissions, static_cast<uint64_t>(net::kRetransmitLimit - 1));
   EXPECT_EQ(r.flight.node_events.size(), 2u);  // the end-of-run flight snapshot is still taken
 }
 

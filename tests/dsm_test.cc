@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <tuple>
 
 #include "src/apps/jacobi.h"
@@ -11,6 +12,8 @@
 #include "src/core/node_runtime.h"
 #include "src/dsm/coherence_oracle.h"
 #include "src/dsm/layout.h"
+#include "src/net/packet.h"
+#include "src/sim/fault_plan.h"
 
 namespace dfil::dsm {
 namespace {
@@ -746,6 +749,60 @@ TEST(DsmAccessTest, HitBeforeTheWokenFaulterRunsRetiresTheUseOnceHold) {
   ASSERT_TRUE(use_once.held_at_read) << "the page must be installed for a faulter not yet run";
   EXPECT_EQ(use_once.value, 7u);
   EXPECT_FALSE(use_once.held_after_read);
+}
+
+// --- Page re-homing ---
+
+TEST(DsmRehomeTest, DelayedDuplicateRequestNeverOrphansThePage) {
+  // Node 1 re-homes node 0's page, then node 0 takes it back with a write. The network delivers a
+  // second copy of the re-home request after that, when node 0 owns the page again and still
+  // keeps the grant record that names the copy's fault. Serving the copy would demote node 0
+  // while node 1 drops the unexpected reply, leaving the page with no owner: the next fault on it
+  // would be redirected back to its own node. Node 0 must report the page as a miss instead.
+  ClusterConfig cfg = Config(2, Pcp::kWriteInvalidate);
+  sim::FaultRule dup;
+  dup.type = static_cast<uint32_t>(net::Service::kRehomePages);
+  dup.klass = sim::MsgClass::kRequest;
+  dup.duplicate = 1.0;
+  dup.delay_min = Milliseconds(300.0);
+  dup.delay_max = Milliseconds(300.0);
+  cfg.fault_plan.rules.push_back(dup);
+  CoherenceOracle oracle;
+  cfg.coherence_oracle = &oracle;
+  Cluster cluster(cfg);
+  const GlobalAddr addr = cluster.layout().AllocPadded(cluster.layout().page_size(), "x");
+  const PageId page = cluster.layout().PageOf(addr);
+  std::array<bool, 2> owns{};
+  bool read = false;
+  uint64_t value = 0;
+  core::RunReport r = cluster.Run([&](NodeEnv& env) {
+    DsmNode& dsm = env.runtime().dsm();
+    if (env.node() == 1) {
+      dsm.RequestRehome({page}, 0);
+    }
+    env.Barrier();  // the re-home has landed: node 1 owns the page
+    if (env.node() == 0) {
+      env.Write<uint64_t>(addr, 7);  // takes the page back
+    }
+    env.Barrier();
+    env.ChargeWork(Milliseconds(600.0));  // the duplicate reaches node 0 meanwhile
+    env.Barrier();
+    owns[env.node()] = dsm.page(page).owner;
+    env.Barrier();
+    // Read only when exactly one node owns the page: with none, node 1's fault would chase a
+    // redirect to itself, a check that ends the process rather than this test.
+    if (env.node() == 1 && owns[0] != owns[1]) {
+      value = env.Read<uint64_t>(addr);
+      read = true;
+    }
+  });
+  ASSERT_TRUE(r.completed) << r.deadlock_report;
+  EXPECT_TRUE(oracle.violations().empty()) << oracle.violations().front();
+  EXPECT_NE(owns[0], owns[1]) << "exactly one node must own the page";
+  EXPECT_TRUE(read);
+  EXPECT_EQ(value, 7u);
+  EXPECT_EQ(r.nodes[1].dsm.pages_rehomed, 1u);
+  EXPECT_EQ(r.nodes[0].dsm.rehome_misses_served, 1u) << "the duplicate is a miss";
 }
 
 // --- Copy list ---

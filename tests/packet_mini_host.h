@@ -15,8 +15,8 @@ namespace dfil::net {
 
 class MiniHost : public PacketHost {
  public:
-  MiniHost(NodeId id, sim::Machine* machine, PacketConfig config = PacketConfig{}) : id_(id) {
-    endpoint = std::make_unique<PacketEndpoint>(machine, this, config);
+  MiniHost(NodeId id, sim::Machine* machine) : id_(id) {
+    endpoint = std::make_unique<PacketEndpoint>(machine, this, PacketConfig{});
   }
   NodeId id() const override { return id_; }
   SimTime Clock() const override { return clock_; }

@@ -3,7 +3,10 @@
 # bench but bench_overheads, which times the host) and the 5 examples from two build trees, each
 # program of each build in a fresh temporary directory, and compares what they leave behind:
 # stdout, stderr, the exit code and every BENCH_*, TRACE_* and METRICS_* file. The "git"
-# provenance field of the METRICS_ files is masked, since it names the checkout. Prints each file
+# provenance field of the METRICS_ files is masked, since it names the checkout. Then, since no
+# bench or example injects a fault, it replays the fuzz-smoke corpus (`dfil_fuzz --scenario S
+# --seed N` for every scenario of the parent's `--list` and seeds 0-63) from both builds and
+# compares each replay's stdout and exit code, one compared output per replay. Prints each output
 # that differs and exits 1 if any does, 0 if none does.
 #
 # Usage: tools/same_outputs.sh PARENT_BUILD CHANGE_BUILD [--quick]
@@ -78,5 +81,35 @@ for prog in "${programs[@]}"; do
   done
 done
 
-echo "compared $compared files, $differ differ"
+# fuzz BUILD_DIR OUT_DIR: replays every (scenario, seed) case of the smoke corpus into OUT_DIR.
+fuzz() {
+  local bin=$1/tools/dfil_fuzz out=$2 s n
+  mkdir -p "$out"
+  for s in "${scenarios[@]}"; do
+    for n in $(seq 0 63); do
+      "$bin" --scenario "$s" --seed "$n" >"$out/$s.$n" 2>/dev/null
+      echo "exit $?" >>"$out/$s.$n"
+    done
+  done
+}
+
+mapfile -t scenarios < <("$parent/tools/dfil_fuzz" --list 2>/dev/null)
+if [ "${#scenarios[@]}" -eq 0 ]; then
+  echo "differs: $parent/tools/dfil_fuzz --list names no scenario"
+  differ=$((differ + 1))
+fi
+fuzz "$parent" "$work/parent/fuzz" &
+fuzz "$change" "$work/change/fuzz" &
+wait
+for s in "${scenarios[@]}"; do
+  for n in $(seq 0 63); do
+    compared=$((compared + 1))
+    if ! cmp -s "$work/parent/fuzz/$s.$n" "$work/change/fuzz/$s.$n"; then
+      echo "differs: dfil_fuzz --scenario $s --seed $n"
+      differ=$((differ + 1))
+    fi
+  done
+done
+
+echo "compared $compared outputs, $differ differ"
 [ "$differ" -eq 0 ]
